@@ -7,12 +7,14 @@ input parse error.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
 from typing import List, Optional
 
 from .graphs import (
     GraphFormatError,
+    GraphTooLargeError,
     NotCubicError,
     flower_snark,
     to_mgf,
@@ -141,18 +143,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        entries = dict(read_corpus(args.corpus, args.format))
+        corpus = read_corpus(args.corpus, args.format)
         with open(args.report) as fh:
             lines = [json.loads(line) for line in fh if line.strip()]
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    entries = dict(corpus)
+    counts = collections.Counter(name for name, _ in corpus)
     failures = 0
     audited = 0
     for data in lines:
         if "summary" in data or ("error" in data and "n" not in data):
             continue
         name = data.get("id")
+        if counts[name] > 1:
+            # a report cannot be matched to one of several same-named graphs
+            print(f"fail {name}: duplicate id in corpus", file=sys.stderr)
+            failures += 1
+            continue
         if name not in entries:
             print(f"fail {name}: not present in corpus", file=sys.stderr)
             failures += 1
@@ -160,7 +169,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         try:
             G = parse_entry(entries[name], args.format)
             audit_report(G, data, pm_cap=args.pm_cap)
-        except (GraphFormatError, NotCubicError, ReportAuditError) as exc:
+        except (GraphFormatError, NotCubicError, GraphTooLargeError,
+                ReportAuditError) as exc:
             print(f"fail {name}: {exc}", file=sys.stderr)
             failures += 1
             continue

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .graphs import (
     CubicGraph,
     EdgeSet,
-    bridges_of_edges,
+    _bridges,
     components_of_edges,
     girth_of_edges,
     two_coloring_of_edges,
@@ -211,10 +211,9 @@ def classify_core(core: Core) -> CoreClassification:
 
 
 def _subgraph_bridges(core: Core) -> List[int]:
-    pairs = _core_edge_list(core)
-    local_edges = [e for _, e in pairs]
-    local_bridges = bridges_of_edges(core.graph.n, local_edges)
-    return [pairs[i][0] for i in local_bridges]
+    G = core.graph
+    outside = G.all_edges().bits & ~core.edge_indices.bits
+    return _bridges(G.incidence, G.edges, outside, core.vertices)[0]
 
 
 def _classify_circuit(

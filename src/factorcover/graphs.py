@@ -351,52 +351,58 @@ def girth(G: CubicGraph) -> int:
     return g
 
 
-def bridges_of_edges(n: int, edges: Sequence[Tuple[int, int]]) -> List[int]:
-    """Cut edges of an arbitrary multigraph (iterative Tarjan, edge-indexed)."""
-    inc = _build_incidence(n, edges)
-    visited = [False] * n
-    disc = [0] * n
-    low = [0] * n
+def _bridges(
+    incidence: Sequence[Sequence[int]],
+    edges: Sequence[Tuple[int, int]],
+    skip: int,
+    roots: Iterable[int],
+) -> Tuple[List[int], int]:
+    """Bridges of the subgraph without the edges in the bitmask skip.
+
+    Iterative Tarjan DFS from each unvisited vertex of roots, walking
+    incidence and skipping the tree in-edge by index, so a parallel pair
+    never counts as a bridge.  Returns the sorted bridges of the part that
+    was reached and the number of vertices reached.
+    """
+    disc = [-1] * len(incidence)
+    low = [0] * len(incidence)
     out: List[int] = []
     timer = 0
-    for root in range(n):
-        if visited[root]:
+    for root in roots:
+        if disc[root] >= 0:
             continue
-        stack: List[Tuple[int, int, int]] = [(root, -1, 0)]  # vertex, in-edge, ptr
-        visited[root] = True
         disc[root] = low[root] = timer
         timer += 1
+        stack = [(root, -1, iter(incidence[root]))]
         while stack:
-            v, in_edge, ptr = stack.pop()
-            if ptr < len(inc[v]):
-                stack.append((v, in_edge, ptr + 1))
-                f = inc[v][ptr]
-                if f == in_edge:
+            v, in_edge, it = stack[-1]
+            for f in it:
+                if f == in_edge or skip >> f & 1:
                     continue
                 a, b = edges[f]
                 w = b if v == a else a
-                if visited[w]:
+                if disc[w] >= 0:
                     if disc[w] < low[v]:
                         low[v] = disc[w]
                 else:
-                    visited[w] = True
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, f, 0))
+                    stack.append((w, f, iter(incidence[w])))
+                    break
             else:
-                if in_edge != -1:
-                    a, b = edges[in_edge]
-                    parent = a if v == b else b
+                stack.pop()
+                if in_edge >= 0:
+                    parent = stack[-1][0]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
                     if low[v] > disc[parent]:
                         out.append(in_edge)
     out.sort()
-    return out
+    return out, timer
 
 
 def bridges(G: CubicGraph) -> EdgeSet:
-    return G.edge_set(bridges_of_edges(G.n, G.edges))
+    return G.edge_set(_bridges(G.incidence, G.edges, 0, range(G.n))[0])
 
 
 def is_bridgeless(G: CubicGraph) -> bool:
@@ -467,33 +473,38 @@ def components_of_edges(
 def has_nontrivial_3_edge_cut(
     G: CubicGraph,
 ) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
-    """Exhaustive scan for a 3-edge cut with >= 2 vertices on both sides.
+    """Find a 3-edge cut with >= 2 vertices on both sides.
 
     The three edges at a single vertex form a trivial cut; everything else
-    counts.  Disconnected input is an error.
+    counts.  Returns (True, (a, b, c)) for the lexicographically first
+    such cut a < b < c, else (False, None).  Disconnected input is an
+    error.
+
+    Method: for each edge pair a < b, one Tarjan DFS (_bridges) over
+    G - {a, b}.  When it reaches all n vertices, {a, b, c} is a cut exactly
+    when c is a bridge of G - {a, b}, and the cut is trivial exactly when
+    {a, b, c} is the edge set of one vertex.  When it does not, {a, b} is a
+    2-edge cut and each c > b is checked by its components.  That is
+    O(m^2) pairs times one O(m) DFS, O(m^3) in all.
     """
     if not is_connected(G):
         raise ValueError("has_nontrivial_3_edge_cut: graph is disconnected")
-    n, m, edges = G.n, G.m, G.edges
+    n, m, edges, incidence = G.n, G.m, G.edges, G.incidence
+    stars = set(incidence)
     for a in range(m):
-        for b in range(a + 1, m):
-            for c in range(b + 1, m):
-                comps = _components_without(n, edges, (a, b, c))
-                if len(comps) < 2:
-                    continue
-                # nontrivial iff some side has >= 2 vertices and so does
-                # its complement
-                for comp in comps:
-                    if 2 <= len(comp) <= n - 2:
+        for b in range(a + 1, m - 1):
+            cut, reached = _bridges(incidence, edges, 1 << a | 1 << b, (0,))
+            if reached == n:
+                for c in cut:
+                    if c > b and (a, b, c) not in stars:
                         return True, (a, b, c)
+                continue
+            for c in range(b + 1, m):
+                kept = [e for i, e in enumerate(edges) if i not in (a, b, c)]
+                comps = components_of_edges(n, kept, range(n))
+                if any(2 <= len(comp) <= n - 2 for comp in comps):
+                    return True, (a, b, c)
     return False, None
-
-
-def _components_without(
-    n: int, edges: Sequence[Tuple[int, int]], removed: Tuple[int, ...]
-) -> List[List[int]]:
-    kept = [e for i, e in enumerate(edges) if i not in removed]
-    return components_of_edges(n, kept, range(n))
 
 
 def _hamiltonian_circuit(

@@ -15,7 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .cores import build_core, classify_core, find_core, verify_core_theorems
+from .cores import (
+    FactorError,
+    build_core,
+    classify_core,
+    find_core,
+    verify_core_theorems,
+)
 from .covers import (
     fan_raspaud_indices,
     fulkerson_witness,
@@ -37,6 +43,7 @@ from .graphs import (
     CubicGraph,
     EdgeSet,
     GraphFormatError,
+    GraphTooLargeError,
     NotCubicError,
     girth,
     has_nontrivial_3_edge_cut,
@@ -444,7 +451,10 @@ def audit_report(
         raise ReportAuditError(f"report {data.get('id')}: {msg}")
 
     def as_set(indices) -> EdgeSet:
-        return G.edge_set(indices)
+        try:
+            return G.edge_set(indices)
+        except ValueError as exc:
+            fail(str(exc))
 
     def check_factors(arrays, what: str) -> List[EdgeSet]:
         sets = [as_set(a) for a in arrays]
@@ -484,8 +494,13 @@ def audit_report(
     for entry in data.get("cores", []):
         if pms is None:
             pms = enumerate_perfect_matchings(G, cap=pm_cap)
+        if any(not 0 <= i < len(pms) for i in entry["factors"]):
+            fail(f"core: factor index out of range 0..{len(pms) - 1}")
         i, j, l = entry["factors"]
-        core = build_core(G, pms[i], pms[j], pms[l])
+        try:
+            core = build_core(G, pms[i], pms[j], pms[l])
+        except FactorError as exc:
+            fail(f"core: {exc}")
         if (_edge_array(core.M) != entry["M"]
                 or _edge_array(core.U) != entry["U"]
                 or _edge_array(core.T) != entry["T"]
@@ -555,7 +570,7 @@ def _scan_one(item: Tuple[str, str, str, AnalyzeOptions]) -> dict:
     name, text, fmt, options = item
     try:
         G = parse_entry(text, fmt)
-    except (GraphFormatError, NotCubicError) as exc:
+    except (GraphFormatError, NotCubicError, GraphTooLargeError) as exc:
         return {"id": name, "error": f"{type(exc).__name__}: {exc}"}
     return analyze(G, options, id=name).to_dict()
 
@@ -569,7 +584,8 @@ def scan(
     """Yield one report dict per corpus entry, then a summary dict.
 
     Output order equals input order for any worker count; per-entry parse
-    errors become {"id", "error"} records and are counted in the summary.
+    errors and graphs over the edge capacity become {"id", "error"} records
+    and are counted in the summary.
     """
     entries = read_corpus(corpus_path, fmt)
     items = [(name, text, fmt, options) for name, text in entries]

@@ -21,6 +21,14 @@ PRISM_EDGES = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                (0, 3), (1, 4), (2, 5)]
 
 
+def prism_edges(t: int):
+    """The prism C_t x K_2: 2t vertices, 3t edges."""
+    edges = [(i, (i + 1) % t) for i in range(t)]
+    edges += [(t + i, t + (i + 1) % t) for i in range(t)]
+    edges += [(i, t + i) for i in range(t)]
+    return edges
+
+
 def corpus_path() -> str:
     ref = importlib.resources.files("factorcover") / "data/corpus_cubic14.mgf"
     return str(ref)

@@ -12,7 +12,7 @@ from factorcover.report import (
     read_corpus,
 )
 
-from conftest import corpus_path
+from conftest import corpus_path, prism_edges
 
 MINI_MGF = """\
 # K4
@@ -137,6 +137,21 @@ def test_scan_records_parse_errors(tmp_path):
     assert lines[-1]["summary"]["parse_errors"] == 1
 
 
+def test_scan_records_oversize_graph_and_continues(tmp_path):
+    path = tmp_path / "oversize.mgf"
+    k4 = MINI_MGF.split("\n\n")[0]
+    prism = "130 195\n" + "".join(f"{u} {v}\n" for u, v in prism_edges(65))
+    path.write_text(k4 + "\n\n# prism65\n" + prism)
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(path), "--out", str(out)]) == 0
+    lines = read_jsonl(out)
+    assert lines[0]["id"] == "K4" and lines[0]["mu"]["3"] == 0
+    assert lines[1]["id"] == "prism65"
+    assert lines[1]["error"].startswith("GraphTooLargeError")
+    summary = lines[-1]["summary"]
+    assert summary["graphs"] == 1 and summary["parse_errors"] == 1
+
+
 def test_scan_budget_records_timeouts(tmp_path):
     j5 = tmp_path / "j5.mgf"
     main(["gen", "flower", "5", "--out", str(j5)])
@@ -205,6 +220,40 @@ def test_verify_detects_tampering(mini_corpus, tmp_path, capsys):
     assert main(["verify", str(tampered), mini_corpus]) == 1
 
 
+def test_verify_fails_duplicate_ids(tmp_path, capsys):
+    corpus = tmp_path / "dup.mgf"
+    k4 = MINI_MGF.split("\n\n")[0].replace("# K4", "# same")
+    corpus.write_text(k4 + "\n\n# same\n2 3\n0 1\n0 1\n0 1\n")
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(corpus), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), str(corpus)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "fail same: duplicate id in corpus"] * 2
+    assert "verified 0 reports, 2 failures" in captured.out
+
+
+def test_verify_fails_out_of_range_index_and_continues(mini_corpus, tmp_path,
+                                                       capsys):
+    two = tmp_path / "two.mgf"
+    two.write_text("\n\n".join(MINI_MGF.split("\n\n")[:2]))
+    out = tmp_path / "scan.jsonl"
+    main(["scan", str(two), "--out", str(out)])
+    lines = out.read_text().splitlines()
+    data = json.loads(lines[0])
+    data["mu_witness"]["3"]["factors"][0][0] = data["m"] + 5
+    lines[0] = json.dumps(data, separators=(",", ":"))
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(tampered), str(two)]) == 1
+    captured = capsys.readouterr()
+    (failure,) = captured.err.splitlines()
+    assert failure.startswith("fail K4: ") and "out of range" in failure
+    assert "verified 1 reports, 1 failures" in captured.out
+
+
 # ---------------------------------------------------------------------------
 # report internals
 # ---------------------------------------------------------------------------
@@ -214,6 +263,22 @@ def test_audit_rejects_forged_witness(petersen):
     report = analyze(petersen, AnalyzeOptions(), id="petersen")
     data = report.to_dict()
     data["fan_raspaud"]["factors"][0][0] = 14  # no longer a matching
+    with pytest.raises(ReportAuditError):
+        audit_report(petersen, data)
+
+
+@pytest.mark.parametrize("field,index,value", [
+    ("fan_raspaud", ("factors", 0, 0), 15),  # edge index out of range
+    ("cores", (0, "factors", 0), 10_000),  # factor index out of range
+    ("cores", (0, "factors", 0), -1),
+    ("cores", (0, "factors", 1), 0),  # repeated factor
+])
+def test_audit_rejects_bad_indices(petersen, field, index, value):
+    data = analyze(petersen, AnalyzeOptions(), id="petersen").to_dict()
+    target = data[field]
+    for key in index[:-1]:
+        target = target[key]
+    target[index[-1]] = value
     with pytest.raises(ReportAuditError):
         audit_report(petersen, data)
 

@@ -5,11 +5,13 @@ import networkx as nx
 import pytest
 
 from factorcover.graphs import (
+    MAX_EDGES,
     CubicGraph,
     EdgeSet,
     GraphFormatError,
     NotCubicError,
     bridges,
+    components_of_edges,
     flower_snark,
     girth,
     has_nontrivial_3_edge_cut,
@@ -23,7 +25,7 @@ from factorcover.graphs import (
     to_mgf,
 )
 
-from conftest import K4_EDGES, PETERSEN_EDGES
+from conftest import K4_EDGES, PETERSEN_EDGES, prism_edges
 
 
 def to_nx(G: CubicGraph) -> nx.MultiGraph:
@@ -181,11 +183,81 @@ def test_3_edge_cut_against_oracle(corpus):
         assert has_nontrivial_3_edge_cut(G)[0] == has_3cut_oracle(G), name
 
 
-def test_3_edge_cut_known_values(petersen, k4, j5):
+def test_3_edge_cut_known_values(petersen, k4, j5, theta):
     assert has_nontrivial_3_edge_cut(petersen) == (False, None)
     assert has_nontrivial_3_edge_cut(k4) == (False, None)
+    assert has_nontrivial_3_edge_cut(theta) == (False, None)
     found, cut = has_nontrivial_3_edge_cut(j5)
     assert not found and cut is None
+
+
+def test_3_edge_cut_rejects_disconnected_input():
+    two_thetas = CubicGraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
+    with pytest.raises(ValueError):
+        has_nontrivial_3_edge_cut(two_thetas)
+
+
+def test_3_edge_cut_at_edge_capacity():
+    # the prism C_64 x K_2 is cyclically 4-edge-connected
+    G = CubicGraph(128, prism_edges(64))
+    assert G.m == MAX_EDGES
+    assert has_nontrivial_3_edge_cut(G) == (False, None)
+
+
+def triple_scan_oracle(G: CubicGraph):
+    """Exhaustive O(m^4) scan: the first edge triple, in lexicographic
+    order, whose removal leaves a component of 2..n-2 vertices."""
+    for a, b, c in itertools.combinations(range(G.m), 3):
+        kept = [e for i, e in enumerate(G.edges) if i not in (a, b, c)]
+        comps = components_of_edges(G.n, kept, range(G.n))
+        if any(2 <= len(comp) <= G.n - 2 for comp in comps):
+            return True, (a, b, c)
+    return False, None
+
+
+def random_connected_cubic_multigraph(rng: random.Random, n: int):
+    """Configuration model: pair up 3n half-edges uniformly, rejecting
+    loops and disconnected results."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[0::2], stubs[1::2]))
+        if any(u == v for u, v in edges):
+            continue
+        if len(components_of_edges(n, edges, range(n))) == 1:
+            return CubicGraph(n, edges)
+
+
+def min_edge_cut_size(G: CubicGraph) -> int:
+    """Smallest k in (1, 2) such that some k edges disconnect G, else 3."""
+    for k in (1, 2):
+        for removed in itertools.combinations(range(G.m), k):
+            kept = [e for i, e in enumerate(G.edges) if i not in removed]
+            if len(components_of_edges(G.n, kept, range(G.n))) > 1:
+                return k
+    return 3
+
+
+def test_3_edge_cut_matches_triple_scan_on_corpus(corpus, j5):
+    small = [(name, G) for name, G in corpus if G.n <= 12]
+    assert len(small) > 100
+    for name, G in small + [("J5", j5), ("J7", flower_snark(7))]:
+        assert has_nontrivial_3_edge_cut(G) == triple_scan_oracle(G), name
+
+
+def test_3_edge_cut_matches_triple_scan_on_random_multigraphs():
+    rng = random.Random(2012)
+    seen = {"bridge": 0, "two_cut_only": 0, "parallel": 0}
+    for trial in range(1000):
+        G = random_connected_cubic_multigraph(rng, rng.choice(range(2, 13, 2)))
+        assert has_nontrivial_3_edge_cut(G) == triple_scan_oracle(G), (
+            trial, G.edges)
+        cut_size = min_edge_cut_size(G)
+        seen["bridge"] += cut_size == 1
+        seen["two_cut_only"] += cut_size == 2
+        seen["parallel"] += len(set(map(frozenset, G.edges))) < G.m
+    # the sample exercises the disconnected-pair branch and parallel edges
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from .graphs import (
     CubicGraph,
     EdgeSet,
     _bridges,
-    components_of_edges,
-    girth_of_edges,
-    two_coloring_of_edges,
+    _components,
+    _girth,
+    _two_coloring,
 )
 from .matching import (
     DEFAULT_PM_CAP,
@@ -160,11 +160,6 @@ def _assert_core_invariants(core: Core) -> None:
             raise CoreInvariantError(f"vertex {v} has core degree {deg[v]}")
 
 
-def _core_edge_list(core: Core) -> List[Tuple[int, Tuple[int, int]]]:
-    G = core.graph
-    return [(i, G.edges[i]) for i in core.edge_indices.indices()]
-
-
 def classify_core(core: Core) -> CoreClassification:
     """Decompose the core into components and classify each one.
 
@@ -174,33 +169,18 @@ def classify_core(core: Core) -> CoreClassification:
     cyclic vacuously, with is_empty set.
     """
     G = core.graph
-    pairs = _core_edge_list(core)
-    n = G.n
-    sub_edges = [e for _, e in pairs]
-    sub_idx = [i for i, _ in pairs]
-    comps = components_of_edges(n, sub_edges, core.vertices)
+    mask = core.edge_indices.bits
     components: List[CoreComponent] = []
-    for comp_vertices in comps:
-        vset = set(comp_vertices)
-        local = [
-            (gi, e) for gi, e in zip(sub_idx, sub_edges) if e[0] in vset
-        ]
-        comp_edge_set = EdgeSet.from_indices(G.m, (gi for gi, _ in local))
-        deg: Dict[int, int] = {v: 0 for v in comp_vertices}
-        for _, (u, v) in local:
-            deg[u] += 1
-            deg[v] += 1
-        if all(d == 2 for d in deg.values()):
-            components.append(
-                _classify_circuit(core, comp_vertices, comp_edge_set)
-            )
-        else:
-            components.append(
-                _classify_subdivision(core, comp_vertices, comp_edge_set)
-            )
+    for comp_vertices in _components(G, mask, core.vertices):
+        at = [[f for f in G.incidence[v] if mask >> f & 1]
+              for v in comp_vertices]
+        comp_edges = EdgeSet.from_indices(G.m, (f for fs in at for f in fs))
+        classify = (_classify_circuit if all(len(fs) == 2 for fs in at)
+                    else _classify_subdivision)
+        components.append(classify(core, comp_vertices, comp_edges))
     is_cyclic = all(c.kind == "even_circuit" for c in components)
-    bip = two_coloring_of_edges(n, sub_edges, core.vertices) is not None
-    bridgeless = not _subgraph_bridges(core)
+    bip = _two_coloring(G, mask, core.vertices) is not None
+    bridgeless = not _bridges(G, mask, core.vertices)[0]
     return CoreClassification(
         components=tuple(components),
         is_cyclic=is_cyclic,
@@ -208,12 +188,6 @@ def classify_core(core: Core) -> CoreClassification:
         is_bridgeless=bridgeless,
         is_empty=core.is_empty,
     )
-
-
-def _subgraph_bridges(core: Core) -> List[int]:
-    G = core.graph
-    outside = G.all_edges().bits & ~core.edge_indices.bits
-    return _bridges(G.incidence, G.edges, outside, core.vertices)[0]
 
 
 def _classify_circuit(
@@ -242,12 +216,10 @@ def _classify_subdivision(
 ) -> CoreComponent:
     """Suppress bivalent vertices along maximal paths to obtain H."""
     G = core.graph
-    idxs = edges.indices()
-    inc: Dict[int, List[int]] = {v: [] for v in comp_vertices}
-    for i in idxs:
-        u, v = G.edges[i]
-        inc[u].append(i)
-        inc[v].append(i)
+    mask = core.edge_indices.bits
+    inc = {
+        v: [f for f in G.incidence[v] if mask >> f & 1] for v in comp_vertices
+    }
     trivalent = sorted(v for v in comp_vertices if len(inc[v]) == 3)
     if not trivalent:
         raise CoreInvariantError("subdivision component without trivalent vertex")
@@ -350,10 +322,14 @@ class CheckResult:
     measured: Dict[str, object]
 
 
-def verify_core_theorems(core: Core, G: CubicGraph) -> List[CheckResult]:
+def verify_core_theorems(
+    core: Core, classification: CoreClassification
+) -> List[CheckResult]:
     """Instance checks of the core structure theorems, for reports and the
-    property suite.  Empty cores pass the girth/component checks vacuously.
+    property suite; classification is classify_core(core).  Empty cores
+    pass the girth/component checks vacuously.
     """
+    G = core.graph
     results: List[CheckResult] = []
     k, t = core.k, len(core.T)
     results.append(
@@ -365,9 +341,7 @@ def verify_core_theorems(core: Core, G: CubicGraph) -> List[CheckResult]:
             {"k": k, "t": t, "edges": len(core.edge_indices)},
         )
     )
-    pairs = _core_edge_list(core)
-    sub_edges = [e for _, e in pairs]
-    g_c = girth_of_edges(G.n, sub_edges) if pairs else None
+    g_c = _girth(G, core.edge_indices.bits)
     results.append(
         CheckResult(
             "girth_le_2k",
@@ -375,7 +349,7 @@ def verify_core_theorems(core: Core, G: CubicGraph) -> List[CheckResult]:
             {"core_girth": g_c, "k": k},
         )
     )
-    comp_count = len(components_of_edges(G.n, sub_edges, core.vertices))
+    comp_count = len(classification.components)
     results.append(
         CheckResult(
             "components_le_2k_over_girth",
@@ -390,32 +364,14 @@ def verify_core_theorems(core: Core, G: CubicGraph) -> List[CheckResult]:
                 "k_lt_3_implies_3_edge_colorable", colorable, {"k": k}
             )
         )
-    cls = classify_core(core)
-    if cls.is_bipartite:
+    if classification.is_bipartite:
         results.append(
             CheckResult(
                 "bipartite_implies_bridgeless",
-                cls.is_bridgeless,
-                {"bridges": _subgraph_bridges(core)},
+                classification.is_bridgeless,
+                {"bridges": _bridges(G, core.edge_indices.bits,
+                                     core.vertices)[0]},
             )
         )
     return results
 
-
-def circuits_alternate_and_use_u(core: Core) -> bool:
-    """Every circuit of the core carries >= girth(G_c)/2 edges of U."""
-    from .matching import trace_circuits
-
-    pairs = _core_edge_list(core)
-    if not pairs:
-        return True
-    sub_edges = [e for _, e in pairs]
-    g_c = girth_of_edges(core.graph.n, sub_edges)
-    # check over the circuits of the 2-regular part (the whole core when it
-    # is cyclic); cores with trivalent vertices are checked on M | U minus T
-    rest = core.edge_indices - core.T
-    for circ in trace_circuits(core.graph, rest):
-        u_count = sum(1 for i in circ if i in core.U)
-        if g_c is not None and u_count < g_c / 2:
-            return False
-    return True

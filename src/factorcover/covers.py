@@ -239,28 +239,19 @@ def matchings_from_circuit_avoiding(
     circuit = hamiltonian_circuit_avoiding(G, v)
     if circuit is None:
         return None
-    # circuit as a cyclic vertex sequence plus the G edge index of each step
-    idx_of: dict = {}
-    for i, (a, b) in enumerate(G.edges):
-        idx_of.setdefault((min(a, b), max(a, b)), []).append(i)
-    a0, b0 = circuit[0]
-    verts = [a0 if a0 not in circuit[1] else b0]
-    step_idx: List[int] = []
-    used: dict = {}
-    for a, b in circuit:
-        key = (min(a, b), max(a, b))
-        slot = used.get(key, 0)
-        step_idx.append(idx_of[key][slot])
-        used[key] = slot + 1
-        verts.append(b if verts[-1] == a else a)
-    verts = verts[:-1]  # closed walk: drop the repeated start vertex
+    # verts[t] is the vertex where step circuit[t] starts
+    verts: List[int] = []
+    w = 1 if v == 0 else 0  # the circuit starts at the lowest vertex of G - v
+    for f in circuit:
+        verts.append(w)
+        w = G.other_end(f, w)
     L = len(verts)  # n - 1, odd
     out: List[PerfectMatching] = []
     for e_v in G.incidence[v]:
         w = G.other_end(e_v, v)
         p = verts.index(w)
         # unique matching of the path C - w: steps p+1, p+3, ..., p+L-2
-        chosen = [e_v] + [step_idx[(p + t) % L] for t in range(1, L - 1, 2)]
+        chosen = [e_v] + [circuit[(p + t) % L] for t in range(1, L - 1, 2)]
         out.append(PerfectMatching(G.edge_set(chosen)))
     return out
 

@@ -10,12 +10,17 @@ number of members through a single edge.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import CubicGraph, EdgeSet
 from .matching import PerfectMatching, trace_circuits
 from .cores import Core, CoreClassification, classify_core
+
+
+#: Most cycles scc_exact may use in a cover.
+SCC_MAX_CYCLES = 4
 
 
 class CoverConstructionError(ValueError):
@@ -332,82 +337,51 @@ def five_cdc(
 # ---------------------------------------------------------------------------
 
 
-def cycle_space_basis(n: int, edges: Sequence[Tuple[int, int]]) -> List[int]:
+def cycle_space_basis(G: CubicGraph) -> List[int]:
     """Fundamental cycles (as edge bitmasks) w.r.t. a BFS spanning forest."""
-    from collections import deque
-
-    inc: Dict[int, List[int]] = {}
-    for i, (u, v) in enumerate(edges):
-        inc.setdefault(u, []).append(i)
-        inc.setdefault(v, []).append(i)
-    parent_edge: Dict[int, int] = {}
-    visited = set()
-    tree = set()
-    for root in range(n):
-        if root in visited or root not in inc:
+    parent_edge = [-1] * G.n
+    visited = [False] * G.n
+    tree = 0
+    for root in range(G.n):
+        if visited[root]:
             continue
-        visited.add(root)
+        visited[root] = True
         queue = deque([root])
         while queue:
             x = queue.popleft()
-            for f in inc[x]:
-                u, v = edges[f]
-                y = v if x == u else u
-                if y not in visited:
-                    visited.add(y)
+            for f in G.incidence[x]:
+                y = G.other_end(f, x)
+                if not visited[y]:
+                    visited[y] = True
                     parent_edge[y] = f
-                    tree.add(f)
+                    tree |= 1 << f
                     queue.append(y)
 
     def path_to_root(v: int) -> int:
         bits = 0
-        while v in parent_edge:
+        while parent_edge[v] >= 0:
             f = parent_edge[v]
             bits ^= 1 << f
-            u, w = edges[f]
-            v = w if v == u else u
+            v = G.other_end(f, v)
         return bits
 
-    basis = []
-    for i, (u, v) in enumerate(edges):
-        if i in tree:
-            continue
-        basis.append((1 << i) ^ path_to_root(u) ^ path_to_root(v))
-    return basis
+    return [
+        (1 << i) ^ path_to_root(u) ^ path_to_root(v)
+        for i, (u, v) in enumerate(G.edges)
+        if not tree >> i & 1
+    ]
 
 
-def scc_exact(
-    G: CubicGraph, max_cycles: int = 4, dim_cap: int = 16
-) -> CycleCover:
-    """Minimum-length cover of E(G) by at most max_cycles cycles, by
+def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
+    """Minimum-length cover of E(G) by at most SCC_MAX_CYCLES cycles, by
     exhaustive search over the cycle space with branch-and-bound.
 
     Exact, deterministic; raises DimensionCapExceededError when the cycle
-    space dimension m - n + (#components) exceeds dim_cap.
+    space dimension m - n + (#components) exceeds dim_cap, and
+    CoverConstructionError when no such cover exists.
     """
-    result = scc_exact_edges(G.n, G.edges, max_cycles, dim_cap)
-    if result is None:
-        raise CoverConstructionError("graph has no cycle cover")
-    length, chosen = result
-    cycles = [EdgeSet(G.m, bits) for bits in chosen]
-    cover = verify_cover(G, cycles)
-    assert cover.valid and cover.length == length
-    return cover
-
-
-def scc_exact_edges(
-    n: int,
-    edges: Sequence[Tuple[int, int]],
-    max_cycles: int = 4,
-    dim_cap: int = 16,
-) -> Optional[Tuple[int, Tuple[int, ...]]]:
-    """Core of scc_exact on a raw edge list; returns (length, cycle bitmasks).
-
-    Works for any loop-free graph whose every edge lies on a circuit (all
-    bridgeless graphs); returns None otherwise.
-    """
-    m = len(edges)
-    basis = cycle_space_basis(n, edges)
+    m = G.m
+    basis = cycle_space_basis(G)
     dim = len(basis)
     if dim > dim_cap:
         raise DimensionCapExceededError(
@@ -420,13 +394,11 @@ def scc_exact_edges(
         low = s & -s
         vectors[s] = vectors[s ^ low] ^ basis[low.bit_length() - 1]
     members = sorted(set(vectors[1:]))
-    if not members:
-        return (0, ()) if m == 0 else None
     cover_all = 0
     for v in members:
         cover_all |= v
-    if cover_all != full:
-        return None  # some edge on no cycle (a bridge)
+    if cover_all != full:  # some edge on no cycle (a bridge)
+        raise CoverConstructionError("graph has no cycle cover")
     lengths = {v: v.bit_count() for v in members}
     by_edge: List[List[int]] = [[] for _ in range(m)]
     for v in members:
@@ -463,7 +435,9 @@ def scc_exact_edges(
             rec(covered | v, length + lengths[v], slots - 1)
             choice.pop()
 
-    rec(0, 0, max_cycles)
+    rec(0, 0, SCC_MAX_CYCLES)
     if best_len is None:
-        return None
-    return best_len, best_choice
+        raise CoverConstructionError("graph has no cycle cover")
+    cover = verify_cover(G, [EdgeSet(m, bits) for bits in best_choice])
+    assert cover.valid and cover.length == best_len
+    return cover

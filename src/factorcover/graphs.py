@@ -300,28 +300,24 @@ def parse_graph6(line: str) -> CubicGraph:
 
 
 # ---------------------------------------------------------------------------
-# Structural queries.  The generic helpers work on any (n, edges) pair so
-# they can also serve induced subgraphs such as cores.
+# Structural queries.  A subgraph is G plus an edge bitmask: edge f belongs
+# to it when bit f of mask is set.  The private queries below walk
+# G.incidence and skip each edge f with `not mask >> f & 1`, so cores and
+# cut candidates are queried in G's own vertex and edge indices.
 # ---------------------------------------------------------------------------
 
 
-def _build_incidence(n: int, edges: Sequence[Tuple[int, int]]) -> List[List[int]]:
-    inc: List[List[int]] = [[] for _ in range(n)]
-    for i, (u, v) in enumerate(edges):
-        inc[u].append(i)
-        inc[v].append(i)
-    return inc
-
-
-def girth_of_edges(n: int, edges: Sequence[Tuple[int, int]]) -> Optional[int]:
-    """Shortest circuit length of an arbitrary loop-free multigraph.
+def _girth(G: CubicGraph, mask: int) -> Optional[int]:
+    """Shortest circuit length of the subgraph with edge set mask.
 
     A parallel pair counts as a 2-circuit (its two edges are different).
-    Returns None for forests.
+    Returns None when the subgraph is a forest.
     """
-    inc = _build_incidence(n, edges)
+    edges, incidence = G.edges, G.incidence
     best: Optional[int] = None
     for e, (u, v) in enumerate(edges):
+        if not mask >> e & 1:
+            continue
         # shortest u-v path avoiding edge e, then close it with e
         dist = {u: 0}
         queue = deque([u])
@@ -332,8 +328,8 @@ def girth_of_edges(n: int, edges: Sequence[Tuple[int, int]]) -> Optional[int]:
                 break
             if limit is not None and dist[x] >= limit:
                 continue
-            for f in inc[x]:
-                if f == e:
+            for f in incidence[x]:
+                if f == e or not mask >> f & 1:
                     continue
                 a, b = edges[f]
                 y = b if x == a else a
@@ -346,26 +342,24 @@ def girth_of_edges(n: int, edges: Sequence[Tuple[int, int]]) -> Optional[int]:
 
 
 def girth(G: CubicGraph) -> int:
-    g = girth_of_edges(G.n, G.edges)
+    g = _girth(G, G.all_edges().bits)
     assert g is not None  # cubic graphs always contain a circuit
     return g
 
 
 def _bridges(
-    incidence: Sequence[Sequence[int]],
-    edges: Sequence[Tuple[int, int]],
-    skip: int,
-    roots: Iterable[int],
+    G: CubicGraph, mask: int, roots: Iterable[int]
 ) -> Tuple[List[int], int]:
-    """Bridges of the subgraph without the edges in the bitmask skip.
+    """Bridges of the subgraph with edge set mask.
 
-    Iterative Tarjan DFS from each unvisited vertex of roots, walking
-    incidence and skipping the tree in-edge by index, so a parallel pair
-    never counts as a bridge.  Returns the sorted bridges of the part that
-    was reached and the number of vertices reached.
+    Iterative Tarjan DFS from each unvisited vertex of roots, skipping the
+    tree in-edge by index, so a parallel pair never counts as a bridge.
+    Returns the sorted bridges of the part that was reached and the number
+    of vertices reached.
     """
-    disc = [-1] * len(incidence)
-    low = [0] * len(incidence)
+    edges, incidence = G.edges, G.incidence
+    disc = [-1] * G.n
+    low = [0] * G.n
     out: List[int] = []
     timer = 0
     for root in roots:
@@ -377,7 +371,7 @@ def _bridges(
         while stack:
             v, in_edge, it = stack[-1]
             for f in it:
-                if f == in_edge or skip >> f & 1:
+                if f == in_edge or not mask >> f & 1:
                     continue
                 a, b = edges[f]
                 w = b if v == a else a
@@ -402,28 +396,34 @@ def _bridges(
 
 
 def bridges(G: CubicGraph) -> EdgeSet:
-    return G.edge_set(_bridges(G.incidence, G.edges, 0, range(G.n))[0])
+    return G.edge_set(_bridges(G, G.all_edges().bits, range(G.n))[0])
 
 
 def is_bridgeless(G: CubicGraph) -> bool:
     return not bridges(G)
 
 
-def two_coloring_of_edges(
-    n: int, edges: Sequence[Tuple[int, int]], vertices: Optional[Iterable[int]] = None
+def _two_coloring(
+    G: CubicGraph, mask: int, roots: Iterable[int]
 ) -> Optional[List[int]]:
-    """BFS 2-coloring of the given vertex set; None if an odd circuit exists."""
-    verts = list(range(n)) if vertices is None else list(vertices)
-    inc = _build_incidence(n, edges)
-    color = [-1] * n
-    for root in verts:
+    """BFS 2-coloring of the subgraph with edge set mask, from each
+    uncolored vertex of roots in turn.
+
+    Returns the color (0 or 1) of every vertex, -1 where no root reaches,
+    or None when a reached component has an odd circuit.
+    """
+    edges, incidence = G.edges, G.incidence
+    color = [-1] * G.n
+    for root in roots:
         if color[root] != -1:
             continue
         color[root] = 0
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for f in inc[v]:
+            for f in incidence[v]:
+                if not mask >> f & 1:
+                    continue
                 a, b = edges[f]
                 w = b if v == a else a
                 if color[w] == -1:
@@ -435,35 +435,37 @@ def two_coloring_of_edges(
 
 
 def is_bipartite(G: CubicGraph) -> Tuple[bool, Optional[List[int]]]:
-    coloring = two_coloring_of_edges(G.n, G.edges)
+    coloring = _two_coloring(G, G.all_edges().bits, range(G.n))
     return (coloring is not None), coloring
 
 
 def is_connected(G: CubicGraph) -> bool:
-    return len(components_of_edges(G.n, G.edges, range(G.n))) <= 1
+    return len(_components(G, G.all_edges().bits, range(G.n))) <= 1
 
 
-def components_of_edges(
-    n: int, edges: Sequence[Tuple[int, int]], vertices: Iterable[int]
+def _components(
+    G: CubicGraph, mask: int, roots: Iterable[int]
 ) -> List[List[int]]:
-    """Connected components (as sorted vertex lists) of the given vertex set."""
-    verts = set(vertices)
-    inc = _build_incidence(n, edges)
-    seen = set()
+    """Connected components of the subgraph with edge set mask that meet
+    roots, as sorted vertex lists in the order of their least root."""
+    edges, incidence = G.edges, G.incidence
+    seen = [False] * G.n
     comps = []
-    for root in sorted(verts):
-        if root in seen:
+    for root in sorted(roots):
+        if seen[root]:
             continue
         comp = [root]
-        seen.add(root)
+        seen[root] = True
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for f in inc[v]:
+            for f in incidence[v]:
+                if not mask >> f & 1:
+                    continue
                 a, b = edges[f]
                 w = b if v == a else a
-                if w not in seen:
-                    seen.add(w)
+                if not seen[w]:
+                    seen[w] = True
                     comp.append(w)
                     queue.append(w)
         comps.append(sorted(comp))
@@ -489,44 +491,49 @@ def has_nontrivial_3_edge_cut(
     """
     if not is_connected(G):
         raise ValueError("has_nontrivial_3_edge_cut: graph is disconnected")
-    n, m, edges, incidence = G.n, G.m, G.edges, G.incidence
-    stars = set(incidence)
+    n, m = G.n, G.m
+    full = G.all_edges().bits
+    stars = set(G.incidence)
     for a in range(m):
         for b in range(a + 1, m - 1):
-            cut, reached = _bridges(incidence, edges, 1 << a | 1 << b, (0,))
+            kept = full ^ (1 << a | 1 << b)
+            cut, reached = _bridges(G, kept, (0,))
             if reached == n:
                 for c in cut:
                     if c > b and (a, b, c) not in stars:
                         return True, (a, b, c)
                 continue
             for c in range(b + 1, m):
-                kept = [e for i, e in enumerate(edges) if i not in (a, b, c)]
-                comps = components_of_edges(n, kept, range(n))
+                comps = _components(G, kept ^ (1 << c), range(n))
                 if any(2 <= len(comp) <= n - 2 for comp in comps):
                     return True, (a, b, c)
     return False, None
 
 
 def _hamiltonian_circuit(
-    n: int, edges: Sequence[Tuple[int, int]]
+    G: CubicGraph, avoid: int = -1
 ) -> Optional[List[int]]:
-    """Backtracking search for a hamiltonian circuit; returns the edge list.
+    """Backtracking search for a hamiltonian circuit of G, or of G - avoid.
 
-    Multigraph-correct: a 2-circuit through two parallel edges is a valid
-    hamiltonian circuit of a 2-vertex graph.
+    Returns the circuit's edge indices in walking order from its start, the
+    lowest vertex other than avoid.  Multigraph-correct: a 2-circuit
+    through two parallel edges is a valid hamiltonian circuit of a
+    2-vertex graph.
     """
-    if n == 0:
-        return None
-    inc = _build_incidence(n, edges)
-    if any(len(i) < 2 for i in inc):
-        return None
-    start = 0
+    edges, incidence = G.edges, G.incidence
+    n = G.n
     used = [False] * n
+    if avoid >= 0:
+        used[avoid] = True
+        n -= 1
+    if n <= 0:
+        return None
+    start = 1 if avoid == 0 else 0
     used[start] = True
     path_edges: List[int] = []
 
     def extend(v: int, count: int) -> bool:
-        for f in inc[v]:
+        for f in incidence[v]:
             if path_edges and f == path_edges[-1]:
                 continue
             a, b = edges[f]
@@ -554,22 +561,13 @@ def _hamiltonian_circuit(
 
 
 def is_hamiltonian(G: CubicGraph) -> bool:
-    return _hamiltonian_circuit(G.n, G.edges) is not None
+    return _hamiltonian_circuit(G) is not None
 
 
-def hamiltonian_circuit_avoiding(
-    G: CubicGraph, v: int
-) -> Optional[List[Tuple[int, int]]]:
-    """Hamiltonian circuit of G - v, as a list of vertex pairs of G."""
-    keep = [u for u in range(G.n) if u != v]
-    relabel = {u: i for i, u in enumerate(keep)}
-    sub = [
-        (relabel[a], relabel[b]) for a, b in G.edges if a != v and b != v
-    ]
-    found = _hamiltonian_circuit(len(keep), sub)
-    if found is None:
-        return None
-    return [(keep[sub[f][0]], keep[sub[f][1]]) for f in found]
+def hamiltonian_circuit_avoiding(G: CubicGraph, v: int) -> Optional[List[int]]:
+    """Hamiltonian circuit of G - v, as edge indices of G in walking order
+    from the lowest vertex other than v."""
+    return _hamiltonian_circuit(G, avoid=v)
 
 
 def is_hypohamiltonian(G: CubicGraph) -> bool:

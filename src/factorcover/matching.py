@@ -153,6 +153,48 @@ def _edge_order_bfs(G: CubicGraph) -> List[int]:
     return order
 
 
+def _edge_coloring(G: CubicGraph, s: int) -> Optional[List[int]]:
+    """Proper edge coloring with colors 0..3 whose color 3 has exactly s
+    edges, as a color per edge index, or None; s = 0 is a 3-edge-coloring.
+
+    Edges are colored in _edge_order_bfs order.  Colors 0..2 are
+    interchangeable, so a fresh one is introduced only in increasing order;
+    this loses no colorings up to relabeling those classes.
+    """
+    order = _edge_order_bfs(G)
+    m = G.m
+    color = [-1] * m
+    used_at = [0] * G.n  # bitmask of colors present at each vertex
+
+    def rec(pos: int, max_used: int, count3: int) -> bool:
+        if count3 + (m - pos) < s:
+            return False
+        if pos == m:
+            return count3 == s
+        f = order[pos]
+        u, v = G.edges[f]
+        forbidden = used_at[u] | used_at[v]
+        fresh = range(min(max_used + 1, 2) + 1)
+        for c in fresh if count3 == s else (*fresh, 3):
+            bit = 1 << c
+            if forbidden & bit:
+                continue
+            color[f] = c
+            used_at[u] |= bit
+            used_at[v] |= bit
+            if c == 3:
+                found = rec(pos + 1, max_used, count3 + 1)
+            else:
+                found = rec(pos + 1, max(max_used, c), count3)
+            if found:
+                return True
+            used_at[u] &= ~bit
+            used_at[v] &= ~bit
+        return False
+
+    return color if rec(0, -1, 0) else None
+
+
 def is_three_edge_colorable(
     G: CubicGraph,
 ) -> Tuple[bool, Optional[Tuple[PerfectMatching, PerfectMatching, PerfectMatching]]]:
@@ -161,37 +203,11 @@ def is_three_edge_colorable(
     Returns (True, (M_a, M_b, M_c)) with the three color classes as disjoint
     perfect matchings partitioning E(G), or (False, None).
     """
-    order = _edge_order_bfs(G)
-    m = G.m
-    color = [-1] * m
-    used_at = [0] * G.n  # bitmask of colors present at each vertex
-
-    def rec(pos: int, max_used: int) -> bool:
-        if pos == m:
-            return True
-        f = order[pos]
-        u, v = G.edges[f]
-        forbidden = used_at[u] | used_at[v]
-        # interchangeable colors: allow a fresh color only in canonical order
-        limit = min(max_used + 1, 2)
-        for c in range(limit + 1):
-            bit = 1 << c
-            if forbidden & bit:
-                continue
-            color[f] = c
-            used_at[u] |= bit
-            used_at[v] |= bit
-            if rec(pos + 1, max(max_used, c)):
-                return True
-            used_at[u] &= ~bit
-            used_at[v] &= ~bit
-            color[f] = -1
-        return False
-
-    if not rec(0, -1):
+    color = _edge_coloring(G, 0)
+    if color is None:
         return False, None
     classes = tuple(
-        PerfectMatching(G.edge_set(i for i in range(m) if color[i] == c))
+        PerfectMatching(G.edge_set(i for i in range(G.m) if color[i] == c))
         for c in range(3)
     )
     return True, classes
@@ -218,37 +234,6 @@ def oddness(
 
 
 def exists_4ec_with_class_of_size(G: CubicGraph, s: int) -> bool:
-    """Is there a proper 4-edge-coloring with a color class of exactly s edges?
-
-    Color 3 is pinned as the counted class; colors 0..2 are canonicalized
-    (a fresh one is introduced only in increasing order), which loses no
-    colorings up to class relabeling.
-    """
-    order = _edge_order_bfs(G)
-    m = G.m
-    used_at = [0] * G.n
-
-    def rec(pos: int, max_used: int, count3: int) -> bool:
-        if count3 > s or count3 + (m - pos) < s:
-            return False
-        if pos == m:
-            return count3 == s
-        f = order[pos]
-        u, v = G.edges[f]
-        forbidden = used_at[u] | used_at[v]
-        limit = min(max_used + 1, 2)
-        for c in list(range(limit + 1)) + [3]:
-            bit = 1 << c
-            if forbidden & bit:
-                continue
-            used_at[u] |= bit
-            used_at[v] |= bit
-            ok = rec(pos + 1, max(max_used, c) if c < 3 else max_used,
-                     count3 + (1 if c == 3 else 0))
-            used_at[u] &= ~bit
-            used_at[v] &= ~bit
-            if ok:
-                return True
-        return False
-
-    return rec(0, -1, 0)
+    """Is there a proper 4-edge-coloring with a color class of exactly s
+    edges?"""
+    return _edge_coloring(G, s) is not None

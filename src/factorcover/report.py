@@ -91,7 +91,6 @@ class AnalyzeOptions:
     mu_upto: int = 4
     pm_cap: int = DEFAULT_PM_CAP
     budget_ms: Optional[int] = None
-    scc_max_cycles: int = 4
     scc_dim_cap: int = 10
     timings: bool = False
 
@@ -328,7 +327,7 @@ def analyze(
                 "bridgeless": cls.is_bridgeless,
                 "empty": cls.is_empty,
             })
-            for check in verify_core_theorems(core_obj, G):
+            for check in verify_core_theorems(core_obj, cls):
                 report.checks.append({
                     "name": f"core_{check.name}",
                     "passed": check.passed,
@@ -361,8 +360,7 @@ def analyze(
 
     if "scc" in ops:
         def _scc():
-            cover = scc_exact(G, max_cycles=options.scc_max_cycles,
-                              dim_cap=options.scc_dim_cap)
+            cover = scc_exact(G, dim_cap=options.scc_dim_cap)
             report.covers.append(_cover_dict("scc_exact", cover))
         run("scc", _scc)
 
@@ -378,6 +376,11 @@ def analyze(
 def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
     """Instance checks of the bound and conjecture statements that the
     computed fields make decidable for this graph."""
+    def ran(name: str) -> bool:
+        # a field whose matchings were never enumerated did not run either
+        return (name not in report.skipped and name not in report.errors
+                and "matchings" not in report.errors)
+
     m = G.m
     mu3 = report.mu.get("3")
     if mu3 is not None:
@@ -397,15 +400,13 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
                 "passed": report.girth <= 2 * mu3,
                 "measured": {"girth": report.girth, "mu3": mu3},
             })
-    if report.bridgeless and "fan_raspaud" not in report.errors and (
-            "fan_raspaud" not in report.skipped):
+    if report.bridgeless and ran("fan_raspaud"):
         report.checks.append({
             "name": "fan_raspaud_exists",
             "passed": report.fan_raspaud is not None,
             "measured": {},
         })
-    fulkerson_ran = ("fulkerson" not in report.skipped
-                     and "fulkerson" not in report.errors)
+    fulkerson_ran = ran("fulkerson")
     if report.bridgeless and fulkerson_ran:
         report.checks.append({
             "name": "fulkerson_exists",

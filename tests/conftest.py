@@ -1,8 +1,14 @@
 import importlib.resources
+import random
 
 import pytest
 
-from factorcover.graphs import CubicGraph, flower_snark, theta_graph
+from factorcover.graphs import (
+    CubicGraph,
+    flower_snark,
+    is_connected,
+    theta_graph,
+)
 from factorcover.matching import enumerate_perfect_matchings
 from factorcover.report import parse_entry, read_corpus
 
@@ -27,6 +33,20 @@ def prism_edges(t: int):
     edges += [(t + i, t + (i + 1) % t) for i in range(t)]
     edges += [(i, t + i) for i in range(t)]
     return edges
+
+
+def random_connected_cubic_multigraph(rng: random.Random, n: int):
+    """Configuration model: pair up 3n half-edges uniformly, rejecting
+    loops and disconnected results."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = list(zip(stubs[0::2], stubs[1::2]))
+        if any(u == v for u, v in edges):
+            continue
+        G = CubicGraph(n, edges)
+        if is_connected(G):
+            return G
 
 
 def corpus_path() -> str:

@@ -25,9 +25,9 @@ from factorcover.cyclecovers import (
 )
 from factorcover.graphs import (
     CubicGraph,
+    _components,
+    _girth,
     girth,
-    girth_of_edges,
-    components_of_edges,
     has_nontrivial_3_edge_cut,
     is_bridgeless,
 )
@@ -127,11 +127,11 @@ def test_criterion_05_core_property_suite(corpus, corpus_pms):
                 for v in core.vertices:
                     at_v = sum(1 for e in G.incidence[v] if e in core.M)
                     assert at_v == 1, name
-                sub = [G.edges[e] for e in core.edge_indices.indices()]
-                g_c = girth_of_edges(G.n, sub) if sub else None
+                mask = core.edge_indices.bits
+                g_c = _girth(G, mask)
                 if g_c is not None:
                     assert g_c <= 2 * k, name
-                    comps = components_of_edges(G.n, sub, core.vertices)
+                    comps = _components(G, mask, core.vertices)
                     assert len(comps) <= (2 * k) / g_c, name
                 # component classification (classify_core asserts the
                 # circuit/subdivision structure while building it)

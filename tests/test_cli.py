@@ -3,7 +3,7 @@ import json
 import pytest
 
 from factorcover.cli import main
-from factorcover.graphs import parse_edge_list
+from factorcover.graphs import parse_edge_list, to_mgf
 from factorcover.report import (
     AnalyzeOptions,
     ReportAuditError,
@@ -281,6 +281,19 @@ def test_audit_rejects_bad_indices(petersen, field, index, value):
     target[index[-1]] = value
     with pytest.raises(ReportAuditError):
         audit_report(petersen, data)
+
+
+def test_no_check_on_fields_whose_matchings_failed(petersen, tmp_path,
+                                                   capsys):
+    options = AnalyzeOptions(pm_cap=1).with_ops("fulkerson")
+    data = analyze(petersen, options, id="petersen").to_dict()
+    assert data["errors"] == {"matchings": "pm_cap_exceeded"}
+    assert data["violations"] == []
+    names = {check["name"] for check in data["checks"]}
+    assert not names & {"fan_raspaud_exists", "fulkerson_exists"}
+    path = tmp_path / "petersen.mgf"
+    path.write_text(to_mgf(petersen))
+    assert main(["analyze", str(path), "--pm-cap", "1", "--fulkerson"]) == 0
 
 
 def test_default_ops_skip_expensive_fields(petersen):

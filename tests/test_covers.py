@@ -14,12 +14,14 @@ from factorcover.covers import (
     pair_sharing_one_edge,
     verify_fulkerson,
 )
-from factorcover.graphs import CubicGraph
+from factorcover.graphs import CubicGraph, hamiltonian_circuit_avoiding
 from factorcover.matching import (
     enumerate_perfect_matchings,
     is_perfect_matching,
     is_three_edge_colorable,
 )
+
+from conftest import random_connected_cubic_multigraph
 
 
 def mu_oracle(G: CubicGraph, k: int) -> int:
@@ -138,12 +140,41 @@ def test_fulkerson_on_corpus_sample(corpus):
         assert witness is not None and verify_fulkerson(G, witness), name
 
 
-def test_matchings_from_circuit(petersen):
-    factors = matchings_from_circuit_avoiding(petersen, 0)
-    assert factors is not None and len(factors) == 3
-    for e_v, pm in zip(petersen.incidence[0], factors):
-        assert is_perfect_matching(petersen, pm.edges)
-        assert e_v in pm.edges
+def test_matchings_from_circuit(petersen, j5):
+    """Every vertex of the hypohamiltonian Petersen graph and J5, and of
+    seeded configuration-model multigraphs (parallel edges included)."""
+    rng = random.Random(41)
+    graphs = [petersen, j5]
+    for _ in range(200):
+        n = rng.choice(range(2, 11, 2))
+        graphs.append(random_connected_cubic_multigraph(rng, n))
+    found = parallel_used = 0
+    for G in graphs:
+        for v in range(G.n):
+            circuit = hamiltonian_circuit_avoiding(G, v)
+            factors = matchings_from_circuit_avoiding(G, v)
+            assert (circuit is None) == (factors is None), (G.edges, v)
+            if circuit is None:
+                assert G not in (petersen, j5)
+                continue
+            # a closed walk through every vertex of G - v exactly once,
+            # starting at the lowest one
+            w = start = 1 if v == 0 else 0
+            visited = []
+            for f in circuit:
+                assert w in G.edges[f] and v not in G.edges[f]
+                visited.append(w)
+                w = G.other_end(f, w)
+            assert w == start
+            assert sorted(visited) == [u for u in range(G.n) if u != v]
+            assert len(factors) == 3
+            for e_v, pm in zip(G.incidence[v], factors):
+                assert is_perfect_matching(G, pm.edges), (G.edges, v)
+                assert e_v in pm.edges
+            found += 1
+            pairs = [frozenset(e) for e in G.edges]
+            parallel_used += any(pairs.count(pairs[f]) > 1 for f in circuit)
+    assert found > 200 and parallel_used > 0, (found, parallel_used)
 
 
 def test_pair_sharing_one_edge(petersen, j5):

@@ -179,7 +179,7 @@ def test_five_cdc_requires_full_cover(petersen):
 
 def scc_oracle(G: CubicGraph, max_cycles: int = 4) -> int:
     """Brute force over all subsets of the full cycle space, tiny dims."""
-    basis = cycle_space_basis(G.n, G.edges)
+    basis = cycle_space_basis(G)
     dim = len(basis)
     members = []
     for mask in range(1, 1 << dim):

@@ -10,8 +10,10 @@ from factorcover.graphs import (
     EdgeSet,
     GraphFormatError,
     NotCubicError,
+    _components,
+    _girth,
+    _two_coloring,
     bridges,
-    components_of_edges,
     flower_snark,
     girth,
     has_nontrivial_3_edge_cut,
@@ -25,7 +27,12 @@ from factorcover.graphs import (
     to_mgf,
 )
 
-from conftest import K4_EDGES, PETERSEN_EDGES, prism_edges
+from conftest import (
+    K4_EDGES,
+    PETERSEN_EDGES,
+    prism_edges,
+    random_connected_cubic_multigraph,
+)
 
 
 def to_nx(G: CubicGraph) -> nx.MultiGraph:
@@ -160,6 +167,59 @@ def test_bipartite_against_networkx(corpus, k33, petersen):
             assert all(sides[u] != sides[v] for u, v in G.edges)
 
 
+def masked_subgraph(G: CubicGraph, mask: int) -> nx.MultiGraph:
+    H = nx.MultiGraph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(e for f, e in enumerate(G.edges) if mask >> f & 1)
+    return H
+
+
+def test_masked_queries_against_networkx(corpus):
+    """_girth, _components and _two_coloring on seeded random edge subsets
+    of corpus graphs and configuration-model multigraphs."""
+    rng = random.Random(2013)
+    graphs = [G for _, G in rng.sample(corpus, 50)]
+    for _ in range(50):
+        n = rng.choice(range(2, 13, 2))
+        graphs.append(random_connected_cubic_multigraph(rng, n))
+    seen = {"subsets": 0, "forest": 0, "parallel": 0, "odd": 0,
+            "bipartite": 0}
+    for G in graphs:
+        full = G.all_edges().bits
+        masks = [0, full] + [
+            sum(1 << f for f in range(G.m) if rng.random() < p)
+            for p in (0.5, 0.7, 0.85, 0.95)
+        ]
+        for mask in masks:
+            H = masked_subgraph(G, mask)
+            parallel = any(H.number_of_edges(u, v) > 1 for u, v in H.edges())
+            want_girth = 2 if parallel else nx.girth(nx.Graph(H))
+            want_girth = None if want_girth == float("inf") else want_girth
+            assert _girth(G, mask) == want_girth, (G.edges, mask)
+
+            roots = (list(range(G.n)) if rng.random() < 0.3
+                     else rng.sample(range(G.n), rng.randint(0, G.n)))
+            comps = [c for c in nx.connected_components(H) if c & set(roots)]
+            comps.sort(key=lambda c: min(c & set(roots)))
+            assert _components(G, mask, roots) == [sorted(c) for c in comps]
+
+            bip = all(nx.is_bipartite(H.subgraph(c)) for c in comps)
+            coloring = _two_coloring(G, mask, roots)
+            assert (coloring is not None) == bip, (G.edges, mask, roots)
+            if coloring is not None:
+                reached = set().union(*comps)
+                assert all((coloring[v] >= 0) == (v in reached)
+                           for v in range(G.n))
+                assert all(coloring[u] != coloring[v] for u, v in H.edges()
+                           if u in reached)
+            seen["subsets"] += 1
+            seen["forest"] += want_girth is None
+            seen["parallel"] += parallel
+            seen["odd"] += comps != [] and not bip
+            seen["bipartite"] += comps != [] and bip
+    assert seen["subsets"] >= 500 and all(seen.values()), seen
+
+
 # ---------------------------------------------------------------------------
 # 3-edge-cuts (independent oracle: vertex-subset scan)
 # ---------------------------------------------------------------------------
@@ -208,32 +268,21 @@ def triple_scan_oracle(G: CubicGraph):
     """Exhaustive O(m^4) scan: the first edge triple, in lexicographic
     order, whose removal leaves a component of 2..n-2 vertices."""
     for a, b, c in itertools.combinations(range(G.m), 3):
-        kept = [e for i, e in enumerate(G.edges) if i not in (a, b, c)]
-        comps = components_of_edges(G.n, kept, range(G.n))
+        kept = G.all_edges().bits ^ (1 << a | 1 << b | 1 << c)
+        comps = _components(G, kept, range(G.n))
         if any(2 <= len(comp) <= G.n - 2 for comp in comps):
             return True, (a, b, c)
     return False, None
-
-
-def random_connected_cubic_multigraph(rng: random.Random, n: int):
-    """Configuration model: pair up 3n half-edges uniformly, rejecting
-    loops and disconnected results."""
-    while True:
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = list(zip(stubs[0::2], stubs[1::2]))
-        if any(u == v for u, v in edges):
-            continue
-        if len(components_of_edges(n, edges, range(n))) == 1:
-            return CubicGraph(n, edges)
 
 
 def min_edge_cut_size(G: CubicGraph) -> int:
     """Smallest k in (1, 2) such that some k edges disconnect G, else 3."""
     for k in (1, 2):
         for removed in itertools.combinations(range(G.m), k):
-            kept = [e for i, e in enumerate(G.edges) if i not in removed]
-            if len(components_of_edges(G.n, kept, range(G.n))) > 1:
+            kept = G.all_edges().bits
+            for f in removed:
+                kept ^= 1 << f
+            if len(_components(G, kept, range(G.n))) > 1:
                 return k
     return 3
 

@@ -20,10 +20,8 @@ from .graphs import (
     to_mgf,
 )
 from .matching import (
-    PerfectMatching,
+    NoPerfectMatchingError,
     PMCapExceededError,
-    TwoFactor,
-    complement_two_factor,
     enumerate_perfect_matchings,
     exists_4ec_with_class_of_size,
     is_three_edge_colorable,
@@ -33,12 +31,9 @@ from .matching import (
 from .covers import (
     CoverWitness,
     FulkersonWitness,
-    NoPerfectMatchingError,
-    berge_check,
-    fan_raspaud_witness,
+    fan_raspaud_indices,
     fulkerson_witness,
     mu_k,
-    pair_sharing_one_edge,
 )
 from .cores import (
     Core,

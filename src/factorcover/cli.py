@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import json
 import sys
 from typing import List, Optional
@@ -84,14 +85,14 @@ def _options_from_args(args: argparse.Namespace) -> AnalyzeOptions:
     return options.with_ops(*extra) if extra else options
 
 
-def _emit(lines, out_path: Optional[str]) -> None:
-    if out_path is None:
+def _emit(lines, out_path: Optional[str]) -> Optional[str]:
+    """Write each line as it is produced; return the last one."""
+    line = None
+    with (open(out_path, "w", buffering=1) if out_path is not None
+          else contextlib.nullcontext(sys.stdout)) as fh:
         for line in lines:
-            print(line)
-    else:
-        with open(out_path, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.write(line + "\n")
+    return line
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -114,12 +115,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     try:
         reports = scan(args.file, options, fmt=args.format,
                        workers=args.workers)
-        collected: List[dict] = list(reports)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(report_lines(iter(collected)), args.out)
-    summary = collected[-1]["summary"]
+    summary = json.loads(_emit(report_lines(reports), args.out))["summary"]
     return 1 if summary["violations"] else 0
 
 
@@ -145,18 +144,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         corpus = read_corpus(args.corpus, args.format)
         with open(args.report) as fh:
-            lines = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
+            lines = [(number, line) for number, line in enumerate(fh, 1)
+                     if line.strip()]
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     entries = dict(corpus)
     counts = collections.Counter(name for name, _ in corpus)
     failures = 0
     audited = 0
-    for data in lines:
+    for number, line in lines:
+        try:
+            data = json.loads(line)
+        except json.JSONDecodeError:
+            data = None
+        if not isinstance(data, dict):
+            print(f"fail line {number}: not a JSON object", file=sys.stderr)
+            failures += 1
+            continue
         if "summary" in data or ("error" in data and "n" not in data):
             continue
         name = data.get("id")
+        if not isinstance(name, str):
+            print(f"fail line {number}: report id is not a string",
+                  file=sys.stderr)
+            failures += 1
+            continue
         if counts[name] > 1:
             # a report cannot be matched to one of several same-named graphs
             print(f"fail {name}: duplicate id in corpus", file=sys.stderr)

@@ -10,6 +10,7 @@ intersection) are theorems, so violations raise CoreInvariantError.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,13 +22,7 @@ from .graphs import (
     _girth,
     _two_coloring,
 )
-from .matching import (
-    DEFAULT_PM_CAP,
-    PerfectMatching,
-    enumerate_perfect_matchings,
-    is_perfect_matching,
-    is_three_edge_colorable,
-)
+from .matching import is_perfect_matching, is_three_edge_colorable
 
 
 class CoreInvariantError(AssertionError):
@@ -64,7 +59,7 @@ class Core:
     """The core of G with respect to three pairwise-distinct 1-factors."""
 
     graph: CubicGraph
-    factors: Tuple[PerfectMatching, PerfectMatching, PerfectMatching]
+    factors: Tuple[EdgeSet, EdgeSet, EdgeSet]
     M: EdgeSet  # edges in >= 2 factors
     U: EdgeSet  # edges in no factor
     T: EdgeSet  # edges in all three factors
@@ -87,18 +82,13 @@ class CoreClassification:
     is_empty: bool
 
 
-def build_core(
-    G: CubicGraph,
-    M1: PerfectMatching,
-    M2: PerfectMatching,
-    M3: PerfectMatching,
-) -> Core:
+def build_core(G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet) -> Core:
     for i, f in enumerate((M1, M2, M3)):
-        if not is_perfect_matching(G, f.edges):
+        if not is_perfect_matching(G, f):
             raise FactorError(f"factor {i + 1} is not a perfect matching of G")
-    if M1.edges == M2.edges or M1.edges == M3.edges or M2.edges == M3.edges:
+    if M1 == M2 or M1 == M3 or M2 == M3:
         raise FactorError("factors must be pairwise distinct")
-    a, b, c = M1.edges.bits, M2.edges.bits, M3.edges.bits
+    a, b, c = M1.bits, M2.bits, M3.bits
     m = G.m
     Mbits = (a & b) | (a & c) | (b & c)
     Tbits = a & b & c
@@ -278,40 +268,13 @@ def _classify_subdivision(
     )
 
 
-def find_core(
-    G: CubicGraph,
-    predicate: str = "any",
-    k_budget: Optional[int] = None,
-    pms: Optional[Sequence[PerfectMatching]] = None,
-    cap: int = DEFAULT_PM_CAP,
-) -> Optional[Core]:
-    """First core (PM triples scanned in lexicographic index order) whose
-    |U| is within k_budget and whose classification satisfies predicate.
-
-    predicate: "cyclic", "bipartite", "bridgeless", or "any".
-    """
-    if predicate not in ("cyclic", "bipartite", "bridgeless", "any"):
-        raise ValueError(f"unknown predicate {predicate!r}")
-    if pms is None:
-        pms = enumerate_perfect_matchings(G, cap=cap)
-    if k_budget is None:
-        k_budget = G.m
-    p = len(pms)
-    for i in range(p):
-        for j in range(i + 1, p):
-            for l in range(j + 1, p):
-                core = build_core(G, pms[i], pms[j], pms[l])
-                if core.k > k_budget:
-                    continue
-                if predicate == "any":
-                    return core
-                cls = classify_core(core)
-                if (
-                    (predicate == "cyclic" and cls.is_cyclic)
-                    or (predicate == "bipartite" and cls.is_bipartite)
-                    or (predicate == "bridgeless" and cls.is_bridgeless)
-                ):
-                    return core
+def find_core(G: CubicGraph, pms: Sequence[EdgeSet]) -> Optional[Core]:
+    """First cyclic core over the triples of pms (the list from
+    enumerate_perfect_matchings(G)) in lexicographic index order, or None."""
+    for i, j, l in itertools.combinations(range(len(pms)), 3):
+        core = build_core(G, pms[i], pms[j], pms[l])
+        if classify_core(core).is_cyclic:
+            return core
     return None
 
 

@@ -1,5 +1,5 @@
-"""Exact k-cover computations: mu_k, Fan-Raspaud triples, Berge covers,
-and Fulkerson colorings.
+"""Exact k-cover computations: mu_k (Berge's cover is mu_5 = 0),
+Fan-Raspaud triples, and Fulkerson colorings.
 
 mu_k(G) is |E(G)| minus the maximum number of edges covered by a multiset of
 k 1-factors.  All searches run over the complete enumerated perfect-matching
@@ -12,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import CubicGraph, EdgeSet
-from .matching import (
-    DEFAULT_PM_CAP,
-    PerfectMatching,
-    enumerate_perfect_matchings,
-)
-
-
-class NoPerfectMatchingError(ValueError):
-    """Graph has no perfect matching; mu_k is undefined."""
+from .graphs import CubicGraph, EdgeSet, hamiltonian_circuit_avoiding
+from .matching import NoPerfectMatchingError
 
 
 @dataclass(frozen=True)
@@ -30,11 +22,10 @@ class CoverWitness:
 
     k: int
     factor_indices: Tuple[int, ...]
-    factors: Tuple[PerfectMatching, ...]
+    factors: Tuple[EdgeSet, ...]
     union: EdgeSet
     uncovered: EdgeSet
     mu: int
-    optimal: bool
 
 
 @dataclass(frozen=True)
@@ -42,36 +33,25 @@ class FulkersonWitness:
     """Six 1-factors with every edge in exactly two of them."""
 
     factor_indices: Tuple[int, ...]
-    factors: Tuple[PerfectMatching, ...]
-
-
-def _pm_list(
-    G: CubicGraph, pms: Optional[Sequence[PerfectMatching]], cap: int
-) -> List[PerfectMatching]:
-    if pms is None:
-        pms = enumerate_perfect_matchings(G, cap=cap)
-    return list(pms)
+    factors: Tuple[EdgeSet, ...]
 
 
 def mu_k(
-    G: CubicGraph,
-    k: int,
-    pms: Optional[Sequence[PerfectMatching]] = None,
-    cap: int = DEFAULT_PM_CAP,
+    G: CubicGraph, k: int, pms: Sequence[EdgeSet]
 ) -> Tuple[int, CoverWitness]:
-    """Exact mu_k via branch and bound over nondecreasing factor-index tuples.
+    """Exact mu_k via branch and bound over nondecreasing factor-index tuples
+    of pms, the list from enumerate_perfect_matchings(G).
 
     Repetition is allowed (it never improves the union), so the search is
     total whenever G has at least one perfect matching and 1 <= k <= 6.
     """
     if not 1 <= k <= 6:
         raise ValueError("k must be between 1 and 6")
-    pms = _pm_list(G, pms, cap)
     if not pms:
         raise NoPerfectMatchingError("graph has no perfect matching")
     m = G.m
     half = G.n // 2
-    masks = [pm.edges.bits for pm in pms]
+    masks = [pm.bits for pm in pms]
     p = len(masks)
     suffix_or = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
@@ -120,32 +100,16 @@ def mu_k(
         union=union,
         uncovered=uncovered,
         mu=len(uncovered),
-        optimal=True,
     )
     return witness.mu, witness
 
 
-def fan_raspaud_witness(
-    G: CubicGraph,
-    pms: Optional[Sequence[PerfectMatching]] = None,
-    cap: int = DEFAULT_PM_CAP,
-) -> Optional[Tuple[PerfectMatching, PerfectMatching, PerfectMatching]]:
-    """First PM triple (lexicographic indices) with empty triple intersection."""
-    found = fan_raspaud_indices(G, pms=pms, cap=cap)
-    if found is None:
-        return None
-    pms = _pm_list(G, pms, cap)
-    i, j, l = found
-    return pms[i], pms[j], pms[l]
-
-
 def fan_raspaud_indices(
-    G: CubicGraph,
-    pms: Optional[Sequence[PerfectMatching]] = None,
-    cap: int = DEFAULT_PM_CAP,
+    G: CubicGraph, pms: Sequence[EdgeSet]
 ) -> Optional[Tuple[int, int, int]]:
-    pms = _pm_list(G, pms, cap)
-    masks = [pm.edges.bits for pm in pms]
+    """First index triple i < j < l (lexicographic) of pms whose 1-factors
+    have empty intersection, or None."""
+    masks = [pm.bits for pm in pms]
     p = len(masks)
     for i in range(p):
         for j in range(i + 1, p):
@@ -160,29 +124,17 @@ def fan_raspaud_indices(
     return None
 
 
-def berge_check(
-    G: CubicGraph,
-    pms: Optional[Sequence[PerfectMatching]] = None,
-    cap: int = DEFAULT_PM_CAP,
-) -> bool:
-    """True iff five 1-factors cover E(G) (mu_5 = 0)."""
-    mu, _ = mu_k(G, 5, pms=pms, cap=cap)
-    return mu == 0
-
-
 def fulkerson_witness(
-    G: CubicGraph,
-    pms: Optional[Sequence[PerfectMatching]] = None,
-    cap: int = DEFAULT_PM_CAP,
+    G: CubicGraph, pms: Sequence[EdgeSet]
 ) -> Optional[FulkersonWitness]:
-    """Exact search for six 1-factors covering every edge exactly twice.
+    """Exact search for six 1-factors of pms covering every edge exactly
+    twice.
 
     Depth-first over nondecreasing index tuples (killing the 6! symmetric
     duplicates) with per-edge count <= 2 pruning; exhausts the space before
     returning None.
     """
-    pms = _pm_list(G, pms, cap)
-    masks = [pm.edges.bits for pm in pms]
+    masks = [pm.bits for pm in pms]
     p = len(masks)
     full = (1 << G.m) - 1
     suffix_or = [0] * (p + 1)
@@ -217,25 +169,24 @@ def fulkerson_witness(
     )
 
 
-def verify_fulkerson(G: CubicGraph, witness: FulkersonWitness) -> bool:
+def verify_fulkerson(G: CubicGraph, factors: Sequence[EdgeSet]) -> bool:
+    """Are factors six edge sets covering every edge exactly twice?"""
     counts = [0] * G.m
-    for pm in witness.factors:
-        for i in pm.edges.indices():
+    for pm in factors:
+        for i in pm.indices():
             counts[i] += 1
-    return len(witness.factors) == 6 and all(c == 2 for c in counts)
+    return len(factors) == 6 and all(c == 2 for c in counts)
 
 
 def matchings_from_circuit_avoiding(
     G: CubicGraph, v: int
-) -> Optional[List[PerfectMatching]]:
+) -> Optional[List[EdgeSet]]:
     """The three 1-factors induced by a hamiltonian circuit C of G - v.
 
     For each edge vw of G, C - w is a path of even order with a unique
     perfect matching; together with vw it is a 1-factor of G.  Returns None
     when G - v is not hamiltonian.
     """
-    from .graphs import hamiltonian_circuit_avoiding
-
     circuit = hamiltonian_circuit_avoiding(G, v)
     if circuit is None:
         return None
@@ -246,37 +197,12 @@ def matchings_from_circuit_avoiding(
         verts.append(w)
         w = G.other_end(f, w)
     L = len(verts)  # n - 1, odd
-    out: List[PerfectMatching] = []
+    out: List[EdgeSet] = []
     for e_v in G.incidence[v]:
         w = G.other_end(e_v, v)
         p = verts.index(w)
         # unique matching of the path C - w: steps p+1, p+3, ..., p+L-2
         chosen = [e_v] + [circuit[(p + t) % L] for t in range(1, L - 1, 2)]
-        out.append(PerfectMatching(G.edge_set(chosen)))
+        out.append(G.edge_set(chosen))
     return out
 
-
-def pair_sharing_one_edge(
-    G: CubicGraph,
-    v: int,
-    pms: Optional[Sequence[PerfectMatching]] = None,
-    cap: int = DEFAULT_PM_CAP,
-) -> Optional[Tuple[PerfectMatching, PerfectMatching]]:
-    """Two 1-factors with |M1 & M2| = 1, when G - v is hamiltonian.
-
-    Tries the three circuit-induced 1-factors first; if none of their pairs
-    shares exactly one edge, falls back to an exhaustive scan of the full
-    perfect-matching list.
-    """
-    from_circuit = matchings_from_circuit_avoiding(G, v)
-    candidates: List[PerfectMatching] = list(from_circuit or [])
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            if len(candidates[i].edges & candidates[j].edges) == 1:
-                return candidates[i], candidates[j]
-    pms = _pm_list(G, pms, cap)
-    for i in range(len(pms)):
-        for j in range(i + 1, len(pms)):
-            if len(pms[i].edges & pms[j].edges) == 1:
-                return pms[i], pms[j]
-    return None

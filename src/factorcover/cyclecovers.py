@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import CubicGraph, EdgeSet
-from .matching import PerfectMatching, trace_circuits
+from .matching import trace_circuits
 from .cores import Core, CoreClassification, classify_core
 
 
@@ -109,13 +109,13 @@ def verify_cover(
 
 def canonical_cover(
     G: CubicGraph,
-    coloring: Tuple[PerfectMatching, PerfectMatching, PerfectMatching],
+    coloring: Tuple[EdgeSet, EdgeSet, EdgeSet],
 ) -> CycleCover:
     """The 2-cycle cover {a|b, a|c} of a 3-edge-colored cubic graph.
 
     The first class is doubled; length is |E| + |a| = 4/3 |E|.
     """
-    a, b, c = (pm.edges for pm in coloring)
+    a, b, c = coloring
     if (a & b) or (a & c) or (b & c) or (a | b | c) != G.all_edges():
         raise CoverConstructionError(
             "coloring is not a partition of E(G) into three 1-factors"
@@ -140,7 +140,7 @@ def cover_from_core(
         raise CoverConstructionError(
             f"core_cover invalid: {'; '.join(checked.problems)}"
         )
-    f1, f2, f3 = (pm.edges for pm in core.factors)
+    f1, f2, f3 = core.factors
     t = core.T
     pair_sizes = {
         0: len((f2 & f3) - t),
@@ -262,11 +262,7 @@ def bipartite_core_cover(
 
 
 def four_cover_cycles(
-    G: CubicGraph,
-    M1: PerfectMatching,
-    M2: PerfectMatching,
-    M3: PerfectMatching,
-    M4: PerfectMatching,
+    G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet, M4: EdgeSet
 ) -> CycleCover:
     """The 4-cycle cover built from four 1-factors with empty intersection.
 
@@ -275,7 +271,7 @@ def four_cover_cycles(
     length accounting gives exactly 4/3 |E| + 4k, where k counts uncovered
     edges.  With k = 0 the cover is even and ced <= 2.
     """
-    fs = [M1.edges.bits, M2.edges.bits, M3.edges.bits, M4.edges.bits]
+    fs = [M1.bits, M2.bits, M3.bits, M4.bits]
     if fs[0] & fs[1] & fs[2] & fs[3]:
         raise CoverConstructionError("the four factors have a common edge")
     m = G.m
@@ -305,18 +301,14 @@ def four_cover_cycles(
 
 
 def five_cdc(
-    G: CubicGraph,
-    M1: PerfectMatching,
-    M2: PerfectMatching,
-    M3: PerfectMatching,
-    M4: PerfectMatching,
+    G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet, M4: EdgeSet
 ) -> CycleCover:
     """5-cycle double cover from four 1-factors covering E(G) (k = 0).
 
     Adds the 2-factor of singly-covered edges to the k = 0 four-cover; every
     edge then lies in exactly two members.
     """
-    fs = [M1.edges.bits, M2.edges.bits, M3.edges.bits, M4.edges.bits]
+    fs = [M1.bits, M2.bits, M3.bits, M4.bits]
     union = fs[0] | fs[1] | fs[2] | fs[3]
     if union != (1 << G.m) - 1:
         raise CoverConstructionError("union of the four factors is not E(G)")

@@ -7,7 +7,6 @@ edge index first), so witnesses are reproducible.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .graphs import CubicGraph, EdgeSet
@@ -19,26 +18,8 @@ class PMCapExceededError(RuntimeError):
     """More perfect matchings than the configured cap; never truncated."""
 
 
-class NoTwoFactorError(ValueError):
-    """Graph has no 2-factor (equivalently, no perfect matching)."""
-
-
-@dataclass(frozen=True)
-class PerfectMatching:
-    """A 1-factor: n/2 edges covering every vertex exactly once."""
-
-    edges: EdgeSet
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
-class TwoFactor:
-    """Complement of a perfect matching; circuit lengths sum to n."""
-
-    edges: EdgeSet
-    circuits: Tuple[int, ...]
+class NoPerfectMatchingError(ValueError):
+    """Graph has no perfect matching (equivalently, no 2-factor)."""
 
 
 def is_perfect_matching(G: CubicGraph, edges: EdgeSet) -> bool:
@@ -56,7 +37,7 @@ def is_perfect_matching(G: CubicGraph, edges: EdgeSet) -> bool:
 
 def enumerate_perfect_matchings(
     G: CubicGraph, cap: int = DEFAULT_PM_CAP
-) -> List[PerfectMatching]:
+) -> List[EdgeSet]:
     """All perfect matchings, in lexicographic edge-index order.
 
     Branches on the lowest-indexed uncovered vertex and tries its incident
@@ -65,7 +46,7 @@ def enumerate_perfect_matchings(
     """
     n, edges, incidence = G.n, G.edges, G.incidence
     full = (1 << n) - 1
-    out: List[PerfectMatching] = []
+    out: List[EdgeSet] = []
     chosen: List[int] = []
 
     def rec(covered: int) -> None:
@@ -74,7 +55,7 @@ def enumerate_perfect_matchings(
                 raise PMCapExceededError(
                     f"more than {cap} perfect matchings"
                 )
-            out.append(PerfectMatching(G.edge_set(chosen)))
+            out.append(G.edge_set(chosen))
             return
         free = (~covered) & full
         v = (free & -free).bit_length() - 1
@@ -89,12 +70,6 @@ def enumerate_perfect_matchings(
 
     rec(0)
     return out
-
-
-def complement_two_factor(G: CubicGraph, pm: PerfectMatching) -> TwoFactor:
-    rest = G.all_edges() - pm.edges
-    circuits = tuple(len(c) for c in trace_circuits(G, rest))
-    return TwoFactor(rest, circuits)
 
 
 def trace_circuits(G: CubicGraph, cycle: EdgeSet) -> List[List[int]]:
@@ -197,7 +172,7 @@ def _edge_coloring(G: CubicGraph, s: int) -> Optional[List[int]]:
 
 def is_three_edge_colorable(
     G: CubicGraph,
-) -> Tuple[bool, Optional[Tuple[PerfectMatching, PerfectMatching, PerfectMatching]]]:
+) -> Tuple[bool, Optional[Tuple[EdgeSet, EdgeSet, EdgeSet]]]:
     """Exact proper 3-edge-coloring search.
 
     Returns (True, (M_a, M_b, M_c)) with the three color classes as disjoint
@@ -207,25 +182,20 @@ def is_three_edge_colorable(
     if color is None:
         return False, None
     classes = tuple(
-        PerfectMatching(G.edge_set(i for i in range(G.m) if color[i] == c))
-        for c in range(3)
+        G.edge_set(i for i in range(G.m) if color[i] == c) for c in range(3)
     )
     return True, classes
 
 
-def oddness(
-    G: CubicGraph,
-    pms: Optional[Sequence[PerfectMatching]] = None,
-    cap: int = DEFAULT_PM_CAP,
-) -> int:
-    """Minimum number of odd circuits over all 2-factors (exact, full scan)."""
-    if pms is None:
-        pms = enumerate_perfect_matchings(G, cap=cap)
+def oddness(G: CubicGraph, pms: Sequence[EdgeSet]) -> int:
+    """Minimum number of odd circuits over all 2-factors (exact, full scan
+    of pms, the list from enumerate_perfect_matchings(G))."""
     if not pms:
-        raise NoTwoFactorError("graph has no 2-factor")
+        raise NoPerfectMatchingError("graph has no perfect matching")
     best = None
     for pm in pms:
-        odd = sum(1 for c in complement_two_factor(G, pm).circuits if c % 2)
+        odd = sum(1 for c in trace_circuits(G, G.all_edges() - pm)
+                  if len(c) % 2)
         if best is None or odd < best:
             best = odd
             if best == 0:

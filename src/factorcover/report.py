@@ -27,7 +27,6 @@ from .covers import (
     fulkerson_witness,
     mu_k,
     verify_fulkerson,
-    FulkersonWitness,
 )
 from .cyclecovers import (
     DimensionCapExceededError,
@@ -57,7 +56,6 @@ from .graphs import (
 from .matching import (
     DEFAULT_PM_CAP,
     PMCapExceededError,
-    PerfectMatching,
     enumerate_perfect_matchings,
     exists_4ec_with_class_of_size,
     is_perfect_matching,
@@ -98,6 +96,8 @@ class AnalyzeOptions:
         unknown = set(self.ops) - set(ALL_OPS)
         if unknown:
             raise ValueError(f"unknown ops: {sorted(unknown)}")
+        if not 1 <= self.mu_upto <= 6:
+            raise ValueError("mu_upto must be between 1 and 6")
 
     def with_ops(self, *extra: str) -> "AnalyzeOptions":
         ops = self.ops + tuple(o for o in extra if o not in self.ops)
@@ -171,8 +171,8 @@ def _edge_array(es: EdgeSet) -> List[int]:
     return list(es.indices())
 
 
-def _factor_arrays(factors: Sequence[PerfectMatching]) -> List[List[int]]:
-    return [_edge_array(f.edges) for f in factors]
+def _factor_arrays(factors: Sequence[EdgeSet]) -> List[List[int]]:
+    return [_edge_array(f) for f in factors]
 
 
 def _cover_dict(kind: str, cover, target: Optional[EdgeSet] = None) -> dict:
@@ -245,9 +245,9 @@ def analyze(
         run("hypohamiltonian",
             lambda: setattr(report, "hypohamiltonian", is_hypohamiltonian(G)))
 
-    pms: Optional[List[PerfectMatching]] = None
+    pms: Optional[List[EdgeSet]] = None
 
-    def factor_list() -> List[PerfectMatching]:
+    def factor_list() -> List[EdgeSet]:
         nonlocal pms
         if pms is None:
             pms = enumerate_perfect_matchings(G, cap=options.pm_cap)
@@ -265,7 +265,7 @@ def analyze(
     if "mu" in needs_pms:
         for k in range(1, options.mu_upto + 1):
             def _mu(k=k):
-                value, witness = mu_k(G, k, pms=pms)
+                value, witness = mu_k(G, k, pms)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = {
                     "factors": _factor_arrays(witness.factors),
@@ -276,11 +276,11 @@ def analyze(
                 break
 
     if "oddness" in needs_pms:
-        run("oddness", lambda: setattr(report, "oddness", oddness(G, pms=pms)))
+        run("oddness", lambda: setattr(report, "oddness", oddness(G, pms)))
 
     if "fan_raspaud" in needs_pms:
         def _fan_raspaud():
-            found = fan_raspaud_indices(G, pms=pms)
+            found = fan_raspaud_indices(G, pms)
             if found is not None:
                 report.fan_raspaud = {
                     "factor_indices": list(found),
@@ -290,7 +290,7 @@ def analyze(
 
     if "fulkerson" in needs_pms:
         def _fulkerson():
-            witness = fulkerson_witness(G, pms=pms)
+            witness = fulkerson_witness(G, pms)
             if witness is not None:
                 report.fulkerson = {
                     "factor_indices": list(witness.factor_indices),
@@ -298,25 +298,19 @@ def analyze(
                 }
         run("fulkerson", _fulkerson)
 
-    core_obj = None
     if "core" in needs_pms:
         def _core():
-            nonlocal core_obj
             if len(pms) < 3:
                 report.errors["core"] = "fewer_than_three_matchings"
                 return
-            core_obj = find_core(G, predicate="any", pms=pms)
-            cls = classify_core(core_obj)
-            indices = tuple(
-                next(i for i, p in enumerate(pms) if p.edges == f.edges)
-                for f in core_obj.factors
-            )
+            core = build_core(G, *pms[:3])
+            cls = classify_core(core)
             report.cores.append({
-                "factors": list(indices),
-                "k": core_obj.k,
-                "M": _edge_array(core_obj.M),
-                "U": _edge_array(core_obj.U),
-                "T": _edge_array(core_obj.T),
+                "factors": [0, 1, 2],
+                "k": core.k,
+                "M": _edge_array(core.M),
+                "U": _edge_array(core.U),
+                "T": _edge_array(core.T),
                 "components": [
                     {"kind": c.kind, "vertices": list(c.vertices),
                      "edges": _edge_array(c.edges)}
@@ -327,7 +321,7 @@ def analyze(
                 "bridgeless": cls.is_bridgeless,
                 "empty": cls.is_empty,
             })
-            for check in verify_core_theorems(core_obj, cls):
+            for check in verify_core_theorems(core, cls):
                 report.checks.append({
                     "name": f"core_{check.name}",
                     "passed": check.passed,
@@ -342,7 +336,7 @@ def analyze(
                 report.covers.append(
                     _cover_dict("canonical", canonical_cover(G, coloring))
                 )
-            cyclic_core = find_core(G, predicate="cyclic", pms=pms)
+            cyclic_core = find_core(G, pms)
             if cyclic_core is not None:
                 core_cover = bipartite_core_cover(cyclic_core)
                 cover = cover_from_core(G, cyclic_core, core_cover)
@@ -439,15 +433,27 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
 def audit_report(
     G: CubicGraph,
     data: dict,
-    pms: Optional[Sequence[PerfectMatching]] = None,
+    pms: Optional[Sequence[EdgeSet]] = None,
     pm_cap: int = DEFAULT_PM_CAP,
 ) -> None:
     """Re-verify every witness in a serialized report against the graph.
 
-    Raises ReportAuditError on the first mismatch.  pms may be passed to
-    reuse an existing enumeration; it is only computed when a witness
-    refers to factor indices.
+    Raises ReportAuditError on the first mismatch, and when a field it reads
+    is missing or of the wrong type.  pms may be passed to reuse an existing
+    enumeration; it is only computed when a witness refers to factor indices.
     """
+    if not isinstance(data, dict):
+        raise ReportAuditError("report is not a JSON object")
+    try:
+        _audit_witnesses(G, data, pms, pm_cap)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ReportAuditError(
+            f"report {data.get('id')}: missing or mistyped field "
+            f"({type(exc).__name__}: {exc})") from exc
+
+
+def _audit_witnesses(G: CubicGraph, data: dict,
+                     pms: Optional[Sequence[EdgeSet]], pm_cap: int) -> None:
     def fail(msg: str):
         raise ReportAuditError(f"report {data.get('id')}: {msg}")
 
@@ -485,11 +491,7 @@ def audit_report(
 
     if data.get("fulkerson"):
         sets = check_factors(data["fulkerson"]["factors"], "fulkerson")
-        witness = FulkersonWitness(
-            factor_indices=tuple(data["fulkerson"]["factor_indices"]),
-            factors=tuple(PerfectMatching(s) for s in sets),
-        )
-        if not verify_fulkerson(G, witness):
+        if not verify_fulkerson(G, sets):
             fail("fulkerson: not every edge is covered exactly twice")
 
     for entry in data.get("cores", []):
@@ -582,20 +584,25 @@ def scan(
     fmt: str = "mgf",
     workers: int = 1,
 ) -> Iterator[dict]:
-    """Yield one report dict per corpus entry, then a summary dict.
+    """Read the corpus and return an iterator that analyzes it lazily,
+    yielding one report dict per entry, then a summary dict.
 
+    A missing corpus file raises here, before any entry is analyzed.
     Output order equals input order for any worker count; per-entry parse
     errors and graphs over the edge capacity become {"id", "error"} records
     and are counted in the summary.
     """
     entries = read_corpus(corpus_path, fmt)
     items = [(name, text, fmt, options) for name, text in entries]
+    return _with_summary(_scan_items(items, workers))
+
+
+def _scan_items(items, workers: int) -> Iterator[dict]:
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(_scan_one, items, chunksize=4)
-            yield from _with_summary(results)
+            yield from pool.map(_scan_one, items, chunksize=4)
     else:
-        yield from _with_summary(map(_scan_one, items))
+        yield from map(_scan_one, items)
 
 
 def _with_summary(results) -> Iterator[dict]:

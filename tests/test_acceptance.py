@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each emitting a single
 pass/fail line, with the stated runtime tolerances enforced."""
 
+import hashlib
 import itertools
 import random
 import time
@@ -32,6 +33,7 @@ from factorcover.graphs import (
     is_bridgeless,
 )
 from factorcover.matching import (
+    enumerate_perfect_matchings,
     exists_4ec_with_class_of_size,
     is_perfect_matching,
     is_three_edge_colorable,
@@ -65,7 +67,8 @@ def test_criterion_01_petersen_mu_values():
     with criterion(1, "Petersen mu_1..mu_5 = (10, 6, 3, 1, 0) in < 5 s"):
         t0 = time.monotonic()
         G = petersen()
-        values = [mu_k(G, k)[0] for k in range(1, 6)]
+        pms = enumerate_perfect_matchings(G)
+        values = [mu_k(G, k, pms)[0] for k in range(1, 6)]
         assert values == [10, 6, 3, 1, 0]
         assert time.monotonic() - t0 < 5.0
 
@@ -83,8 +86,9 @@ def test_criterion_03_flower_snark_covers(j5):
     with criterion(3, "J_5: mu_3 = 3, mu_4 = 0, even 4-cover of length 40 "
                       "with ced <= 2, valid 5-CDC, in < 120 s"):
         t0 = time.monotonic()
-        assert mu_k(j5, 3)[0] == 3
-        value, witness = mu_k(j5, 4)
+        pms = enumerate_perfect_matchings(j5)
+        assert mu_k(j5, 3, pms)[0] == 3
+        value, witness = mu_k(j5, 4, pms)
         assert value == 0
         four = four_cover_cycles(j5, *witness.factors)
         assert four.valid and four.even and four.length == 40
@@ -98,7 +102,7 @@ def test_criterion_04_petersen_four_cover_accounting():
     with criterion(4, "Petersen 4-cover has length exactly 24 = "
                       "4/3*15 + 4*1 and is even"):
         G = petersen()
-        _, witness = mu_k(G, 4)
+        _, witness = mu_k(G, 4, enumerate_perfect_matchings(G))
         cover = four_cover_cycles(G, *witness.factors)
         checked = verify_cover(G, cover.cycles)
         assert checked.valid
@@ -146,7 +150,7 @@ def test_criterion_06_mu3_bounds(corpus, corpus_pms):
     with criterion(6, "every corpus graph: mu_3 > 0 implies mu_3 >= 3 and "
                       "girth <= 2 mu_3; mu_3 <= (8/35) m"):
         for name, G in corpus:
-            mu3 = mu_k(G, 3, pms=corpus_pms[name])[0]
+            mu3 = mu_k(G, 3, corpus_pms[name])[0]
             if mu3 > 0:
                 assert mu3 >= 3, name
                 assert girth(G) <= 2 * mu3, name
@@ -160,11 +164,11 @@ def test_criterion_07_conjecture_scale(corpus, corpus_pms):
         for name, G in corpus:
             assert is_bridgeless(G), name
             pms = corpus_pms[name]
-            assert fan_raspaud_indices(G, pms=pms) is not None, name
-            witness = fulkerson_witness(G, pms=pms)
+            assert fan_raspaud_indices(G, pms) is not None, name
+            witness = fulkerson_witness(G, pms)
             assert witness is not None, name
-            assert verify_fulkerson(G, witness), name
-            mu3 = mu_k(G, 3, pms=pms)[0]
+            assert verify_fulkerson(G, witness.factors), name
+            mu3 = mu_k(G, 3, pms)[0]
             if mu3 <= 4 and not has_nontrivial_3_edge_cut(G)[0]:
                 assert witness is not None, name
 
@@ -177,7 +181,7 @@ def test_criterion_08_oddness_equivalence(corpus, corpus_pms):
         for name, G in corpus:
             if is_three_edge_colorable(G)[0]:
                 continue
-            om = oddness(G, pms=corpus_pms[name])
+            om = oddness(G, corpus_pms[name])
             has_class_2 = exists_4ec_with_class_of_size(G, 2)
             assert (om == 2) == has_class_2, name
             checked += 1
@@ -198,11 +202,11 @@ def test_criterion_09_constructions_vs_oracle(corpus, corpus_pms):
             if colorable:
                 canonical = canonical_cover(G, coloring).length
                 assert canonical == best == 4 * G.m // 3, name
-            core = find_core(G, predicate="cyclic", pms=pms)
+            core = find_core(G, pms)
             if core is not None and not core.is_empty:
                 cover = cover_from_core(G, core, bipartite_core_cover(core))
                 assert cover.valid and cover.length >= best, name
-            value, witness = mu_k(G, 4, pms=pms)
+            value, witness = mu_k(G, 4, pms)
             if value == 0:
                 four = four_cover_cycles(G, *witness.factors)
                 assert four.valid and four.length >= best, name
@@ -212,10 +216,14 @@ def test_criterion_09_constructions_vs_oracle(corpus, corpus_pms):
 
 def test_criterion_10_scan_determinism(tmp_path):
     with criterion(10, "two consecutive scans of the bundled corpus are "
-                       "byte-identical"):
+                       "byte-identical, with a fixed digest"):
         outs = []
         for i in range(2):
             out = tmp_path / f"scan{i}.jsonl"
             assert main(["scan", corpus_path(), "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1] and len(outs[0]) > 0
+        # the default-scan JSONL changes only with an intentional schema or
+        # witness change, which must update this digest
+        assert hashlib.sha256(outs[0]).hexdigest() == (
+            "2b3f23d2984afab6552ae920517dbef0b4e126946eebd245f4a0b762affa0575")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from factorcover import report as report_module
 from factorcover.cli import main
 from factorcover.graphs import parse_edge_list, to_mgf
 from factorcover.report import (
@@ -101,6 +102,16 @@ def test_unknown_op_exits_2(mini_corpus, capsys):
     assert main(["analyze", mini_corpus, "--ops", "structure,nonsense"]) == 2
 
 
+def test_mu_upto_out_of_range_exits_2(mini_corpus, tmp_path, capsys):
+    for k in (0, 7):
+        with pytest.raises(ValueError):
+            AnalyzeOptions(mu_upto=k)
+    out = tmp_path / "r.jsonl"
+    assert main(["scan", mini_corpus, "--mu-upto", "7",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------
@@ -161,6 +172,30 @@ def test_scan_budget_records_timeouts(tmp_path):
     assert lines[0]["errors"]  # every field timed out
     assert all(v == "timeout" for v in lines[0]["errors"].values())
     assert lines[-1]["summary"]["timeouts"] >= 1
+
+
+def test_scan_streams_reports_before_a_crash(tmp_path, monkeypatch):
+    two = tmp_path / "two.mgf"
+    two.write_text("\n\n".join(MINI_MGF.split("\n\n")[:2]))
+    analyze_one = report_module.analyze
+
+    def crash_on_second(G, options, id):
+        if id == "K33":
+            raise RuntimeError("unexpected failure")
+        return analyze_one(G, options, id=id)
+
+    monkeypatch.setattr(report_module, "analyze", crash_on_second)
+    out = tmp_path / "out.jsonl"
+    with pytest.raises(RuntimeError):
+        main(["scan", str(two), "--out", str(out)])
+    (first,) = read_jsonl(out)
+    assert first["id"] == "K4" and first["mu"]["3"] == 0
+
+
+def test_scan_missing_corpus_exits_2(tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(tmp_path / "nope.mgf"), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_scan_graph6_format(tmp_path):
@@ -251,6 +286,37 @@ def test_verify_fails_out_of_range_index_and_continues(mini_corpus, tmp_path,
     captured = capsys.readouterr()
     (failure,) = captured.err.splitlines()
     assert failure.startswith("fail K4: ") and "out of range" in failure
+    assert "verified 1 reports, 1 failures" in captured.out
+
+
+def test_verify_fails_malformed_lines_and_continues(tmp_path, capsys):
+    two = tmp_path / "two.mgf"
+    two.write_text("\n\n".join(MINI_MGF.split("\n\n")[:2]))
+    out = tmp_path / "scan.jsonl"
+    main(["scan", str(two), "--out", str(out)])
+    k4, k33 = out.read_text().splitlines()[:2]
+    no_mu = json.loads(k4)
+    del no_mu["mu"]
+    bad_key = json.loads(k4)
+    bad_key["mu_witness"]["x"] = bad_key["mu_witness"].pop("3")
+    lines = ["[1,2]", json.dumps(no_mu), json.dumps(bad_key), k33]
+    malformed = tmp_path / "malformed.jsonl"
+    malformed.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", str(malformed), str(two)]) == 1
+    captured = capsys.readouterr()
+    failures = captured.err.splitlines()
+    assert failures[0] == "fail line 1: not a JSON object"
+    assert all(f.startswith("fail K4: ") and "missing or mistyped field" in f
+               for f in failures[1:]), failures
+    assert len(failures) == 3
+    assert "verified 1 reports, 3 failures" in captured.out
+    bad_id = json.loads(k4)
+    bad_id["id"] = ["K4"]
+    malformed.write_text(json.dumps(bad_id) + "\n" + k33 + "\n")
+    assert main(["verify", str(malformed), str(two)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fail line 1: report id is not a string\n"
     assert "verified 1 reports, 1 failures" in captured.out
 
 

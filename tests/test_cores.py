@@ -34,7 +34,7 @@ def test_core_sets_partition_correctly(corpus, corpus_pms):
     for name, G in rng.sample(corpus, 25):
         pms = corpus_pms[name]
         for i, j, l in sample_triples(pms, 20, seed=hash(name) & 0xFFFF):
-            a, b, c = pms[i].edges, pms[j].edges, pms[l].edges
+            a, b, c = pms[i], pms[j], pms[l]
             core = build_core(G, pms[i], pms[j], pms[l])
             # independent recomputation of M, U, T by counting
             for e in range(G.m):
@@ -109,27 +109,41 @@ def test_nonempty_t_yields_subdivision_with_estar_matching(corpus,
 
 
 def test_find_core_predicates(petersen, k4, j5):
-    core = find_core(petersen, predicate="cyclic", k_budget=3)
+    core = find_core(petersen, enumerate_perfect_matchings(petersen))
     assert core is not None and core.k == 3
     assert classify_core(core).is_cyclic
 
-    core = find_core(k4, predicate="cyclic", k_budget=0)
+    core = find_core(k4, enumerate_perfect_matchings(k4))
     assert core is not None and core.is_empty
 
-    core = find_core(j5, predicate="cyclic")
+    core = find_core(j5, enumerate_perfect_matchings(j5))
     assert core is not None and classify_core(core).is_cyclic
 
 
-def test_find_core_respects_budget_and_order(petersen):
-    pms = enumerate_perfect_matchings(petersen)
-    first = find_core(petersen, predicate="any")
-    assert [f.edges for f in first.factors] == [p.edges for p in pms[:3]]
-    assert find_core(petersen, predicate="any", k_budget=1) is None
-
-
-def test_find_core_rejects_unknown_predicate(k4):
-    with pytest.raises(ValueError):
-        find_core(k4, predicate="shiny")
+def test_find_core_is_first_cyclic_triple(corpus, corpus_pms):
+    """On every corpus graph with n <= 10, find_core returns the core of
+    the first index triple (lexicographic) whose core is cyclic, or None
+    when there is none."""
+    checked = later = 0
+    for name, G in corpus:
+        if G.n > 10:
+            continue
+        pms = corpus_pms[name]
+        expected = None
+        for i, j, l in itertools.combinations(range(len(pms)), 3):
+            core = build_core(G, pms[i], pms[j], pms[l])
+            if classify_core(core).is_cyclic:
+                expected = (pms[i], pms[j], pms[l])
+                break
+        core = find_core(G, pms)
+        if expected is None:
+            assert core is None, name
+        else:
+            assert core is not None and core.factors == expected, name
+            later += expected != tuple(pms[:3])
+        checked += 1
+    # the sample includes graphs whose first triple's core is not cyclic
+    assert checked >= 20 and later > 0, (checked, later)
 
 
 def test_girth_bound_instances(corpus, corpus_pms):
@@ -139,8 +153,8 @@ def test_girth_bound_instances(corpus, corpus_pms):
     rng = random.Random(41)
     for name, G in rng.sample(corpus, 20):
         pms = corpus_pms[name]
-        value, witness = mu_k(G, 3, pms=pms)
-        if value == 0 or len({f.edges for f in witness.factors}) < 3:
+        value, witness = mu_k(G, 3, pms)
+        if value == 0 or len(set(witness.factors)) < 3:
             continue
         if girth(G) > value:
             core = build_core(G, *witness.factors)

@@ -5,13 +5,10 @@ import pytest
 
 from factorcover.covers import (
     NoPerfectMatchingError,
-    berge_check,
     fan_raspaud_indices,
-    fan_raspaud_witness,
     fulkerson_witness,
     matchings_from_circuit_avoiding,
     mu_k,
-    pair_sharing_one_edge,
     verify_fulkerson,
 )
 from factorcover.graphs import CubicGraph, hamiltonian_circuit_avoiding
@@ -29,48 +26,51 @@ def mu_oracle(G: CubicGraph, k: int) -> int:
     pms = enumerate_perfect_matchings(G)
     best = G.m
     for combo in itertools.combinations_with_replacement(pms, k):
-        union = combo[0].edges
+        union = combo[0]
         for pm in combo[1:]:
-            union = union | pm.edges
+            union = union | pm
         best = min(best, G.m - len(union))
     return best
 
 
-def test_mu_against_brute_force(corpus):
+def test_mu_against_brute_force(corpus, corpus_pms):
     rng = random.Random(17)
     small = [(n, G) for n, G in corpus if G.n <= 10]
     for name, G in rng.sample(small, 8):
         for k in range(1, 6):
-            value, witness = mu_k(G, k)
+            value, witness = mu_k(G, k, corpus_pms[name])
             assert value == mu_oracle(G, k), (name, k)
             assert witness.mu == value and len(witness.uncovered) == value
 
 
 def test_mu_witness_is_consistent(petersen):
+    pms = enumerate_perfect_matchings(petersen)
     for k in range(1, 6):
-        value, witness = mu_k(petersen, k)
+        value, witness = mu_k(petersen, k, pms)
         assert len(witness.factors) == k
-        union = witness.factors[0].edges
+        union = witness.factors[0]
         for pm in witness.factors[1:]:
-            assert is_perfect_matching(petersen, pm.edges)
-            union = union | pm.edges
+            assert is_perfect_matching(petersen, pm)
+            union = union | pm
         assert witness.union == union
         assert witness.uncovered == petersen.all_edges() - union
 
 
 def test_mu_petersen_values(petersen):
-    assert [mu_k(petersen, k)[0] for k in range(1, 6)] == [10, 6, 3, 1, 0]
+    pms = enumerate_perfect_matchings(petersen)
+    assert [mu_k(petersen, k, pms)[0] for k in range(1, 6)] == [10, 6, 3, 1, 0]
 
 
 def test_mu_flower_snark(j5):
-    assert mu_k(j5, 3)[0] == 3
-    assert mu_k(j5, 4)[0] == 0
+    pms = enumerate_perfect_matchings(j5)
+    assert mu_k(j5, 3, pms)[0] == 3
+    assert mu_k(j5, 4, pms)[0] == 0
 
 
-def test_mu_basic_identities(corpus):
+def test_mu_basic_identities(corpus, corpus_pms):
     rng = random.Random(19)
     for name, G in rng.sample(corpus, 40):
-        values = [mu_k(G, k)[0] for k in range(1, 5)]
+        values = [mu_k(G, k, corpus_pms[name])[0] for k in range(1, 5)]
         assert values[0] == G.m - G.n // 2, name
         assert all(a >= b for a, b in zip(values, values[1:])), name
         if is_three_edge_colorable(G)[0]:
@@ -78,10 +78,11 @@ def test_mu_basic_identities(corpus):
 
 
 def test_mu_rejects_bad_k(k4):
+    pms = enumerate_perfect_matchings(k4)
     with pytest.raises(ValueError):
-        mu_k(k4, 0)
+        mu_k(k4, 0, pms)
     with pytest.raises(ValueError):
-        mu_k(k4, 7)
+        mu_k(k4, 7, pms)
 
 
 def test_mu_requires_a_matching():
@@ -94,50 +95,52 @@ def test_mu_requires_a_matching():
                   (b + 1, b + 3), (b + 2, b + 4), (b + 3, b + 4),
                   (0, b + 4)]
     G = CubicGraph(16, edges)
-    assert enumerate_perfect_matchings(G) == []
+    pms = enumerate_perfect_matchings(G)
+    assert pms == []
     with pytest.raises(NoPerfectMatchingError):
-        mu_k(G, 3)
+        mu_k(G, 3, pms)
 
 
-def test_berge_on_corpus_sample(corpus):
+def test_berge_on_corpus_sample(corpus, corpus_pms):
     rng = random.Random(23)
     for name, G in rng.sample(corpus, 30):
-        assert berge_check(G), name
+        assert mu_k(G, 5, corpus_pms[name])[0] == 0, name
 
 
 def test_fan_raspaud(petersen, corpus):
     pms = enumerate_perfect_matchings(petersen)
-    triple = fan_raspaud_witness(petersen, pms=pms)
-    assert triple is not None
-    a, b, c = (t.edges for t in triple)
+    found = fan_raspaud_indices(petersen, pms)
+    assert found is not None
+    a, b, c = (pms[i] for i in found)
     assert not (a & b & c)
     # first triple in lexicographic index order, by independent scan
     oracle = next(
         (i, j, l)
         for i, j, l in itertools.combinations(range(len(pms)), 3)
-        if not (pms[i].edges & pms[j].edges & pms[l].edges)
+        if not (pms[i] & pms[j] & pms[l])
     )
-    assert fan_raspaud_indices(petersen, pms=pms) == oracle
+    assert found == oracle
 
 
 def test_fulkerson_petersen(petersen):
-    witness = fulkerson_witness(petersen)
+    witness = fulkerson_witness(petersen, enumerate_perfect_matchings(petersen))
     assert witness is not None
-    assert verify_fulkerson(petersen, witness)
+    assert verify_fulkerson(petersen, witness.factors)
     # the Petersen graph has exactly six 1-factors and they are forced
     assert sorted(witness.factor_indices) == [0, 1, 2, 3, 4, 5]
     counts = [0] * petersen.m
     for pm in witness.factors:
-        for i in pm.edges.indices():
+        for i in pm.indices():
             counts[i] += 1
     assert counts == [2] * petersen.m
 
 
-def test_fulkerson_on_corpus_sample(corpus):
+def test_fulkerson_on_corpus_sample(corpus, corpus_pms):
     rng = random.Random(29)
     for name, G in rng.sample(corpus, 30):
-        witness = fulkerson_witness(G)
-        assert witness is not None and verify_fulkerson(G, witness), name
+        witness = fulkerson_witness(G, corpus_pms[name])
+        assert witness is not None, name
+        assert verify_fulkerson(G, witness.factors), name
 
 
 def test_matchings_from_circuit(petersen, j5):
@@ -169,16 +172,10 @@ def test_matchings_from_circuit(petersen, j5):
             assert sorted(visited) == [u for u in range(G.n) if u != v]
             assert len(factors) == 3
             for e_v, pm in zip(G.incidence[v], factors):
-                assert is_perfect_matching(G, pm.edges), (G.edges, v)
-                assert e_v in pm.edges
+                assert is_perfect_matching(G, pm), (G.edges, v)
+                assert e_v in pm
             found += 1
             pairs = [frozenset(e) for e in G.edges]
             parallel_used += any(pairs.count(pairs[f]) > 1 for f in circuit)
     assert found > 200 and parallel_used > 0, (found, parallel_used)
 
-
-def test_pair_sharing_one_edge(petersen, j5):
-    for G in (petersen, j5):
-        pair = pair_sharing_one_edge(G, 0)
-        assert pair is not None
-        assert len(pair[0].edges & pair[1].edges) == 1

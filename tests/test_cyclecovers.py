@@ -86,7 +86,7 @@ def test_canonical_cover_rejects_non_coloring(k4):
 
 
 def test_cover_from_core_petersen(petersen):
-    core = find_core(petersen, predicate="cyclic")
+    core = find_core(petersen, enumerate_perfect_matchings(petersen))
     core_cover = bipartite_core_cover(core)
     cover = cover_from_core(petersen, core, core_cover)
     assert cover.valid and cover.count == 3
@@ -96,7 +96,7 @@ def test_cover_from_core_petersen(petersen):
 def test_cover_from_core_length_bound(corpus, corpus_pms):
     rng = random.Random(47)
     for name, G in rng.sample(corpus, 25):
-        core = find_core(G, predicate="cyclic", pms=corpus_pms[name])
+        core = find_core(G, corpus_pms[name])
         if core is None or core.is_empty:
             continue
         core_cover = bipartite_core_cover(core)
@@ -107,7 +107,7 @@ def test_cover_from_core_length_bound(corpus, corpus_pms):
 
 
 def test_bipartite_core_cover_cyclic(petersen):
-    core = find_core(petersen, predicate="cyclic")
+    core = find_core(petersen, enumerate_perfect_matchings(petersen))
     cover = bipartite_core_cover(core)
     assert len(cover) == 1 and cover[0] == core.edge_indices
     assert sum(len(c) for c in cover) == 2 * core.k
@@ -145,21 +145,22 @@ def test_bipartite_core_cover_with_t(corpus, corpus_pms):
 
 
 def test_four_cover_flower_snark(j5):
-    _, witness = mu_k(j5, 4)
+    _, witness = mu_k(j5, 4, enumerate_perfect_matchings(j5))
     cover = four_cover_cycles(j5, *witness.factors)
     assert cover.valid and cover.count == 4
     assert cover.length == 40 and cover.even and cover.ced <= 2
 
 
 def test_four_cover_length_accounting(petersen):
-    _, witness = mu_k(petersen, 4)  # mu_4 = 1, so k = 1 uncovered edge
+    pms = enumerate_perfect_matchings(petersen)
+    _, witness = mu_k(petersen, 4, pms)  # mu_4 = 1, so k = 1 uncovered edge
     cover = four_cover_cycles(petersen, *witness.factors)
     assert cover.valid
     assert cover.length == 4 * petersen.m // 3 + 4 * 1 == 24
 
 
 def test_five_cdc_flower_snark(j5):
-    _, witness = mu_k(j5, 4)
+    _, witness = mu_k(j5, 4, enumerate_perfect_matchings(j5))
     cover = five_cdc(j5, *witness.factors)
     assert cover.valid and cover.count == 5
     assert cover.is_double_cover()
@@ -167,7 +168,8 @@ def test_five_cdc_flower_snark(j5):
 
 
 def test_five_cdc_requires_full_cover(petersen):
-    _, witness = mu_k(petersen, 4)  # mu_4 = 1 > 0
+    pms = enumerate_perfect_matchings(petersen)
+    _, witness = mu_k(petersen, 4, pms)  # mu_4 = 1 > 0
     with pytest.raises(CoverConstructionError):
         five_cdc(petersen, *witness.factors)
 

@@ -6,7 +6,6 @@ import pytest
 from factorcover.graphs import CubicGraph
 from factorcover.matching import (
     PMCapExceededError,
-    complement_two_factor,
     enumerate_perfect_matchings,
     exists_4ec_with_class_of_size,
     is_perfect_matching,
@@ -33,9 +32,9 @@ def test_enumeration_matches_brute_force(corpus):
     small = [(n, G) for n, G in corpus if G.n <= 10]
     for name, G in rng.sample(small, 10):
         pms = enumerate_perfect_matchings(G)
-        assert {frozenset(p.edges.indices()) for p in pms} == set(
+        assert {frozenset(p.indices()) for p in pms} == set(
             pm_oracle(G)), name
-        assert all(is_perfect_matching(G, p.edges) for p in pms)
+        assert all(is_perfect_matching(G, p) for p in pms)
 
 
 def order_oracle(G: CubicGraph):
@@ -61,9 +60,9 @@ def order_oracle(G: CubicGraph):
 def test_enumeration_order_is_the_documented_one(petersen, k33):
     for G in (petersen, k33):
         pms = enumerate_perfect_matchings(G)
-        keys = [tuple(p.edges.indices()) for p in pms]
+        keys = [tuple(p.indices()) for p in pms]
         assert keys == order_oracle(G)
-        assert keys == [tuple(p.edges.indices())
+        assert keys == [tuple(p.indices())
                         for p in enumerate_perfect_matchings(G)]
     assert len(enumerate_perfect_matchings(petersen)) == 6
 
@@ -81,9 +80,10 @@ def test_cap_is_enforced(petersen):
 
 def test_complement_two_factor(petersen):
     for pm in enumerate_perfect_matchings(petersen):
-        tf = complement_two_factor(petersen, pm)
-        assert sum(tf.circuits) == petersen.n
-        assert tf.edges == petersen.all_edges() - pm.edges
+        rest = petersen.all_edges() - pm
+        circuits = trace_circuits(petersen, rest)
+        assert sum(len(c) for c in circuits) == petersen.n
+        assert sorted(f for c in circuits for f in c) == rest.indices()
 
 
 def test_trace_circuits(theta):
@@ -94,7 +94,7 @@ def test_trace_circuits(theta):
 def coloring_oracle(G: CubicGraph) -> bool:
     """3-edge-colorable iff some perfect matching has an even complement."""
     return any(
-        all(c % 2 == 0 for c in complement_two_factor(G, pm).circuits)
+        all(len(c) % 2 == 0 for c in trace_circuits(G, G.all_edges() - pm))
         for pm in enumerate_perfect_matchings(G)
     )
 
@@ -105,7 +105,7 @@ def test_three_edge_colorable_against_oracle(corpus):
         verdict, classes = is_three_edge_colorable(G)
         assert verdict == coloring_oracle(G), name
         if verdict:
-            a, b, c = (cls.edges for cls in classes)
+            a, b, c = classes
             assert a.isdisjoint(b) and a.isdisjoint(c) and b.isdisjoint(c)
             assert (a | b | c) == G.all_edges()
 
@@ -116,14 +116,15 @@ def test_known_colorability(petersen, k4, j5):
     assert not is_three_edge_colorable(j5)[0]
 
 
-def test_oddness(petersen, k4, j5, corpus):
-    assert oddness(k4) == 0
-    assert oddness(petersen) == 2
-    assert oddness(j5) == 2
+def test_oddness(petersen, k4, j5, corpus, corpus_pms):
+    assert oddness(k4, enumerate_perfect_matchings(k4)) == 0
+    assert oddness(petersen, enumerate_perfect_matchings(petersen)) == 2
+    assert oddness(j5, enumerate_perfect_matchings(j5)) == 2
     # oddness is 0 exactly on 3-edge-colorable graphs
     rng = random.Random(9)
     for name, G in rng.sample(corpus, 40):
-        assert (oddness(G) == 0) == is_three_edge_colorable(G)[0], name
+        odd = oddness(G, corpus_pms[name])
+        assert (odd == 0) == is_three_edge_colorable(G)[0], name
 
 
 def brute_4ec_class_sizes(G: CubicGraph):

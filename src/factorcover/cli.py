@@ -20,6 +20,7 @@ from .graphs import (
     flower_snark,
     to_mgf,
 )
+from .matching import DEFAULT_PM_CAP, PMCapExceededError
 from .report import (
     ALL_OPS,
     AnalyzeOptions,
@@ -41,19 +42,22 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated operation list "
                              f"(subset of {','.join(ALL_OPS)}); replaces "
                              "the default set")
-    parser.add_argument("--mu-upto", type=int, default=4, metavar="K",
-                        help="compute mu_1..mu_K (default: 4)")
+    parser.add_argument("--mu-upto", type=int, default=AnalyzeOptions.mu_upto,
+                        metavar="K",
+                        help="compute mu_1..mu_K (default: %(default)s)")
     parser.add_argument("--scc", action="store_true",
                         help="also run the exact shortest-cover search")
-    parser.add_argument("--scc-dim-cap", type=int, default=10,
-                        metavar="D", help="cycle space dimension cap for "
-                                          "--scc (default: 10)")
+    parser.add_argument("--scc-dim-cap", type=int,
+                        default=AnalyzeOptions.scc_dim_cap, metavar="D",
+                        help="cycle space dimension cap for --scc "
+                             "(default: %(default)s)")
     parser.add_argument("--fulkerson", action="store_true",
                         help="also search for a Fulkerson coloring")
     parser.add_argument("--budget-ms", type=int, default=None, metavar="N",
                         help="per-graph wall-clock budget; overruns are "
                              "recorded per field")
-    parser.add_argument("--pm-cap", type=int, default=1_000_000, metavar="N",
+    parser.add_argument("--pm-cap", type=int, default=DEFAULT_PM_CAP,
+                        metavar="N",
                         help="abort matching enumeration beyond N matchings")
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="process pool size for scan (default: 1)")
@@ -183,7 +187,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             G = parse_entry(entries[name], args.format)
             audit_report(G, data, pm_cap=args.pm_cap)
         except (GraphFormatError, NotCubicError, GraphTooLargeError,
-                ReportAuditError) as exc:
+                PMCapExceededError, ReportAuditError) as exc:
             print(f"fail {name}: {exc}", file=sys.stderr)
             failures += 1
             continue
@@ -221,7 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("corpus", help="corpus the report was built from")
     p_verify.add_argument("--format", choices=("mgf", "graph6"),
                           default="mgf")
-    p_verify.add_argument("--pm-cap", type=int, default=1_000_000)
+    p_verify.add_argument("--pm-cap", type=int, default=DEFAULT_PM_CAP,
+                          metavar="N",
+                          help="fail a report whose core audit needs more "
+                               "than N perfect matchings")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -20,6 +20,7 @@ from .graphs import (
     _bridges,
     _components,
     _girth,
+    _levels,
     _two_coloring,
 )
 from .matching import is_perfect_matching, is_three_edge_colorable
@@ -88,14 +89,11 @@ def build_core(G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet) -> Core:
             raise FactorError(f"factor {i + 1} is not a perfect matching of G")
     if M1 == M2 or M1 == M3 or M2 == M3:
         raise FactorError("factors must be pairwise distinct")
-    a, b, c = M1.bits, M2.bits, M3.bits
     m = G.m
-    Mbits = (a & b) | (a & c) | (b & c)
-    Tbits = a & b & c
-    Ubits = ((1 << m) - 1) & ~(a | b | c)
-    M = EdgeSet(m, Mbits)
-    T = EdgeSet(m, Tbits)
-    U = EdgeSet(m, Ubits)
+    none, _, two, three = _levels(G.all_edges().bits,
+                                  [M1.bits, M2.bits, M3.bits])
+    M = EdgeSet(m, two | three)
+    U = EdgeSet(m, none)
     sub = M | U
     verts = sorted({v for i in sub.indices() for v in G.edges[i]})
     core = Core(
@@ -103,8 +101,8 @@ def build_core(G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet) -> Core:
         factors=(M1, M2, M3),
         M=M,
         U=U,
-        T=T,
-        M2=M - T,
+        T=EdgeSet(m, three),
+        M2=EdgeSet(m, two),
         k=len(U),
         vertices=tuple(verts),
         edge_indices=sub,
@@ -278,63 +276,38 @@ def find_core(G: CubicGraph, pms: Sequence[EdgeSet]) -> Optional[Core]:
     return None
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    measured: Dict[str, object]
-
-
 def verify_core_theorems(
     core: Core, classification: CoreClassification
-) -> List[CheckResult]:
+) -> List[dict]:
     """Instance checks of the core structure theorems, for reports and the
-    property suite; classification is classify_core(core).  Empty cores
-    pass the girth/component checks vacuously.
+    property suite, as {"name", "passed", "measured"} records;
+    classification is classify_core(core).  Empty cores pass the
+    girth/component checks vacuously.
     """
     G = core.graph
-    results: List[CheckResult] = []
+    results: List[dict] = []
+
+    def check(name: str, passed: bool, measured: Dict[str, object]) -> None:
+        results.append({"name": name, "passed": passed, "measured": measured})
+
     k, t = core.k, len(core.T)
-    results.append(
-        CheckResult(
-            "counting_identities",
-            len(core.M) == k - t
-            and len(core.vertices) == 2 * k - 2 * t
-            and len(core.edge_indices) == 2 * k - t,
-            {"k": k, "t": t, "edges": len(core.edge_indices)},
-        )
-    )
+    check("counting_identities",
+          len(core.M) == k - t
+          and len(core.vertices) == 2 * k - 2 * t
+          and len(core.edge_indices) == 2 * k - t,
+          {"k": k, "t": t, "edges": len(core.edge_indices)})
     g_c = _girth(G, core.edge_indices.bits)
-    results.append(
-        CheckResult(
-            "girth_le_2k",
-            g_c is None or g_c <= 2 * k,
-            {"core_girth": g_c, "k": k},
-        )
-    )
+    check("girth_le_2k", g_c is None or g_c <= 2 * k,
+          {"core_girth": g_c, "k": k})
     comp_count = len(classification.components)
-    results.append(
-        CheckResult(
-            "components_le_2k_over_girth",
-            g_c is None or comp_count <= (2 * k) / g_c,
-            {"components": comp_count, "core_girth": g_c, "k": k},
-        )
-    )
+    check("components_le_2k_over_girth",
+          g_c is None or comp_count <= (2 * k) / g_c,
+          {"components": comp_count, "core_girth": g_c, "k": k})
     if k < 3:
         colorable, _ = is_three_edge_colorable(G)
-        results.append(
-            CheckResult(
-                "k_lt_3_implies_3_edge_colorable", colorable, {"k": k}
-            )
-        )
+        check("k_lt_3_implies_3_edge_colorable", colorable, {"k": k})
     if classification.is_bipartite:
-        results.append(
-            CheckResult(
-                "bipartite_implies_bridgeless",
-                classification.is_bridgeless,
-                {"bridges": _bridges(G, core.edge_indices.bits,
-                                     core.vertices)[0]},
-            )
-        )
+        check("bipartite_implies_bridgeless", classification.is_bridgeless,
+              {"bridges": _bridges(G, core.edge_indices.bits,
+                                   core.vertices)[0]})
     return results
-

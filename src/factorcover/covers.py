@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import CubicGraph, EdgeSet, hamiltonian_circuit_avoiding
+from .graphs import (
+    CubicGraph,
+    EdgeSet,
+    _levels,
+    hamiltonian_circuit_avoiding,
+)
 from .matching import NoPerfectMatchingError
 
 
@@ -171,11 +176,9 @@ def fulkerson_witness(
 
 def verify_fulkerson(G: CubicGraph, factors: Sequence[EdgeSet]) -> bool:
     """Are factors six edge sets covering every edge exactly twice?"""
-    counts = [0] * G.m
-    for pm in factors:
-        for i in pm.indices():
-            counts[i] += 1
-    return len(factors) == 6 and all(c == 2 for c in counts)
+    full = G.all_edges().bits
+    return (len(factors) == 6
+            and _levels(full, [f.bits for f in factors])[2] == full)
 
 
 def matchings_from_circuit_avoiding(

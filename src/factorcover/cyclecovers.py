@@ -10,11 +10,10 @@ number of members through a single edge.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graphs import CubicGraph, EdgeSet
+from .graphs import CubicGraph, EdgeSet, _bfs, _levels
 from .matching import trace_circuits
 from .cores import Core, CoreClassification, classify_core
 
@@ -44,14 +43,10 @@ class CycleCover:
     problems: Tuple[str, ...] = ()
 
     def is_double_cover(self) -> bool:
-        if not self.cycles:
+        if len(self.cycles) < 2:
             return False
-        m = self.cycles[0].m
-        counts = [0] * m
-        for c in self.cycles:
-            for i in c.indices():
-                counts[i] += 1
-        return all(x == 2 for x in counts)
+        full = (1 << self.cycles[0].m) - 1
+        return _levels(full, [c.bits for c in self.cycles])[2] == full
 
 
 def _is_cycle(G: CubicGraph, edges: EdgeSet) -> bool:
@@ -272,24 +267,14 @@ def four_cover_cycles(
     edges.  With k = 0 the cover is even and ced <= 2.
     """
     fs = [M1.bits, M2.bits, M3.bits, M4.bits]
-    if fs[0] & fs[1] & fs[2] & fs[3]:
-        raise CoverConstructionError("the four factors have a common edge")
     m = G.m
-    full = (1 << m) - 1
-    level: List[int] = [0] * 4  # level[t-1] = edges in exactly t factors
-    for t in (1, 2, 3):
-        bits = 0
-        for i in range(m):
-            cnt = sum((f >> i) & 1 for f in fs)
-            if cnt == t:
-                bits |= 1 << i
-        level[t - 1] = bits
-    uncovered = full & ~(fs[0] | fs[1] | fs[2] | fs[3])
+    uncovered, once, twice, thrice, common = _levels((1 << m) - 1, fs)
+    if common:
+        raise CoverConstructionError("the four factors have a common edge")
     k = uncovered.bit_count()
-    cycles = []
-    for f in fs:
-        bits = (f & level[0]) | (~f & level[1] & full) | (f & level[2]) | uncovered
-        cycles.append(EdgeSet(m, bits))
+    cycles = [
+        EdgeSet(m, f & once | twice & ~f | f & thrice | uncovered) for f in fs
+    ]
     cover = verify_cover(G, cycles)
     expect = 4 * m // 3 + 4 * k
     if not cover.valid or cover.length != expect:
@@ -308,15 +293,11 @@ def five_cdc(
     Adds the 2-factor of singly-covered edges to the k = 0 four-cover; every
     edge then lies in exactly two members.
     """
-    fs = [M1.bits, M2.bits, M3.bits, M4.bits]
-    union = fs[0] | fs[1] | fs[2] | fs[3]
-    if union != (1 << G.m) - 1:
+    uncovered, singly = _levels(
+        (1 << G.m) - 1, [M1.bits, M2.bits, M3.bits, M4.bits])[:2]
+    if uncovered:
         raise CoverConstructionError("union of the four factors is not E(G)")
     base = four_cover_cycles(G, M1, M2, M3, M4)
-    singly = 0
-    for i in range(G.m):
-        if sum((f >> i) & 1 for f in fs) == 1:
-            singly |= 1 << i
     cycles = list(base.cycles) + [EdgeSet(G.m, singly)]
     cover = verify_cover(G, cycles)
     if not cover.valid or not cover.is_double_cover():
@@ -331,23 +312,11 @@ def five_cdc(
 
 def cycle_space_basis(G: CubicGraph) -> List[int]:
     """Fundamental cycles (as edge bitmasks) w.r.t. a BFS spanning forest."""
-    parent_edge = [-1] * G.n
-    visited = [False] * G.n
+    parent_edge = _bfs(G, G.all_edges().bits, range(G.n))[1]
     tree = 0
-    for root in range(G.n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            x = queue.popleft()
-            for f in G.incidence[x]:
-                y = G.other_end(f, x)
-                if not visited[y]:
-                    visited[y] = True
-                    parent_edge[y] = f
-                    tree |= 1 << f
-                    queue.append(y)
+    for f in parent_edge:
+        if f >= 0:
+            tree |= 1 << f
 
     def path_to_root(v: int) -> int:
         bits = 0

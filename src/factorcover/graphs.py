@@ -403,35 +403,68 @@ def is_bridgeless(G: CubicGraph) -> bool:
     return not bridges(G)
 
 
-def _two_coloring(
+def _bfs(
     G: CubicGraph, mask: int, roots: Iterable[int]
-) -> Optional[List[int]]:
-    """BFS 2-coloring of the subgraph with edge set mask, from each
-    uncolored vertex of roots in turn.
+) -> Tuple[List[int], List[int], List[int]]:
+    """BFS forest of the subgraph with edge set mask, grown from each
+    unreached vertex of roots in turn, trying edges in G.incidence order.
 
-    Returns the color (0 or 1) of every vertex, -1 where no root reaches,
-    or None when a reached component has an odd circuit.
+    Returns (order, parent_edge, depth): the reached vertices in visiting
+    order; per vertex, the tree edge to its parent (-1 at roots and
+    unreached vertices) and its distance from its tree's root (-1 where
+    unreached).
     """
     edges, incidence = G.edges, G.incidence
-    color = [-1] * G.n
+    order: List[int] = []
+    parent_edge = [-1] * G.n
+    depth = [-1] * G.n
     for root in roots:
-        if color[root] != -1:
+        if depth[root] >= 0:
             continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+        depth[root] = 0
+        head = len(order)
+        order.append(root)
+        while head < len(order):  # order doubles as the queue
+            v = order[head]
+            head += 1
             for f in incidence[v]:
                 if not mask >> f & 1:
                     continue
                 a, b = edges[f]
                 w = b if v == a else a
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    return color
+                if depth[w] < 0:
+                    depth[w] = depth[v] + 1
+                    parent_edge[w] = f
+                    order.append(w)
+    return order, parent_edge, depth
+
+
+def _levels(full: int, masks: Sequence[int]) -> List[int]:
+    """Bit-sliced multiplicity count: exactly[t], for t = 0..len(masks), is
+    the set of edges of full lying in exactly t of masks."""
+    exactly = [full] + [0] * len(masks)
+    for x in masks:
+        # descending t reads level t - 1 before x has moved it up
+        for t in range(len(exactly) - 1, 0, -1):
+            exactly[t] = exactly[t] & ~x | exactly[t - 1] & x
+        exactly[0] &= ~x
+    return exactly
+
+
+def _two_coloring(
+    G: CubicGraph, mask: int, roots: Iterable[int]
+) -> Optional[List[int]]:
+    """2-coloring of the subgraph with edge set mask by BFS depth parity,
+    from each uncolored vertex of roots in turn.
+
+    Returns the color (0 or 1) of every vertex, -1 where no root reaches,
+    or None when a reached component has an odd circuit.
+    """
+    depth = _bfs(G, mask, roots)[2]
+    for f, (u, v) in enumerate(G.edges):
+        if mask >> f & 1 and depth[u] >= 0 and (depth[u] ^ depth[v]) & 1 == 0:
+            return None
+    return [d & 1 if d >= 0 else -1 for d in depth]
 
 
 def is_bipartite(G: CubicGraph) -> Tuple[bool, Optional[List[int]]]:
@@ -440,7 +473,7 @@ def is_bipartite(G: CubicGraph) -> Tuple[bool, Optional[List[int]]]:
 
 
 def is_connected(G: CubicGraph) -> bool:
-    return len(_components(G, G.all_edges().bits, range(G.n))) <= 1
+    return G.n == 0 or len(_bfs(G, G.all_edges().bits, (0,))[0]) == G.n
 
 
 def _components(
@@ -448,28 +481,13 @@ def _components(
 ) -> List[List[int]]:
     """Connected components of the subgraph with edge set mask that meet
     roots, as sorted vertex lists in the order of their least root."""
-    edges, incidence = G.edges, G.incidence
-    seen = [False] * G.n
-    comps = []
-    for root in sorted(roots):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for f in incidence[v]:
-                if not mask >> f & 1:
-                    continue
-                a, b = edges[f]
-                w = b if v == a else a
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    return comps
+    order, _, depth = _bfs(G, mask, sorted(roots))
+    comps: List[List[int]] = []
+    for v in order:
+        if depth[v] == 0:
+            comps.append([])
+        comps[-1].append(v)
+    return [sorted(comp) for comp in comps]
 
 
 def has_nontrivial_3_edge_cut(

@@ -6,10 +6,9 @@ edge index first), so witnesses are reproducible.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import CubicGraph, EdgeSet
+from .graphs import CubicGraph, EdgeSet, _bfs
 
 DEFAULT_PM_CAP = 1_000_000
 
@@ -105,27 +104,10 @@ def trace_circuits(G: CubicGraph, cycle: EdgeSet) -> List[List[int]]:
 
 
 def _edge_order_bfs(G: CubicGraph) -> List[int]:
-    """Edge ordering where each edge touches an earlier one when possible."""
-    order: List[int] = []
-    placed = [False] * G.m
-    seen_vertex = [False] * G.n
-    for root in range(G.n):
-        if seen_vertex[root]:
-            continue
-        seen_vertex[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for f in G.incidence[v]:
-                if placed[f]:
-                    continue
-                placed[f] = True
-                order.append(f)
-                w = G.other_end(f, v)
-                if not seen_vertex[w]:
-                    seen_vertex[w] = True
-                    queue.append(w)
-    return order
+    """Edge ordering where each edge touches an earlier one when possible:
+    the edges at each vertex in BFS order, each edge where first seen."""
+    order = _bfs(G, G.all_edges().bits, range(G.n))[0]
+    return list(dict.fromkeys(f for v in order for f in G.incidence[v]))
 
 
 def _edge_coloring(G: CubicGraph, s: int) -> Optional[List[int]]:

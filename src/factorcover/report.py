@@ -10,6 +10,7 @@ that identical inputs yield byte-identical output.
 from __future__ import annotations
 
 import json
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -167,18 +168,10 @@ class GraphReport:
         return out
 
 
-def _edge_array(es: EdgeSet) -> List[int]:
-    return list(es.indices())
-
-
-def _factor_arrays(factors: Sequence[EdgeSet]) -> List[List[int]]:
-    return [_edge_array(f) for f in factors]
-
-
 def _cover_dict(kind: str, cover, target: Optional[EdgeSet] = None) -> dict:
     out = {
         "kind": kind,
-        "cycles": [_edge_array(c) for c in cover.cycles],
+        "cycles": [c.indices() for c in cover.cycles],
         "length": cover.length,
         "ced": cover.ced,
         "even": cover.even,
@@ -186,7 +179,7 @@ def _cover_dict(kind: str, cover, target: Optional[EdgeSet] = None) -> dict:
         "valid": cover.valid,
     }
     if target is not None:
-        out["target"] = _edge_array(target)
+        out["target"] = target.indices()
     return out
 
 
@@ -268,8 +261,8 @@ def analyze(
                 value, witness = mu_k(G, k, pms)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = {
-                    "factors": _factor_arrays(witness.factors),
-                    "uncovered": _edge_array(witness.uncovered),
+                    "factors": [f.indices() for f in witness.factors],
+                    "uncovered": witness.uncovered.indices(),
                 }
                 mu_witnesses[k] = witness
             if not run(f"mu_{k}", _mu):
@@ -284,7 +277,7 @@ def analyze(
             if found is not None:
                 report.fan_raspaud = {
                     "factor_indices": list(found),
-                    "factors": _factor_arrays([pms[i] for i in found]),
+                    "factors": [pms[i].indices() for i in found],
                 }
         run("fan_raspaud", _fan_raspaud)
 
@@ -294,7 +287,7 @@ def analyze(
             if witness is not None:
                 report.fulkerson = {
                     "factor_indices": list(witness.factor_indices),
-                    "factors": _factor_arrays(witness.factors),
+                    "factors": [f.indices() for f in witness.factors],
                 }
         run("fulkerson", _fulkerson)
 
@@ -308,12 +301,12 @@ def analyze(
             report.cores.append({
                 "factors": [0, 1, 2],
                 "k": core.k,
-                "M": _edge_array(core.M),
-                "U": _edge_array(core.U),
-                "T": _edge_array(core.T),
+                "M": core.M.indices(),
+                "U": core.U.indices(),
+                "T": core.T.indices(),
                 "components": [
                     {"kind": c.kind, "vertices": list(c.vertices),
-                     "edges": _edge_array(c.edges)}
+                     "edges": c.edges.indices()}
                     for c in cls.components
                 ],
                 "cyclic": cls.is_cyclic,
@@ -322,11 +315,7 @@ def analyze(
                 "empty": cls.is_empty,
             })
             for check in verify_core_theorems(core, cls):
-                report.checks.append({
-                    "name": f"core_{check.name}",
-                    "passed": check.passed,
-                    "measured": check.measured,
-                })
+                report.checks.append(dict(check, name=f"core_{check['name']}"))
         run("core", _core)
 
     if "covers" in needs_pms:
@@ -478,7 +467,7 @@ def _audit_witnesses(G: CubicGraph, data: dict,
         for s in sets:
             union = union | s
         uncovered = G.all_edges() - union
-        if _edge_array(uncovered) != wit["uncovered"]:
+        if uncovered.indices() != wit["uncovered"]:
             fail(f"mu_{k}: uncovered set mismatch")
         if len(uncovered) != data["mu"][k]:
             fail(f"mu_{k}: recorded value {data['mu'][k]} != "
@@ -504,9 +493,9 @@ def _audit_witnesses(G: CubicGraph, data: dict,
             core = build_core(G, pms[i], pms[j], pms[l])
         except FactorError as exc:
             fail(f"core: {exc}")
-        if (_edge_array(core.M) != entry["M"]
-                or _edge_array(core.U) != entry["U"]
-                or _edge_array(core.T) != entry["T"]
+        if (core.M.indices() != entry["M"]
+                or core.U.indices() != entry["U"]
+                or core.T.indices() != entry["T"]
                 or core.k != entry["k"]):
             fail("core: M/U/T/k mismatch against rebuilt core")
         cls = classify_core(core)
@@ -540,14 +529,15 @@ def _audit_witnesses(G: CubicGraph, data: dict,
 def read_corpus(path: str, fmt: str = "mgf") -> List[Tuple[str, str]]:
     """Split a corpus file into (id, text) entries without parsing graphs.
 
-    MGF: blocks separated by blank lines, named by their first '#' comment.
+    MGF: blocks separated by blank (empty or whitespace-only) lines, named
+    by their first '#' comment, else mgf_<i> for the i-th block.
     graph6: one graph per non-blank line.
     """
     with open(path) as fh:
         raw = fh.read()
     entries: List[Tuple[str, str]] = []
     if fmt == "mgf":
-        for i, block in enumerate(raw.split("\n\n")):
+        for i, block in enumerate(re.split(r"\n[^\S\n]*\n", raw)):
             if not block.strip():
                 continue
             name = f"mgf_{i}"

@@ -51,6 +51,9 @@ MINI_MGF = """\
 """
 
 
+THETA_MGF = "# theta\n2 3\n0 1\n0 1\n0 1\n"
+
+
 @pytest.fixture
 def mini_corpus(tmp_path):
     path = tmp_path / "mini.mgf"
@@ -146,6 +149,28 @@ def test_scan_records_parse_errors(tmp_path):
     lines = read_jsonl(out)
     assert "error" in lines[1]
     assert lines[-1]["summary"]["parse_errors"] == 1
+
+
+def test_whitespace_only_line_separates_mgf_blocks(tmp_path):
+    path = tmp_path / "spaced.mgf"
+    path.write_text(MINI_MGF.split("\n\n")[0] + "\n \t\n" + THETA_MGF)
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(path), "--out", str(out)]) == 0
+    lines = read_jsonl(out)
+    assert [line["id"] for line in lines[:-1]] == ["K4", "theta"]
+    assert lines[-1]["summary"]["graphs"] == 2
+    assert lines[-1]["summary"]["parse_errors"] == 0
+
+
+def test_unnamed_mgf_blocks_keep_their_numbering(tmp_path):
+    body = "2 3\n0 1\n0 1\n0 1"
+    text = "\n\n" + body + "\n\n\n" + body + "\n\n\n\n" + body + "\n"
+    path = tmp_path / "unnamed.mgf"
+    path.write_text(text)
+    want = [f"mgf_{i}" for i, block in enumerate(text.split("\n\n"))
+            if block.strip()]
+    assert [name for name, _ in read_corpus(str(path))] == want
+    assert want == ["mgf_1", "mgf_2", "mgf_4"]
 
 
 def test_scan_records_oversize_graph_and_continues(tmp_path):
@@ -287,6 +312,20 @@ def test_verify_fails_out_of_range_index_and_continues(mini_corpus, tmp_path,
     (failure,) = captured.err.splitlines()
     assert failure.startswith("fail K4: ") and "out of range" in failure
     assert "verified 1 reports, 1 failures" in captured.out
+
+
+def test_verify_fails_pm_cap_and_continues(tmp_path, capsys):
+    corpus = tmp_path / "two.mgf"
+    corpus.write_text(MINI_MGF.split("\n\n")[0] + "\n\n" + THETA_MGF)
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(corpus), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), str(corpus), "--pm-cap", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "fail K4: more than 1 perfect matchings",
+        "fail theta: more than 1 perfect matchings"]
+    assert captured.out.splitlines() == ["verified 0 reports, 2 failures"]
 
 
 def test_verify_fails_malformed_lines_and_continues(tmp_path, capsys):

@@ -3,6 +3,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factorcover.graphs import (
     MAX_EDGES,
@@ -10,8 +11,10 @@ from factorcover.graphs import (
     EdgeSet,
     GraphFormatError,
     NotCubicError,
+    _bfs,
     _components,
     _girth,
+    _levels,
     _two_coloring,
     bridges,
     flower_snark,
@@ -174,9 +177,34 @@ def masked_subgraph(G: CubicGraph, mask: int) -> nx.MultiGraph:
     return H
 
 
+def check_bfs(G: CubicGraph, H: nx.MultiGraph, mask: int, roots,
+              comps) -> None:
+    """_bfs against networkx: H is masked_subgraph(G, mask) and comps are
+    its components that meet roots."""
+    order, parent_edge, depth = _bfs(G, mask, roots)
+    reached = set().union(*comps)
+    assert sorted(order) == sorted(reached)
+    tree_root = {v: next(r for r in roots if r in comp)
+                 for comp in comps for v in comp}
+    for v in range(G.n):
+        if v not in reached:
+            assert depth[v] == parent_edge[v] == -1
+            continue
+        assert depth[v] == nx.shortest_path_length(H, tree_root[v], v)
+        f = parent_edge[v]
+        if depth[v] == 0:
+            assert f == -1 and v == tree_root[v]
+            continue
+        assert mask >> f & 1 and v in G.edges[f]
+        assert depth[G.other_end(f, v)] == depth[v] - 1
+    # each tree is visited root first, then level by level
+    assert all(depth[w] == 0 or depth[v] <= depth[w]
+               for v, w in zip(order, order[1:]))
+
+
 def test_masked_queries_against_networkx(corpus):
-    """_girth, _components and _two_coloring on seeded random edge subsets
-    of corpus graphs and configuration-model multigraphs."""
+    """_girth, _components, _two_coloring and _bfs on seeded random edge
+    subsets of corpus graphs and configuration-model multigraphs."""
     rng = random.Random(2013)
     graphs = [G for _, G in rng.sample(corpus, 50)]
     for _ in range(50):
@@ -202,6 +230,7 @@ def test_masked_queries_against_networkx(corpus):
             comps = [c for c in nx.connected_components(H) if c & set(roots)]
             comps.sort(key=lambda c: min(c & set(roots)))
             assert _components(G, mask, roots) == [sorted(c) for c in comps]
+            check_bfs(G, H, mask, roots, comps)
 
             bip = all(nx.is_bipartite(H.subgraph(c)) for c in comps)
             coloring = _two_coloring(G, mask, roots)
@@ -218,6 +247,25 @@ def test_masked_queries_against_networkx(corpus):
             seen["odd"] += comps != [] and not bip
             seen["bipartite"] += comps != [] and bip
     assert seen["subsets"] >= 500 and all(seen.values()), seen
+
+
+@st.composite
+def masks_of_width(draw):
+    m = draw(st.integers(1, MAX_EDGES))
+    bits = st.integers(0, (1 << m) - 1)
+    return m, draw(bits), draw(st.lists(bits, max_size=6))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(masks_of_width())
+def test_levels_against_per_edge_count(case):
+    m, full, masks = case
+    exactly = _levels(full, masks)
+    assert len(exactly) == len(masks) + 1
+    for i in range(m):
+        count = sum(x >> i & 1 for x in masks)
+        for t, level in enumerate(exactly):
+            assert level >> i & 1 == (full >> i & 1 and count == t)
 
 
 # ---------------------------------------------------------------------------

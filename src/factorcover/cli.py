@@ -119,7 +119,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     try:
         reports = scan(args.file, options, fmt=args.format,
                        workers=args.workers)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     summary = json.loads(_emit(report_lines(reports), args.out))["summary"]

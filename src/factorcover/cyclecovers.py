@@ -334,8 +334,18 @@ def cycle_space_basis(G: CubicGraph) -> List[int]:
 
 
 def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
-    """Minimum-length cover of E(G) by at most SCC_MAX_CYCLES cycles, by
+    """Shortest cover of E(G) by at most SCC_MAX_CYCLES cycles, by
     exhaustive search over the cycle space with branch-and-bound.
+
+    This is the shortest 4-cycle cover, not the unrestricted shortest cycle
+    cover.  Every cycle uses 0 or 2 edges at each vertex, so in any cover
+    the multiplicities at a vertex sum to an even number >= 4 and some edge
+    there is covered twice.  A partial cover of the given length, with z
+    vertices that have no doubly covered edge yet, therefore completes to
+    length at least length + |uncovered| + ceil(z/2); the search prunes on
+    that bound, and stops once its incumbent reaches the bound at the root,
+    ceil(4m/3).  The incumbent is replaced only on a strict improvement, so
+    the pruning never changes the returned cover.
 
     Exact, deterministic; raises DimensionCapExceededError when the cycle
     space dimension m - n + (#components) exceeds dim_cap, and
@@ -366,12 +376,13 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
         for i in range(m):
             if (v >> i) & 1:
                 by_edge[i].append(v)
-    # deterministic candidate order: greedy-friendly (short overshoot first)
+    stars = [sum(1 << f for f in inc) for inc in G.incidence]
+    root_bound = (4 * m + 2) // 3
     best_len: Optional[int] = None
     best_choice: Optional[Tuple[int, ...]] = None
     choice: List[int] = []
 
-    def rec(covered: int, length: int, slots: int) -> None:
+    def rec(covered: int, twice: int, length: int, slots: int) -> None:
         nonlocal best_len, best_choice
         if covered == full:
             if best_len is None or length < best_len:
@@ -381,8 +392,13 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
         if slots == 0:
             return
         uncovered = full & ~covered
-        if best_len is not None and length + uncovered.bit_count() >= best_len:
-            return
+        if best_len is not None:
+            bound = length + uncovered.bit_count()
+            if bound >= best_len:
+                return
+            lonely = sum(1 for star in stars if not star & twice)
+            if bound + (lonely + 1) // 2 >= best_len:
+                return
         # branching on the lowest uncovered edge makes every cover set
         # reachable in exactly one order, so no dedup is needed
         pivot = (uncovered & -uncovered).bit_length() - 1
@@ -393,10 +409,13 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
         )
         for v in ordered:
             choice.append(v)
-            rec(covered | v, length + lengths[v], slots - 1)
+            rec(covered | v, twice | covered & v, length + lengths[v],
+                slots - 1)
             choice.pop()
+            if best_len == root_bound:  # no cover is shorter
+                return
 
-    rec(0, 0, SCC_MAX_CYCLES)
+    rec(0, 0, 0, SCC_MAX_CYCLES)
     if best_len is None:
         raise CoverConstructionError("graph has no cycle cover")
     cover = verify_cover(G, [EdgeSet(m, bits) for bits in best_choice])

@@ -128,6 +128,8 @@ class CubicGraph:
     __slots__ = ("n", "edges", "incidence")
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]]):
+        if n < 1:
+            raise GraphFormatError(f"graph has {n} vertices")
         edges = tuple((int(u), int(v)) for u, v in edges)
         if len(edges) > MAX_EDGES:
             raise GraphTooLargeError(
@@ -473,7 +475,7 @@ def is_bipartite(G: CubicGraph) -> Tuple[bool, Optional[List[int]]]:
 
 
 def is_connected(G: CubicGraph) -> bool:
-    return G.n == 0 or len(_bfs(G, G.all_edges().bits, (0,))[0]) == G.n
+    return len(_bfs(G, G.all_edges().bits, (0,))[0]) == G.n
 
 
 def _components(

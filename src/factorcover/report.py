@@ -342,6 +342,7 @@ def analyze(
         run("covers", _covers)
 
     if "scc" in ops:
+        # no check may compare scc with 4m/3: scc_exact prunes with it
         def _scc():
             cover = scc_exact(G, dim_cap=options.scc_dim_cap)
             report.covers.append(_cover_dict("scc_exact", cover))
@@ -577,12 +578,18 @@ def scan(
     """Read the corpus and return an iterator that analyzes it lazily,
     yielding one report dict per entry, then a summary dict.
 
-    A missing corpus file raises here, before any entry is analyzed.
-    Output order equals input order for any worker count; per-entry parse
-    errors and graphs over the edge capacity become {"id", "error"} records
-    and are counted in the summary.
+    A missing corpus file raises OSError and an id shared by two entries
+    raises ValueError here, before any entry is analyzed.  Output order
+    equals input order for any worker count; per-entry parse errors and
+    graphs over the edge capacity become {"id", "error"} records and are
+    counted in the summary.
     """
     entries = read_corpus(corpus_path, fmt)
+    seen = set()
+    for name, _ in entries:
+        if name in seen:
+            raise ValueError(f"duplicate id {name!r} in corpus")
+        seen.add(name)
     items = [(name, text, fmt, options) for name, text in entries]
     return _with_summary(_scan_items(items, workers))
 

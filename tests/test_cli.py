@@ -151,6 +151,29 @@ def test_scan_records_parse_errors(tmp_path):
     assert lines[-1]["summary"]["parse_errors"] == 1
 
 
+def test_scan_records_empty_graph_and_continues(tmp_path):
+    path = tmp_path / "empty.mgf"
+    path.write_text("# empty\n0 0\n\n" + MINI_MGF.split("\n\n")[0] + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(path), "--out", str(out)]) == 0
+    lines = read_jsonl(out)
+    assert lines[0]["id"] == "empty"
+    assert lines[0]["error"].startswith("GraphFormatError")
+    assert lines[1]["id"] == "K4" and lines[1]["mu"]["3"] == 0
+    summary = lines[-1]["summary"]
+    assert summary["graphs"] == 1 and summary["parse_errors"] == 1
+
+
+def test_scan_rejects_duplicate_ids_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.mgf"
+    path.write_text(THETA_MGF.replace("# theta", "# a") + "\n"
+                    + MINI_MGF.split("\n\n")[0].replace("# K4", "# a"))
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(path), "--out", str(out)]) == 2
+    assert "duplicate id 'a'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_whitespace_only_line_separates_mgf_blocks(tmp_path):
     path = tmp_path / "spaced.mgf"
     path.write_text(MINI_MGF.split("\n\n")[0] + "\n \t\n" + THETA_MGF)
@@ -281,11 +304,20 @@ def test_verify_detects_tampering(mini_corpus, tmp_path, capsys):
 
 
 def test_verify_fails_duplicate_ids(tmp_path, capsys):
-    corpus = tmp_path / "dup.mgf"
     k4 = MINI_MGF.split("\n\n")[0].replace("# K4", "# same")
-    corpus.write_text(k4 + "\n\n# same\n2 3\n0 1\n0 1\n0 1\n")
+    theta = "# same\n2 3\n0 1\n0 1\n0 1\n"
+    corpus = tmp_path / "dup.mgf"
+    corpus.write_text(k4 + "\n\n" + theta)
+    # scan refuses duplicate ids, so scan each block on its own
+    reports = []
+    for i, block in enumerate((k4, theta)):
+        single = tmp_path / f"single{i}.mgf"
+        single.write_text(block)
+        part = tmp_path / f"scan{i}.jsonl"
+        assert main(["scan", str(single), "--out", str(part)]) == 0
+        reports += part.read_text().splitlines()[:-1]
     out = tmp_path / "scan.jsonl"
-    assert main(["scan", str(corpus), "--out", str(out)]) == 0
+    out.write_text("\n".join(reports) + "\n")
     capsys.readouterr()
     assert main(["verify", str(out), str(corpus)]) == 1
     captured = capsys.readouterr()

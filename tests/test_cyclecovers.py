@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -17,11 +19,13 @@ from factorcover.cyclecovers import (
     scc_exact,
     verify_cover,
 )
-from factorcover.graphs import CubicGraph, EdgeSet
+from factorcover.graphs import CubicGraph, EdgeSet, is_bridgeless
 from factorcover.matching import (
     enumerate_perfect_matchings,
     is_three_edge_colorable,
 )
+
+from conftest import random_connected_cubic_multigraph
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +229,105 @@ def test_scc_dim_cap(petersen):
 
 
 def test_scc_equals_4m_over_3_on_colorable(corpus):
-    rng = random.Random(53)
-    small = [(n, G) for n, G in corpus
-             if G.m - G.n + 1 <= 6 and is_three_edge_colorable(G)[0]]
-    for name, G in rng.sample(small, min(8, len(small))):
-        assert scc_exact(G).length == 4 * G.m // 3, name
+    checked = 0
+    for name, G in corpus:
+        if G.m - G.n + 1 <= 7 and is_three_edge_colorable(G)[0]:
+            assert scc_exact(G).length == 4 * G.m // 3, name
+            checked += 1
+    assert checked >= 100
+
+
+def scc_unpruned_oracle(G: CubicGraph) -> Tuple[int, ...]:
+    """The cycles (as bitmasks) of scc_exact's search with no bound but
+    length + |uncovered| and no early stop: same members, same candidate
+    order, incumbent replaced only on a strict improvement."""
+    m = G.m
+    basis = cycle_space_basis(G)
+    dim = len(basis)
+    full = (1 << m) - 1
+    vectors = [0] * (1 << dim)
+    for s in range(1, 1 << dim):
+        low = s & -s
+        vectors[s] = vectors[s ^ low] ^ basis[low.bit_length() - 1]
+    members = sorted(set(vectors[1:]))
+    cover_all = 0
+    for v in members:
+        cover_all |= v
+    if cover_all != full:
+        raise CoverConstructionError("graph has no cycle cover")
+    by_edge: List[List[int]] = [[] for _ in range(m)]
+    for v in members:
+        for i in range(m):
+            if (v >> i) & 1:
+                by_edge[i].append(v)
+    best_len: Optional[int] = None
+    best_choice: Tuple[int, ...] = ()
+    choice: List[int] = []
+
+    def rec(covered: int, length: int, slots: int) -> None:
+        nonlocal best_len, best_choice
+        if covered == full:
+            if best_len is None or length < best_len:
+                best_len = length
+                best_choice = tuple(choice)
+            return
+        if slots == 0:
+            return
+        uncovered = full & ~covered
+        if best_len is not None and length + uncovered.bit_count() >= best_len:
+            return
+        pivot = (uncovered & -uncovered).bit_length() - 1
+        ordered = sorted(
+            by_edge[pivot],
+            key=lambda v: (v.bit_count() - (v & uncovered).bit_count(), v),
+        )
+        for v in ordered:
+            choice.append(v)
+            rec(covered | v, length + v.bit_count(), slots - 1)
+            choice.pop()
+
+    rec(0, 0, 4)
+    if best_len is None:
+        raise CoverConstructionError("graph has no cycle cover")
+    return best_choice
+
+
+def scc_bits(G: CubicGraph) -> Tuple[int, ...]:
+    return tuple(c.bits for c in scc_exact(G, dim_cap=7).cycles)
+
+
+def test_scc_prune_keeps_the_witness_on_corpus(corpus):
+    """The vertex-excess prune and the 4m/3 stop return the very cycles of
+    the unpruned search: every graph of dimension <= 6, six of dimension 7."""
+    dim6 = [G for _, G in corpus if G.m - G.n + 1 <= 6]
+    dim7 = [G for _, G in corpus if G.m - G.n + 1 == 7]
+    sample = dim6 + random.Random(61).sample(dim7, 6)
+    assert len(dim6) >= 25
+    for G in sample:
+        assert scc_bits(G) == scc_unpruned_oracle(G), G
+
+
+def test_scc_prune_keeps_the_witness_on_multigraphs():
+    rng = random.Random(67)
+    bridged = 0
+    for _ in range(200):
+        G = random_connected_cubic_multigraph(rng, rng.choice((2, 4, 6, 8, 10)))
+        if is_bridgeless(G):
+            assert scc_bits(G) == scc_unpruned_oracle(G), G.edges
+            continue
+        bridged += 1
+        with pytest.raises(CoverConstructionError):
+            scc_exact(G)
+        with pytest.raises(CoverConstructionError):
+            scc_unpruned_oracle(G)
+    assert 10 <= bridged <= 190
+
+
+def test_scc_flower_snark_j5(j5):
+    """Dimension 11: J5's 4-cover from mu_4 = 0 is shortest (length 40)."""
+    t0 = time.monotonic()
+    cover = scc_exact(j5, dim_cap=11)
+    assert time.monotonic() - t0 < 10.0
+    _, witness = mu_k(j5, 4, enumerate_perfect_matchings(j5))
+    four = four_cover_cycles(j5, *witness.factors)
+    assert cover.valid and cover.length == four.length == 40

@@ -91,6 +91,14 @@ def test_mgf_parse_failure_is_not_cubic_failure():
         parse_edge_list("1 3\n0 0\n0 0\n0 0\n")  # loops
 
 
+def test_empty_graph_is_a_format_error():
+    for parse in (lambda: parse_edge_list("# empty\n0 0\n"),
+                  lambda: parse_graph6("?"),
+                  lambda: CubicGraph(0, [])):
+        with pytest.raises(GraphFormatError):
+            parse()
+
+
 # ---------------------------------------------------------------------------
 # graph6 parsing (networkx as the encoding oracle)
 # ---------------------------------------------------------------------------

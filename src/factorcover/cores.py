@@ -64,7 +64,6 @@ class Core:
     M: EdgeSet  # edges in >= 2 factors
     U: EdgeSet  # edges in no factor
     T: EdgeSet  # edges in all three factors
-    M2: EdgeSet  # M - T
     k: int  # |U|
     vertices: Tuple[int, ...]
     edge_indices: EdgeSet  # M | U
@@ -95,16 +94,14 @@ def build_core(G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet) -> Core:
     M = EdgeSet(m, two | three)
     U = EdgeSet(m, none)
     sub = M | U
-    verts = sorted({v for i in sub.indices() for v in G.edges[i]})
     core = Core(
         graph=G,
         factors=(M1, M2, M3),
         M=M,
         U=U,
         T=EdgeSet(m, three),
-        M2=EdgeSet(m, two),
         k=len(U),
-        vertices=tuple(verts),
+        vertices=tuple(v for v, star in enumerate(G.stars) if star & sub.bits),
         edge_indices=sub,
     )
     _assert_core_invariants(core)
@@ -125,27 +122,15 @@ def _assert_core_invariants(core: Core) -> None:
         raise CoreInvariantError(
             f"|E(G_c)| = {len(core.edge_indices)} != 2k - |T| = {2 * k - t}"
         )
-    # M must be a perfect matching of the core subgraph
-    covered = set()
-    for i in core.M.indices():
-        u, v = core.graph.edges[i]
-        if u in covered or v in covered:
-            raise CoreInvariantError("M is not a matching")
-        covered.add(u)
-        covered.add(v)
-    if covered != set(core.vertices):
-        raise CoreInvariantError("M does not cover V(G_c)")
-    # degrees are 2 or 3; 3 exactly at endpoints of T-edges
-    deg: Dict[int, int] = {v: 0 for v in core.vertices}
-    for i in core.edge_indices.indices():
-        u, v = core.graph.edges[i]
-        deg[u] += 1
-        deg[v] += 1
-    t_ends = {v for i in core.T.indices() for v in core.graph.edges[i]}
+    # M is a perfect matching of the core subgraph, and degrees are 2 or 3:
+    # 3 exactly at endpoints of T-edges
     for v in core.vertices:
-        want = 3 if v in t_ends else 2
-        if deg[v] != want:
-            raise CoreInvariantError(f"vertex {v} has core degree {deg[v]}")
+        star = core.graph.stars[v]
+        if (star & core.M.bits).bit_count() != 1:
+            raise CoreInvariantError(f"M does not meet vertex {v} once")
+        deg = (star & core.edge_indices.bits).bit_count()
+        if deg != (3 if star & core.T.bits else 2):
+            raise CoreInvariantError(f"vertex {v} has core degree {deg}")
 
 
 def classify_core(core: Core) -> CoreClassification:
@@ -160,10 +145,13 @@ def classify_core(core: Core) -> CoreClassification:
     mask = core.edge_indices.bits
     components: List[CoreComponent] = []
     for comp_vertices in _components(G, mask, core.vertices):
-        at = [[f for f in G.incidence[v] if mask >> f & 1]
-              for v in comp_vertices]
-        comp_edges = EdgeSet.from_indices(G.m, (f for fs in at for f in fs))
-        classify = (_classify_circuit if all(len(fs) == 2 for fs in at)
+        comp_bits = 0
+        for v in comp_vertices:
+            comp_bits |= G.stars[v]
+        comp_edges = EdgeSet(G.m, comp_bits & mask)
+        classify = (_classify_circuit
+                    if all((G.stars[v] & mask).bit_count() == 2
+                           for v in comp_vertices)
                     else _classify_subdivision)
         components.append(classify(core, comp_vertices, comp_edges))
     is_cyclic = all(c.kind == "even_circuit" for c in components)

@@ -11,11 +11,11 @@ number of members through a single edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .graphs import CubicGraph, EdgeSet, _bfs, _levels
+from .graphs import CubicGraph, EdgeSet, _bfs, _levels, _two_coloring
 from .matching import trace_circuits
-from .cores import Core, CoreClassification, classify_core
+from .cores import Core
 
 
 #: Most cycles scc_exact may use in a cover.
@@ -50,12 +50,7 @@ class CycleCover:
 
 
 def _is_cycle(G: CubicGraph, edges: EdgeSet) -> bool:
-    deg = [0] * G.n
-    for i in edges.indices():
-        u, v = G.edges[i]
-        deg[u] += 1
-        deg[v] += 1
-    return all(d in (0, 2) for d in deg)
+    return all((star & edges.bits).bit_count() in (0, 2) for star in G.stars)
 
 
 def _is_even_cycle(G: CubicGraph, edges: EdgeSet) -> bool:
@@ -74,7 +69,7 @@ def verify_cover(
     if target is None:
         target = G.all_edges()
     problems: List[str] = []
-    counts = [0] * G.m
+    members: List[int] = []
     even = True
     for pos, c in enumerate(cycles):
         if not _is_cycle(G, c):
@@ -82,9 +77,10 @@ def verify_cover(
             continue
         if not _is_even_cycle(G, c):
             even = False
-        for i in c.indices():
-            counts[i] += 1
-    covered = EdgeSet.from_indices(G.m, (i for i, x in enumerate(counts) if x))
+        members.append(c.bits)
+    full = G.all_edges().bits
+    levels = _levels(full, members)
+    covered = EdgeSet(G.m, full & ~levels[0])
     missing = target - covered
     if missing:
         problems.append(f"{len(missing)} edges uncovered: {missing.indices()}")
@@ -94,7 +90,7 @@ def verify_cover(
     return CycleCover(
         cycles=tuple(cycles),
         length=sum(len(c) for c in cycles),
-        ced=max(counts) if counts else 0,
+        ced=max(t for t, level in enumerate(levels) if level),
         even=even,
         count=len(cycles),
         valid=not problems,
@@ -160,100 +156,37 @@ def cover_from_core(
     return cover
 
 
-def _h_circuits(
-    h_edges: Sequence[Tuple[int, int]], selected: Sequence[int]
-) -> List[List[int]]:
-    """Circuits of a 2-regular sub-multigraph of H, as H edge index lists."""
-    inc: Dict[int, List[int]] = {}
-    for i in selected:
-        a, b = h_edges[i]
-        inc.setdefault(a, []).append(i)
-        inc.setdefault(b, []).append(i)
-    if any(len(x) != 2 for x in inc.values()):
-        raise CoverConstructionError("H - E* is not 2-regular")
-    seen = set()
-    circuits: List[List[int]] = []
-    for start in selected:
-        if start in seen:
-            continue
-        seen.add(start)
-        circuit = [start]
-        a0, v = h_edges[start]
-        while v != a0:
-            nxt = [i for i in inc[v] if i not in seen]
-            if not nxt:
-                break
-            f = min(nxt)
-            seen.add(f)
-            circuit.append(f)
-            a, b = h_edges[f]
-            v = b if v == a else a
-        circuits.append(circuit)
-    return circuits
-
-
-def bipartite_core_cover(
-    core: Core, classification: Optional[CoreClassification] = None
-) -> List[EdgeSet]:
+def bipartite_core_cover(core: Core) -> List[EdgeSet]:
     """Even cover of a bipartite core by at most two cycles, of length 2k.
 
-    Circuit components cover themselves.  Subdivision components get the
-    lifted 2-cover of the suppressed cubic multigraph H in which the
-    triple-intersection class E* is doubled and the remaining even cycle
-    H - E* is properly 2-edge-colored (lowest-index H edge of each circuit
-    gets color 1).
+    Core - T is 2-regular.  Each of its circuits is walked from its lowest
+    edge in trace_circuits order, putting edges on side 0 and switching
+    sides after each T-end vertex; both sides also get T.  This is the lift
+    of the 2-cover of the suppressed cubic multigraph H in which E* is
+    doubled and H - E* is properly 2-edge-colored.  A circuit without
+    T-ends is a circuit component and lies on side 0 whole, so a core with
+    T empty is covered by side 0 alone.
     """
-    cls = classification or classify_core(core)
-    if not cls.is_bipartite:
+    G = core.graph
+    if _two_coloring(G, core.edge_indices.bits, core.vertices) is None:
         raise CoverConstructionError("core is not bipartite")
-    m = core.graph.m
-    side1_bits = 0
-    side2_bits = 0
-    have_two = False
-    for comp in cls.components:
-        if comp.kind == "even_circuit":
-            side1_bits |= comp.edges.bits
-            continue
-        have_two = True
-        h_edges = comp.h_edges
-        h_paths = comp.h_edge_paths
-        estar = set(comp.estar_h)
-        assert h_edges is not None and h_paths is not None
-        rest = [i for i in range(len(h_edges)) if i not in estar]
-        # H - E* is 2-regular; trace its circuits and 2-color each by
-        # alternation.  Bipartite cores force even circuits here.
-        color: Dict[int, int] = {}
-        for circuit in _h_circuits(h_edges, rest):
-            if len(circuit) % 2 != 0:
-                raise CoverConstructionError(
-                    "H - E* has an odd circuit; core is not bipartite"
-                )
-            # color 1 starts at the H edge carrying the lowest core edge index
-            anchor = min(
-                range(len(circuit)), key=lambda pos: min(h_paths[circuit[pos]])
-            )
-            for pos in range(len(circuit)):
-                idx = circuit[(anchor + pos) % len(circuit)]
-                color[idx] = 1 if pos % 2 == 0 else 2
-        for i, path in enumerate(h_paths):
-            bits = 0
-            for e in path:
-                bits |= 1 << e
-            if i in estar:
-                side1_bits |= bits
-                side2_bits |= bits
-            elif color[i] == 1:
-                side1_bits |= bits
-            else:
-                side2_bits |= bits
-    out = []
-    if side1_bits or not have_two:
-        out.append(EdgeSet(m, side1_bits))
-    if have_two:
-        out.append(EdgeSet(m, side2_bits))
     if core.is_empty:
         return []
-    return out
+    t_bits = core.T.bits
+    sides = [0, 0]
+    for circuit in trace_circuits(G, core.edge_indices - core.T):
+        side, v = 0, G.edges[circuit[0]][0]
+        for f in circuit:
+            sides[side] |= 1 << f
+            v = G.other_end(f, v)
+            if G.stars[v] & t_bits:
+                side ^= 1
+        if side:
+            raise CoverConstructionError(
+                "a circuit of core - T has an odd number of T-ends")
+    if not t_bits:
+        return [EdgeSet(G.m, sides[0])]
+    return [EdgeSet(G.m, bits | t_bits) for bits in sides]
 
 
 def four_cover_cycles(
@@ -376,7 +309,6 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
         for i in range(m):
             if (v >> i) & 1:
                 by_edge[i].append(v)
-    stars = [sum(1 << f for f in inc) for inc in G.incidence]
     root_bound = (4 * m + 2) // 3
     best_len: Optional[int] = None
     best_choice: Optional[Tuple[int, ...]] = None
@@ -396,7 +328,7 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
             bound = length + uncovered.bit_count()
             if bound >= best_len:
                 return
-            lonely = sum(1 for star in stars if not star & twice)
+            lonely = sum(1 for star in G.stars if not star & twice)
             if bound + (lonely + 1) // 2 >= best_len:
                 return
         # branching on the lowest uncovered edge makes every cover set

@@ -121,11 +121,13 @@ class CubicGraph:
     """Loop-free 3-regular multigraph with stable edge indices.
 
     edges[i] is the unordered pair (u, v) of the i-th input edge; incidence[v]
-    lists the indices of the (exactly three) edges at v, in index order.
+    lists the indices of the (exactly three) edges at v, in index order, and
+    stars[v] is the same three edges as a bitmask, so the degree of v in the
+    subgraph with edge bitmask mask is (stars[v] & mask).bit_count().
     Instances are immutable after construction.
     """
 
-    __slots__ = ("n", "edges", "incidence")
+    __slots__ = ("n", "edges", "incidence", "stars")
 
     def __init__(self, n: int, edges: Sequence[Tuple[int, int]]):
         if n < 1:
@@ -149,6 +151,8 @@ class CubicGraph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "incidence", tuple(tuple(i) for i in incidence))
+        object.__setattr__(
+            self, "stars", tuple(sum(1 << f for f in i) for i in incidence))
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicGraph is immutable")

@@ -22,16 +22,8 @@ class NoPerfectMatchingError(ValueError):
 
 
 def is_perfect_matching(G: CubicGraph, edges: EdgeSet) -> bool:
-    if edges.m != G.m:
-        return False
-    covered = 0
-    for i in edges.indices():
-        u, v = G.edges[i]
-        mask = (1 << u) | (1 << v)
-        if covered & mask:
-            return False
-        covered |= mask
-    return covered == (1 << G.n) - 1
+    return edges.m == G.m and all(
+        (star & edges.bits).bit_count() == 1 for star in G.stars)
 
 
 def enumerate_perfect_matchings(

@@ -30,6 +30,7 @@ from .covers import (
     verify_fulkerson,
 )
 from .cyclecovers import (
+    CoverConstructionError,
     DimensionCapExceededError,
     bipartite_core_cover,
     canonical_cover,
@@ -344,7 +345,11 @@ def analyze(
     if "scc" in ops:
         # no check may compare scc with 4m/3: scc_exact prunes with it
         def _scc():
-            cover = scc_exact(G, dim_cap=options.scc_dim_cap)
+            try:
+                cover = scc_exact(G, dim_cap=options.scc_dim_cap)
+            except CoverConstructionError:  # G has a bridge
+                report.errors["scc"] = "no_cycle_cover"
+                return
             report.covers.append(_cover_dict("scc_exact", cover))
         run("scc", _scc)
 
@@ -366,8 +371,11 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
                 and "matchings" not in report.errors)
 
     m = G.m
+    # the mu3 bounds and the existence statements hold for bridgeless G
+    bridgeless = (report.bridgeless if report.bridgeless is not None
+                  else is_bridgeless(G))
     mu3 = report.mu.get("3")
-    if mu3 is not None:
+    if mu3 is not None and bridgeless:
         report.checks.append({
             "name": "mu3_zero_or_ge_3",
             "passed": mu3 == 0 or mu3 >= 3,
@@ -384,14 +392,14 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
                 "passed": report.girth <= 2 * mu3,
                 "measured": {"girth": report.girth, "mu3": mu3},
             })
-    if report.bridgeless and ran("fan_raspaud"):
+    if bridgeless and ran("fan_raspaud"):
         report.checks.append({
             "name": "fan_raspaud_exists",
             "passed": report.fan_raspaud is not None,
             "measured": {},
         })
     fulkerson_ran = ran("fulkerson")
-    if report.bridgeless and fulkerson_ran:
+    if bridgeless and fulkerson_ran:
         report.checks.append({
             "name": "fulkerson_exists",
             "passed": report.fulkerson is not None,
@@ -404,7 +412,7 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
             "passed": report.fulkerson is not None,
             "measured": {"mu3": mu3},
         })
-    if (report.oddness is not None and report.bridgeless
+    if (report.oddness is not None and bridgeless
             and report.mu.get("3", 1) != 0):
         has_class2 = exists_4ec_with_class_of_size(G, 2)
         report.checks.append({

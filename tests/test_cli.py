@@ -1,15 +1,21 @@
+import copy
+import functools
+import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from factorcover import report as report_module
 from factorcover.cli import main
 from factorcover.graphs import parse_edge_list, to_mgf
 from factorcover.report import (
+    ALL_OPS,
     AnalyzeOptions,
     ReportAuditError,
     analyze,
     audit_report,
+    parse_entry,
     read_corpus,
 )
 
@@ -52,6 +58,27 @@ MINI_MGF = """\
 
 
 THETA_MGF = "# theta\n2 3\n0 1\n0 1\n0 1\n"
+
+# two K4-minus-an-edge pieces joined by the bridge 4-9
+BRIDGED_MGF = """\
+# bridged
+10 15
+0 1
+0 2
+0 3
+1 2
+1 3
+2 4
+3 4
+5 6
+5 7
+5 8
+6 7
+6 8
+7 9
+8 9
+4 9
+"""
 
 
 @pytest.fixture
@@ -162,6 +189,63 @@ def test_scan_records_empty_graph_and_continues(tmp_path):
     assert lines[1]["id"] == "K4" and lines[1]["mu"]["3"] == 0
     summary = lines[-1]["summary"]
     assert summary["graphs"] == 1 and summary["parse_errors"] == 1
+
+
+def test_scan_records_missing_cycle_cover_and_continues(tmp_path, capsys):
+    corpus = tmp_path / "bridged.mgf"
+    corpus.write_text(BRIDGED_MGF + "\n" + MINI_MGF.split("\n\n")[0] + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(corpus), "--ops", "scc", "--out", str(out)]) == 0
+    bridged, k4, last = read_jsonl(out)
+    assert bridged["id"] == "bridged" and bridged["covers"] == []
+    assert bridged["errors"] == {"scc": "no_cycle_cover"}
+    assert k4["id"] == "K4" and k4["covers"][0]["kind"] == "scc_exact"
+    assert last["summary"]["graphs"] == 2
+    capsys.readouterr()
+    assert main(["verify", str(out), str(corpus)]) == 0
+    assert "verified 2 reports, 0 failures" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ops", ["structure,mu", "mu"])
+def test_mu3_checks_need_a_bridgeless_graph(tmp_path, ops):
+    corpus = tmp_path / "bridged.mgf"
+    corpus.write_text(BRIDGED_MGF)
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(corpus), "--ops", ops, "--out", str(out)]) == 0
+    bridged, last = read_jsonl(out)
+    assert bridged["mu"]["3"] == 6 and 35 * 6 > 8 * bridged["m"]
+    assert bridged["checks"] == [] and bridged["violations"] == []
+    assert last["summary"]["violations"] == 0
+
+
+def test_theorem_checks_run_without_the_structure_op(tmp_path):
+    corpus = tmp_path / "j5.mgf"
+    assert main(["gen", "flower", "5", "--out", str(corpus)]) == 0
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(corpus), "--ops", "mu,fan_raspaud,core",
+                 "--out", str(out)]) == 0
+    j5, last = read_jsonl(out)
+    assert j5["bridgeless"] is None and j5["fan_raspaud"] is not None
+    passed = {c["name"]: c["passed"] for c in j5["checks"]}
+    assert passed["fan_raspaud_exists"] is True
+    assert passed["mu3_zero_or_ge_3"] and passed["mu3_le_8m_over_35"]
+    assert last["summary"]["fan_raspaud_found"] == [1, 1]
+
+
+def test_all_ops_scan_digest(tmp_path):
+    """Every op on the corpus graphs with n <= 12 (covers, scc, fulkerson,
+    oddness and hypohamiltonian included) gives fixed bytes; the digest
+    changes only with an intentional schema or witness change."""
+    blocks = [text for _, text in read_corpus(corpus_path(), "mgf")
+              if parse_entry(text, "mgf").n <= 12]
+    assert len(blocks) == 108
+    corpus = tmp_path / "small.mgf"
+    corpus.write_text("\n\n".join(blocks) + "\n")
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(corpus), "--ops", ",".join(ALL_OPS),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "dd261be7442545948ee532d448b4a7048ab33c911a6001f0a5ffd9168a041360")
 
 
 def test_scan_rejects_duplicate_ids_exits_2(tmp_path, capsys):
@@ -418,6 +502,52 @@ def test_audit_rejects_bad_indices(petersen, field, index, value):
     target[index[-1]] = value
     with pytest.raises(ReportAuditError):
         audit_report(petersen, data)
+
+
+SMALL_GRAPHS = {name: text for name, text in read_corpus(corpus_path(), "mgf")
+                if parse_entry(text, "mgf").n <= 10}
+
+
+@functools.lru_cache(maxsize=None)
+def _all_ops_report(name):
+    G = parse_entry(SMALL_GRAPHS[name], "mgf")
+    return G, analyze(G, AnalyzeOptions(ops=ALL_OPS), id=name).to_dict()
+
+
+def _witness_paths(data):
+    """Paths to every factor and cover cycle edge list of a report."""
+    paths = [("mu_witness", k, "factors", i)
+             for k, w in data["mu_witness"].items()
+             for i in range(len(w["factors"]))]
+    for key in ("fan_raspaud", "fulkerson"):
+        if data[key] is not None:
+            paths += [(key, "factors", i)
+                      for i in range(len(data[key]["factors"]))]
+    paths += [("covers", j, "cycles", i)
+              for j, cover in enumerate(data["covers"])
+              for i in range(len(cover["cycles"]))]
+    return paths
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_audit_rejects_any_one_edge_flip(data):
+    """A perfect matching or a cycle stops being one when a single edge
+    joins or leaves it, so the audit must reject every such change."""
+    G, report = _all_ops_report(data.draw(st.sampled_from(sorted(SMALL_GRAPHS))))
+    path = data.draw(st.sampled_from(_witness_paths(report)))
+    edge = data.draw(st.integers(0, G.m - 1))
+    tampered = copy.deepcopy(report)
+    edges = tampered
+    for key in path:
+        edges = edges[key]
+    if edge in edges:
+        edges.remove(edge)
+    else:
+        edges.append(edge)
+        edges.sort()
+    with pytest.raises(ReportAuditError):
+        audit_report(G, tampered)
 
 
 def test_no_check_on_fields_whose_matchings_failed(petersen, tmp_path,

@@ -127,10 +127,9 @@ def test_bipartite_core_cover_with_t(corpus, corpus_pms):
             core = build_core(G, pms[i], pms[j], pms[l])
             if not core.T:
                 continue
-            cls = classify_core(core)
-            if not cls.is_bipartite:
+            if not classify_core(core).is_bipartite:
                 continue
-            cover = bipartite_core_cover(core, cls)
+            cover = bipartite_core_cover(core)
             assert sum(len(c) for c in cover) == 2 * core.k, name
             counts = {e: sum(e in c for c in cover)
                       for e in core.edge_indices.indices()}
@@ -141,6 +140,99 @@ def test_bipartite_core_cover_with_t(corpus, corpus_pms):
         if checked >= 3:
             break
     assert checked >= 3
+
+
+def _h_circuits(h_edges, selected):
+    """Circuits of a 2-regular sub-multigraph of H, as H edge index lists,
+    each traced from its lowest unseen H edge."""
+    inc = {}
+    for i in selected:
+        for a in h_edges[i]:
+            inc.setdefault(a, []).append(i)
+    assert all(len(x) == 2 for x in inc.values()), "H - E* is not 2-regular"
+    seen = set()
+    circuits = []
+    for start in selected:
+        if start in seen:
+            continue
+        seen.add(start)
+        circuit = [start]
+        a0, v = h_edges[start]
+        while v != a0:
+            nxt = [i for i in inc[v] if i not in seen]
+            if not nxt:
+                break
+            f = min(nxt)
+            seen.add(f)
+            circuit.append(f)
+            a, b = h_edges[f]
+            v = b if v == a else a
+        circuits.append(circuit)
+    return circuits
+
+
+def h_lift_cover(core):
+    """Oracle for bipartite_core_cover, built over the suppressed multigraph
+    H of classify_core: E* doubled, H - E* properly 2-edge-colored with
+    color 1 on the H edge holding each circuit's lowest core edge, lifted
+    along the H edge paths; circuit components lie in the first cycle."""
+    cls = classify_core(core)
+    if not cls.is_bipartite:
+        raise CoverConstructionError("core is not bipartite")
+    if core.is_empty:
+        return []
+    sides = [0, 0]
+    have_two = False
+    for comp in cls.components:
+        if comp.kind == "even_circuit":
+            sides[0] |= comp.edges.bits
+            continue
+        have_two = True
+        paths = [sum(1 << e for e in path) for path in comp.h_edge_paths]
+        estar = set(comp.estar_h)
+        rest = [i for i in range(len(paths)) if i not in estar]
+        for i in estar:
+            sides[0] |= paths[i]
+            sides[1] |= paths[i]
+        for circuit in _h_circuits(comp.h_edges, rest):
+            if len(circuit) % 2:
+                raise CoverConstructionError("H - E* has an odd circuit")
+            anchor = min(range(len(circuit)),
+                         key=lambda pos: min(comp.h_edge_paths[circuit[pos]]))
+            for pos in range(len(circuit)):
+                sides[pos % 2] |= paths[circuit[(anchor + pos) % len(circuit)]]
+    m = core.graph.m
+    return [EdgeSet(m, bits) for bits in (sides if have_two else sides[:1])]
+
+
+def test_bipartite_core_cover_equals_h_lift(corpus, corpus_pms):
+    """The cover walked in G equals the H-lift on sampled bipartite cores
+    with T != {}, the branch that find_core's cyclic cores never reach."""
+    rng = random.Random(71)
+    checked = 0
+    for name, G in corpus:
+        pms = corpus_pms[name]
+        triples = list(itertools.combinations(range(len(pms)), 3))
+        for i, j, l in rng.sample(triples, min(len(triples), 8)):
+            core = build_core(G, pms[i], pms[j], pms[l])
+            if core.T and classify_core(core).is_bipartite:
+                assert bipartite_core_cover(core) == h_lift_cover(core), name
+                checked += 1
+    assert checked >= 100
+
+
+def test_bipartite_core_cover_rejects_non_bipartite_core(corpus, corpus_pms):
+    for name, G in corpus:
+        pms = corpus_pms[name]
+        for i, j, l in itertools.combinations(range(len(pms)), 3):
+            core = build_core(G, pms[i], pms[j], pms[l])
+            if not classify_core(core).is_bipartite:
+                with pytest.raises(CoverConstructionError):
+                    bipartite_core_cover(core)
+                with pytest.raises(CoverConstructionError):
+                    h_lift_cover(core)
+                return
+    pytest.fail("no non-bipartite core in the corpus")
 
 
 # ---------------------------------------------------------------------------

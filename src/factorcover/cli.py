@@ -89,13 +89,22 @@ def _options_from_args(args: argparse.Namespace) -> AnalyzeOptions:
     return options.with_ops(*extra) if extra else options
 
 
-def _emit(lines, out_path: Optional[str]) -> Optional[str]:
+def _open_out(out_path: Optional[str]):
+    """The --out file opened for writing, line-buffered, or stdout.
+
+    Commands open it before any work, so an unwritable path is a usage
+    error (exit 2) rather than a traceback after the analysis.
+    """
+    if out_path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(out_path, "w", buffering=1)
+
+
+def _emit(lines, fh) -> Optional[str]:
     """Write each line as it is produced; return the last one."""
     line = None
-    with (open(out_path, "w", buffering=1) if out_path is not None
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        for line in lines:
-            fh.write(line + "\n")
+    for line in lines:
+        fh.write(line + "\n")
     return line
 
 
@@ -106,11 +115,13 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         if not entries:
             raise GraphFormatError("no graph found in input")
         G = parse_entry(entries[0][1], args.format)
+        out = _open_out(args.out)
     except (OSError, GraphFormatError, NotCubicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = analyze(G, options, id=entries[0][0])
-    _emit(report_lines(iter([report.to_dict()])), args.out)
+    with out as fh:
+        report = analyze(G, options, id=entries[0][0])
+        _emit(report_lines(iter([report.to_dict()])), fh)
     return 1 if report.violations else 0
 
 
@@ -119,10 +130,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     try:
         reports = scan(args.file, options, fmt=args.format,
                        workers=args.workers)
+        out = _open_out(args.out)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    summary = json.loads(_emit(report_lines(reports), args.out))["summary"]
+    with out as fh:
+        summary = json.loads(_emit(report_lines(reports), fh))["summary"]
     return 1 if summary["violations"] else 0
 
 
@@ -134,13 +147,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print("error: flower snark parameter must be odd and >= 5",
               file=sys.stderr)
         return 2
-    G = flower_snark(args.t)
-    text = f"# flower_snark_J{args.t}\n" + to_mgf(G)
-    if args.out is None:
-        print(text, end="")
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    try:
+        out = _open_out(args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:
+        fh.write(f"# flower_snark_J{args.t}\n" + to_mgf(flower_snark(args.t)))
     return 0
 
 

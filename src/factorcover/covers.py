@@ -10,11 +10,12 @@ factor-index order wins every tie.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
     CubicGraph,
     EdgeSet,
+    _indices,
     _levels,
     hamiltonian_circuit_avoiding,
 )
@@ -23,7 +24,8 @@ from .matching import NoPerfectMatchingError
 
 @dataclass(frozen=True)
 class CoverWitness:
-    """A multiset of k 1-factors together with its union accounting."""
+    """A multiset of k 1-factors together with its union accounting, and
+    the number of k-tuples whose union the search counted."""
 
     k: int
     factor_indices: Tuple[int, ...]
@@ -31,6 +33,7 @@ class CoverWitness:
     union: EdgeSet
     uncovered: EdgeSet
     mu: int
+    scored: int
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,17 @@ def mu_k(
     """Exact mu_k via branch and bound over nondecreasing factor-index tuples
     of pms, the list from enumerate_perfect_matchings(G).
 
+    Let U be the union of the factors chosen so far and r the number still
+    to choose.  A next factor M adds at most n/2 - |M & U| edges, so it can
+    lead to a union larger than the best one found only if
+    |M & U| <= c = |U| + r*n/2 - best - 1.  Since |M & U| >= |M & F| for
+    each chosen factor F, the candidates lie among the factors that meet
+    every chosen one in at most k*n/2 - best - 1 >= c edges; that set is a
+    bit-sliced count over a per-edge index of pms, kept once per factor and
+    rebuilt when the best union grows.  Tuples are visited in lexicographic
+    order and only a strictly larger union replaces the best one, so the
+    witness is the lexicographically first optimal tuple.
+
     Repetition is allowed (it never improves the union), so the search is
     total whenever G has at least one perfect matching and 1 <= k <= 6.
     """
@@ -58,40 +72,83 @@ def mu_k(
     half = G.n // 2
     masks = [pm.bits for pm in pms]
     p = len(masks)
+    everyone = (1 << p) - 1
+    most = min(m, k * half)  # no k factors cover more
     suffix_or = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | masks[i]
+    # by_edge[e] has bit l set when pms[l] contains edge e; built on first use
+    by_edge: List[int] = []
+    # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
+    near: Dict[int, int] = {}
 
     best_pop = -1
     best_tuple: Optional[Tuple[int, ...]] = None
     chosen: List[int] = []
+    scored = 0
 
-    def rec(start: int, union: int) -> None:
-        nonlocal best_pop, best_tuple
-        depth = len(chosen)
-        if depth == k:
-            pop = union.bit_count()
-            if pop > best_pop:
-                best_pop = pop
-                best_tuple = tuple(chosen)
-            return
-        remaining = k - depth
+    def followers(f: int) -> int:
+        """A superset of the factors that can follow f in a better tuple."""
+        c = k * half - best_pop - 1
+        # counting over the n/2 edges of pms[f] must cost less than trying
+        # the p - f factors from f on
+        if c >= half or p - f <= half * (c + 1):
+            return everyone
+        if f not in near:
+            if not by_edge:
+                by_edge.extend([0] * m)
+                for l, x in enumerate(masks):
+                    for e in _indices(x):
+                        by_edge[e] |= 1 << l
+            within = 0
+            for level in _levels(
+                everyone, [by_edge[e] for e in _indices(masks[f])], c
+            ):
+                within |= level
+            near[f] = within
+        return near[f]
+
+    def rec(start: int, union: int, cand: int) -> None:
+        """Extend chosen by the factors of cand, all of index >= start."""
+        nonlocal best_pop, best_tuple, scored
+        remaining = k - len(chosen)
         bound = min(
             union.bit_count() + remaining * half,
             (union | suffix_or[start]).bit_count(),
         )
         if bound <= best_pop:
             return
-        for i in range(start, p):
-            if best_pop == m:
-                return
-            chosen.append(i)
-            rec(i, union | masks[i])
+        if remaining == 1:
+            # score every leaf here; with no filter applied, cand holds every
+            # factor from start on and a plain scan walks it faster
+            if cand.bit_count() == p - start:
+                order: Sequence[int] = range(start, p)
+            else:
+                order = _indices(cand)
+            for l in order:
+                pop = (union | masks[l]).bit_count()
+                if pop > best_pop:
+                    best_pop, best_tuple = pop, (*chosen, l)
+                    near.clear()
+            scored += len(order)
+            return
+        while cand:
+            low = cand & -cand
+            l = low.bit_length() - 1
+            before = best_pop
+            chosen.append(l)
+            rec(l, union | masks[l], cand & followers(l))
             chosen.pop()
-            if (union | suffix_or[i + 1]).bit_count() <= best_pop:
+            if best_pop == most:
+                return
+            if (union | suffix_or[l + 1]).bit_count() <= best_pop:
                 break
+            cand ^= low
+            if best_pop != before:
+                for f in chosen:
+                    cand &= followers(f)
 
-    rec(0, 0)
+    rec(0, 0, everyone)
     assert best_tuple is not None
     union_bits = 0
     for i in best_tuple:
@@ -105,6 +162,7 @@ def mu_k(
         union=union,
         uncovered=uncovered,
         mu=len(uncovered),
+        scored=scored,
     )
     return witness.mu, witness
 

@@ -26,6 +26,16 @@ class GraphTooLargeError(ValueError):
     """More than MAX_EDGES edges; exhaustive search is infeasible anyway."""
 
 
+def _indices(bits: int) -> List[int]:
+    """The positions of the set bits of bits >= 0, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 class EdgeSet:
     """Immutable set of edge indices backed by a fixed-width bit vector.
 
@@ -89,12 +99,7 @@ class EdgeSet:
         return iter(self.indices())
 
     def indices(self) -> List[int]:
-        bits, out = self.bits, []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        return _indices(self.bits)
 
     def isdisjoint(self, other: "EdgeSet") -> bool:
         self._check(other)
@@ -445,10 +450,16 @@ def _bfs(
     return order, parent_edge, depth
 
 
-def _levels(full: int, masks: Sequence[int]) -> List[int]:
+def _levels(
+    full: int, masks: Sequence[int], top: Optional[int] = None
+) -> List[int]:
     """Bit-sliced multiplicity count: exactly[t], for t = 0..len(masks), is
-    the set of edges of full lying in exactly t of masks."""
-    exactly = [full] + [0] * len(masks)
+    the set of edges of full lying in exactly t of masks.
+
+    With top given, only the levels t = 0..top are kept; a bit lying in
+    more than top of masks is in none of them.
+    """
+    exactly = [full] + [0] * (len(masks) if top is None else top)
     for x in masks:
         # descending t reads level t - 1 before x has moved it up
         for t in range(len(exactly) - 1, 0, -1):

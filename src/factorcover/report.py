@@ -586,12 +586,15 @@ def scan(
     """Read the corpus and return an iterator that analyzes it lazily,
     yielding one report dict per entry, then a summary dict.
 
-    A missing corpus file raises OSError and an id shared by two entries
-    raises ValueError here, before any entry is analyzed.  Output order
+    A missing corpus file raises OSError, and an id shared by two entries
+    or a worker count below 1 raises ValueError, here, before any entry is
+    analyzed.  Output order
     equals input order for any worker count; per-entry parse errors and
     graphs over the edge capacity become {"id", "error"} records and are
     counted in the summary.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     entries = read_corpus(corpus_path, fmt)
     seen = set()
     for name, _ in entries:

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from factorcover import cli as cli_module
 from factorcover import report as report_module
 from factorcover.cli import main
 from factorcover.graphs import parse_edge_list, to_mgf
@@ -17,6 +18,7 @@ from factorcover.report import (
     audit_report,
     parse_entry,
     read_corpus,
+    scan,
 )
 
 from conftest import corpus_path, prism_edges
@@ -328,6 +330,38 @@ def test_scan_missing_corpus_exits_2(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["scan", str(tmp_path / "nope.mgf"), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def _no_analysis(*args, **kwargs):
+    raise AssertionError("a graph was analyzed before --out was opened")
+
+
+@pytest.mark.parametrize("command", ["analyze", "scan"])
+def test_unwritable_out_exits_2_before_analysis(command, mini_corpus, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.setattr(report_module, "analyze", _no_analysis)
+    monkeypatch.setattr(cli_module, "analyze", _no_analysis)
+    out = tmp_path / "no_such_dir" / "out.jsonl"
+    assert main([command, mini_corpus, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.parent.exists()
+
+
+def test_gen_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "no_such_dir" / "j7.mgf"
+    assert main(["gen", "flower", "7", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_scan_rejects_workers_below_1(workers, mini_corpus, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", mini_corpus, "--workers", workers,
+                 "--out", str(out)]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError):
+        scan(mini_corpus, workers=int(workers))
 
 
 def test_scan_graph6_format(tmp_path):

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from typing import List, Optional, Sequence, Tuple
 
 import pytest
 
@@ -11,7 +13,12 @@ from factorcover.covers import (
     mu_k,
     verify_fulkerson,
 )
-from factorcover.graphs import CubicGraph, hamiltonian_circuit_avoiding
+from factorcover.graphs import (
+    CubicGraph,
+    EdgeSet,
+    flower_snark,
+    hamiltonian_circuit_avoiding,
+)
 from factorcover.matching import (
     enumerate_perfect_matchings,
     is_perfect_matching,
@@ -65,6 +72,110 @@ def test_mu_flower_snark(j5):
     pms = enumerate_perfect_matchings(j5)
     assert mu_k(j5, 3, pms)[0] == 3
     assert mu_k(j5, 4, pms)[0] == 0
+
+
+def mu_unpruned_oracle(
+    G: CubicGraph, k: int, pms: Sequence[EdgeSet]
+) -> Tuple[int, Tuple[int, ...]]:
+    """mu_k's search with no overlap filter: the bound union + remaining*n/2
+    only, the same nondecreasing tuples in the same order, and the
+    incumbent replaced only on a strict improvement."""
+    m = G.m
+    half = G.n // 2
+    masks = [pm.bits for pm in pms]
+    p = len(masks)
+    suffix_or = [0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | masks[i]
+
+    best_pop = -1
+    best_tuple: Optional[Tuple[int, ...]] = None
+    chosen: List[int] = []
+
+    def rec(start: int, union: int) -> None:
+        nonlocal best_pop, best_tuple
+        depth = len(chosen)
+        if depth == k:
+            pop = union.bit_count()
+            if pop > best_pop:
+                best_pop = pop
+                best_tuple = tuple(chosen)
+            return
+        remaining = k - depth
+        bound = min(
+            union.bit_count() + remaining * half,
+            (union | suffix_or[start]).bit_count(),
+        )
+        if bound <= best_pop:
+            return
+        for i in range(start, p):
+            if best_pop == m:
+                return
+            chosen.append(i)
+            rec(i, union | masks[i])
+            chosen.pop()
+            if (union | suffix_or[i + 1]).bit_count() <= best_pop:
+                break
+
+    rec(0, 0)
+    return m - best_pop, best_tuple
+
+
+def mu_value_and_indices(G, k, pms):
+    value, witness = mu_k(G, k, pms)
+    return value, witness.factor_indices
+
+
+def test_mu_filter_keeps_the_witness_on_corpus(corpus, corpus_pms):
+    for name, G in corpus:
+        pms = corpus_pms[name]
+        for k in range(1, 7):
+            assert (mu_value_and_indices(G, k, pms)
+                    == mu_unpruned_oracle(G, k, pms)), (name, k)
+
+
+def test_mu_filter_keeps_the_witness_on_flower_snarks():
+    for t in (5, 7, 9):
+        G = flower_snark(t)
+        pms = enumerate_perfect_matchings(G)
+        for k in range(1, 5):
+            assert (mu_value_and_indices(G, k, pms)
+                    == mu_unpruned_oracle(G, k, pms)), (t, k)
+
+
+@pytest.mark.parametrize("sizes,count,ks", [
+    (range(2, 13, 2), 200, range(1, 7)),
+    # large enough for the filter to act on factors after the first
+    (range(14, 25, 2), 300, range(2, 5)),
+], ids=["n<=12", "n=14..24"])
+def test_mu_filter_keeps_the_witness_on_multigraphs(sizes, count, ks):
+    rng = random.Random(71)
+    compared = 0
+    for _ in range(count):
+        G = random_connected_cubic_multigraph(rng, rng.choice(sizes))
+        pms = enumerate_perfect_matchings(G)
+        if not pms:
+            continue
+        compared += 1
+        for k in ks:
+            assert (mu_value_and_indices(G, k, pms)
+                    == mu_unpruned_oracle(G, k, pms)), (G.edges, k)
+    assert compared >= count * 3 // 4, compared
+
+
+def test_mu_flower_snark_j11():
+    """2048 perfect matchings; mu_3 is the largest search of the snark
+    benchmark."""
+    t0 = time.monotonic()
+    G = flower_snark(11)
+    pms = enumerate_perfect_matchings(G)
+    found = [mu_k(G, k, pms)[1] for k in range(1, 5)]
+    assert [w.mu for w in found] == [44, 23, 3, 0]
+    assert found[2].factor_indices == (0, 571, 1195)
+    assert found[3].factor_indices == (0, 3, 1251, 1703)
+    # 145 804 triples scored; the unfiltered search scores about 18 million
+    assert found[2].scored < 160_000, found[2].scored
+    assert time.monotonic() - t0 < 10.0
 
 
 def test_mu_basic_identities(corpus, corpus_pms):

@@ -265,11 +265,11 @@ def masks_of_width(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(masks_of_width())
-def test_levels_against_per_edge_count(case):
+@given(masks_of_width(), st.none() | st.integers(0, 7))
+def test_levels_against_per_edge_count(case, top):
     m, full, masks = case
-    exactly = _levels(full, masks)
-    assert len(exactly) == len(masks) + 1
+    exactly = _levels(full, masks, top)
+    assert len(exactly) == (len(masks) if top is None else top) + 1
     for i in range(m):
         count = sum(x >> i & 1 for x in masks)
         for t, level in enumerate(exactly):

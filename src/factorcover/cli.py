@@ -158,6 +158,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.pm_cap < 1:
+        raise ValueError("pm_cap must be at least 1")
     try:
         corpus = read_corpus(args.corpus, args.format)
         with open(args.report) as fh:

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import CubicGraph, EdgeSet, _bfs, _levels, _two_coloring
+from .graphs import (
+    CubicGraph,
+    EdgeSet,
+    _levels,
+    _two_coloring,
+    cycle_space_basis,
+)
 from .matching import trace_circuits
 from .cores import Core
 
@@ -241,29 +247,6 @@ def five_cdc(
 # ---------------------------------------------------------------------------
 # Exact shortest-cycle-cover oracle.
 # ---------------------------------------------------------------------------
-
-
-def cycle_space_basis(G: CubicGraph) -> List[int]:
-    """Fundamental cycles (as edge bitmasks) w.r.t. a BFS spanning forest."""
-    parent_edge = _bfs(G, G.all_edges().bits, range(G.n))[1]
-    tree = 0
-    for f in parent_edge:
-        if f >= 0:
-            tree |= 1 << f
-
-    def path_to_root(v: int) -> int:
-        bits = 0
-        while parent_edge[v] >= 0:
-            f = parent_edge[v]
-            bits ^= 1 << f
-            v = G.other_end(f, v)
-        return bits
-
-    return [
-        (1 << i) ^ path_to_root(u) ^ path_to_root(v)
-        for i, (u, v) in enumerate(G.edges)
-        if not tree >> i & 1
-    ]
 
 
 def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:

@@ -7,8 +7,9 @@ sets of edge indices (EdgeSet), so witnesses are reproducible across runs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Hard capacity for edge sets (graphs up to 128 vertices).
 MAX_EDGES = 192
@@ -507,6 +508,46 @@ def _components(
     return [sorted(comp) for comp in comps]
 
 
+def _cycle_labels(G: CubicGraph) -> List[int]:
+    """label[e]: bit j is set when edge e lies on the j-th fundamental
+    cycle of a BFS spanning forest, the j-th non-tree edge in index order.
+
+    A non-tree edge carries its own bit; the tree edge above v carries the
+    bits of the non-tree edges with exactly one end below v.  An edge set
+    is a cut delta(X) of G exactly when it meets every cycle evenly, that
+    is when the XOR of its labels is 0: the bridges are the edges labelled
+    0, and two edges whose labels are equal and nonzero form a 2-edge cut.
+    """
+    order, parent_edge, _ = _bfs(G, G.all_edges().bits, range(G.n))
+    tree = set(parent_edge)
+    label = [0] * G.m
+    below = [0] * G.n  # XOR of the labels of non-tree edges at v, then below v
+    bit = 1
+    for e, (u, v) in enumerate(G.edges):
+        if e not in tree:
+            label[e] = bit
+            below[u] ^= bit
+            below[v] ^= bit
+            bit <<= 1
+    for v in reversed(order):
+        f = parent_edge[v]
+        if f >= 0:
+            label[f] = below[v]
+            below[G.other_end(f, v)] ^= below[v]
+    return label
+
+
+def cycle_space_basis(G: CubicGraph) -> List[int]:
+    """Fundamental cycles (as edge bitmasks) w.r.t. a BFS spanning forest:
+    the transpose of _cycle_labels."""
+    label = _cycle_labels(G)
+    basis = [0] * max(label).bit_length()
+    for e, x in enumerate(label):
+        for j in _indices(x):
+            basis[j] |= 1 << e
+    return basis
+
+
 def has_nontrivial_3_edge_cut(
     G: CubicGraph,
 ) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
@@ -517,31 +558,46 @@ def has_nontrivial_3_edge_cut(
     such cut a < b < c, else (False, None).  Disconnected input is an
     error.
 
-    Method: for each edge pair a < b, one Tarjan DFS (_bridges) over
-    G - {a, b}.  When it reaches all n vertices, {a, b, c} is a cut exactly
-    when c is a bridge of G - {a, b}, and the cut is trivial exactly when
-    {a, b, c} is the edge set of one vertex.  When it does not, {a, b} is a
-    2-edge cut and each c > b is checked by its components.  That is
-    O(m^2) pairs times one O(m) DFS, O(m^3) in all.
+    Method: removing S = {a, b, c} from the connected G leaves a component
+    of 2..n-2 vertices exactly when some nonempty T within S, other than
+    the three edges of one vertex, is a cut, i.e. has XOR-label 0
+    (_cycle_labels).  Given a < b, that leaves T = {c}, {a, c}, {b, c} or
+    {a, b, c}, so the least c > b is labelled 0, label[a], label[b] or
+    label[a] ^ label[b]: one bisect in each of the four label classes.
+    That is O(m^2) pairs times O(log m), after one O(m) labelling.
     """
     if not is_connected(G):
         raise ValueError("has_nontrivial_3_edge_cut: graph is disconnected")
-    n, m = G.n, G.m
-    full = G.all_edges().bits
+    m = G.m
+    label = _cycle_labels(G)
+    carriers: Dict[int, List[int]] = {}
+    for e, x in enumerate(label):
+        carriers.setdefault(x, []).append(e)
     stars = set(G.incidence)
     for a in range(m):
+        la = label[a]
         for b in range(a + 1, m - 1):
-            kept = full ^ (1 << a | 1 << b)
-            cut, reached = _bridges(G, kept, (0,))
-            if reached == n:
-                for c in cut:
-                    if c > b and (a, b, c) not in stars:
-                        return True, (a, b, c)
-                continue
-            for c in range(b + 1, m):
-                comps = _components(G, kept ^ (1 << c), range(n))
-                if any(2 <= len(comp) <= n - 2 for comp in comps):
-                    return True, (a, b, c)
+            lb = label[b]
+            if not la or not lb or la == lb:
+                return True, (a, b, b + 1)  # {a}, {b} or {a, b} is a cut
+            c = m
+            for x in (0, la, lb):
+                cls = carriers.get(x, ())
+                i = bisect_right(cls, b)
+                if i < len(cls) and cls[i] < c:
+                    c = cls[i]
+            # the four labels differ here, so an edge of the last class
+            # that completes the star of a vertex has no other reason to
+            # count
+            cls = carriers.get(la ^ lb, ())
+            i = bisect_right(cls, b)
+            while i < len(cls) and cls[i] < c:
+                if (a, b, cls[i]) not in stars:
+                    c = cls[i]
+                    break
+                i += 1
+            if c < m:
+                return True, (a, b, c)
     return False, None
 
 

@@ -100,6 +100,12 @@ class AnalyzeOptions:
             raise ValueError(f"unknown ops: {sorted(unknown)}")
         if not 1 <= self.mu_upto <= 6:
             raise ValueError("mu_upto must be between 1 and 6")
+        if self.pm_cap < 1:
+            raise ValueError("pm_cap must be at least 1")
+        if self.scc_dim_cap < 0:
+            raise ValueError("scc_dim_cap must be at least 0")
+        if self.budget_ms is not None and self.budget_ms < 0:
+            raise ValueError("budget_ms must be at least 0")
 
     def with_ops(self, *extra: str) -> "AnalyzeOptions":
         ops = self.ops + tuple(o for o in extra if o not in self.ops)

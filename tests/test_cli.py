@@ -144,6 +144,48 @@ def test_mu_upto_out_of_range_exits_2(mini_corpus, tmp_path, capsys):
     assert not out.exists()
 
 
+def check_rejected_by_scan_and_analyze(corpus, tmp_path, capsys, flag,
+                                       value, message):
+    out = tmp_path / "r.jsonl"
+    for command in ("scan", "analyze"):
+        capsys.readouterr()
+        assert main([command, corpus, flag, value, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_pm_cap_below_1_exits_2(cap, mini_corpus, tmp_path, capsys):
+    with pytest.raises(ValueError):
+        AnalyzeOptions(pm_cap=int(cap))
+    check_rejected_by_scan_and_analyze(mini_corpus, tmp_path, capsys,
+                                       "--pm-cap", cap,
+                                       "pm_cap must be at least 1")
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", mini_corpus, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), mini_corpus, "--pm-cap", cap]) == 2
+    assert "error: pm_cap must be at least 1" in capsys.readouterr().err
+
+
+def test_scc_dim_cap_below_0_exits_2(mini_corpus, tmp_path, capsys):
+    AnalyzeOptions(scc_dim_cap=0)
+    with pytest.raises(ValueError):
+        AnalyzeOptions(scc_dim_cap=-1)
+    check_rejected_by_scan_and_analyze(mini_corpus, tmp_path, capsys,
+                                       "--scc-dim-cap", "-5",
+                                       "scc_dim_cap must be at least 0")
+
+
+def test_budget_ms_below_0_exits_2(mini_corpus, tmp_path, capsys):
+    AnalyzeOptions(budget_ms=0)  # a zero budget times out every field
+    with pytest.raises(ValueError):
+        AnalyzeOptions(budget_ms=-1)
+    check_rejected_by_scan_and_analyze(mini_corpus, tmp_path, capsys,
+                                       "--budget-ms", "-1",
+                                       "budget_ms must be at least 0")
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

@@ -3,20 +3,24 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from factorcover.graphs import (
     MAX_EDGES,
     CubicGraph,
     EdgeSet,
     GraphFormatError,
+    GraphTooLargeError,
     NotCubicError,
     _bfs,
+    _bridges,
     _components,
+    _cycle_labels,
     _girth,
     _levels,
     _two_coloring,
     bridges,
+    cycle_space_basis,
     flower_snark,
     girth,
     has_nontrivial_3_edge_cut,
@@ -66,6 +70,26 @@ def test_edge_set_mixed_capacity_rejected():
         EdgeSet.from_indices(6, [0]) | EdgeSet.from_indices(7, [0])
 
 
+@st.composite
+def index_sets(draw):
+    m = draw(st.integers(1, MAX_EDGES))
+    indices = st.sets(st.integers(0, m - 1))
+    return m, draw(indices), draw(indices), draw(st.integers(-2, m + 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(index_sets())
+def test_edge_set_algebra_matches_python_sets(case):
+    m, x, y, probe = case
+    a, b = EdgeSet.from_indices(m, x), EdgeSet.from_indices(m, y)
+    for got, want in ((a | b, x | y), (a & b, x & y), (a - b, x - y),
+                      (a ^ b, x ^ y)):
+        assert got.m == m and got.indices() == sorted(want)
+    assert len(a) == len(x) and list(a) == sorted(x)
+    assert (probe in a) == (probe in x)
+    assert a.isdisjoint(b) == x.isdisjoint(y)
+
+
 # ---------------------------------------------------------------------------
 # MGF parsing
 # ---------------------------------------------------------------------------
@@ -74,6 +98,23 @@ def test_edge_set_mixed_capacity_rejected():
 def test_mgf_round_trip(petersen):
     again = parse_edge_list(to_mgf(petersen))
     assert again.n == petersen.n and again.edges == petersen.edges
+
+
+@st.composite
+def cubic_multigraphs(draw):
+    """Configuration model: 3n half-edges paired by a drawn permutation,
+    loops rejected; parallel edges and disconnected results are kept."""
+    n = 2 * draw(st.integers(1, 32))
+    stubs = draw(st.permutations([v for v in range(n) for _ in range(3)]))
+    edges = list(zip(stubs[0::2], stubs[1::2]))
+    assume(all(u != v for u, v in edges))
+    return CubicGraph(n, edges)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(cubic_multigraphs())
+def test_mgf_round_trip_on_generated_multigraphs(G):
+    assert parse_edge_list(to_mgf(G)) == G
 
 
 def test_mgf_parallel_edges_and_comments():
@@ -126,6 +167,31 @@ def test_graph6_rejects_garbage():
         parse_graph6("")
     with pytest.raises(GraphFormatError):
         parse_graph6("\x01\x02")
+
+
+GRAPH6_CHARS = st.characters(min_codepoint=63, max_codepoint=126)
+
+
+@st.composite
+def graph6_sized(draw):
+    """A short-form size byte and a body of exactly the length it needs."""
+    n = draw(st.integers(0, 20))
+    need = (n * (n - 1) // 2 + 5) // 6
+    return chr(63 + n) + draw(st.text(GRAPH6_CHARS, min_size=need,
+                                      max_size=need))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.text(st.characters(blacklist_categories=("Cc", "Cs"))),
+                 st.text(GRAPH6_CHARS), graph6_sized()))
+def test_graph6_parses_or_raises_a_graph_error(line):
+    # GraphTooLargeError needs a line of over a thousand characters that
+    # encodes more than MAX_EDGES edges; it is the parser's third error
+    try:
+        G = parse_graph6(line)
+    except (GraphFormatError, NotCubicError, GraphTooLargeError):
+        return
+    assert isinstance(G, CubicGraph) and G.m == 3 * G.n // 2
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +343,64 @@ def test_levels_against_per_edge_count(case, top):
 
 
 # ---------------------------------------------------------------------------
+# cycle-space labels (brute-force oracle: BFS after removing edges)
+# ---------------------------------------------------------------------------
+
+
+def disconnects(G: CubicGraph, removed) -> bool:
+    kept = G.all_edges().bits
+    for f in removed:
+        kept ^= 1 << f
+    return len(_bfs(G, kept, (0,))[0]) < G.n
+
+
+def gf2_rank(vectors) -> int:
+    pivots = {}
+    for x in vectors:
+        while x:
+            top = x.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = x
+                break
+            x ^= pivots[top]
+    return len(pivots)
+
+
+def test_cycle_labels_find_the_small_cuts(corpus):
+    """Every star has XOR-label 0, the bridges are the edges labelled 0,
+    and two non-bridges share a label exactly when removing both
+    disconnects G; the basis is the labels' transpose and spans the cycle
+    space."""
+    rng = random.Random(2026)
+    graphs = list(corpus) + [
+        ("multigraph", random_connected_cubic_multigraph(
+            rng, rng.choice(range(2, 17, 2))))
+        for _ in range(300)]
+    seen = {"bridge": 0, "two_cut": 0}
+    for name, G in graphs:
+        label = _cycle_labels(G)
+        for a, b, c in G.incidence:
+            assert label[a] ^ label[b] ^ label[c] == 0, name
+        zero = [e for e in range(G.m) if not label[e]]
+        assert zero == bridges(G).indices(), name
+        for a, b in itertools.combinations(range(G.m), 2):
+            if label[a] and label[b]:
+                two_cut = disconnects(G, (a, b))
+                assert (label[a] == label[b]) == two_cut, (name, a, b)
+                seen["two_cut"] += two_cut
+        seen["bridge"] += bool(zero)
+
+        basis = cycle_space_basis(G)
+        assert len(basis) == G.m - G.n + 1 == gf2_rank(basis), name
+        for j, cycle in enumerate(basis):
+            assert all((cycle & star).bit_count() % 2 == 0
+                       for star in G.stars), name
+            assert all(cycle >> e & 1 == label[e] >> j & 1
+                       for e in range(G.m)), name
+    assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
 # 3-edge-cuts (independent oracle: vertex-subset scan)
 # ---------------------------------------------------------------------------
 
@@ -331,15 +455,48 @@ def triple_scan_oracle(G: CubicGraph):
     return False, None
 
 
+def tarjan_pair_oracle(G: CubicGraph):
+    """The O(m^3) search that the label lookup replaced: for each edge
+    pair a < b, one Tarjan DFS (_bridges) over G - {a, b}.  When it reaches
+    all n vertices, {a, b, c} is a cut exactly when c is a bridge of
+    G - {a, b}, and the cut is trivial exactly when {a, b, c} is the edge
+    set of one vertex.  When it does not, {a, b} is a 2-edge cut and each
+    c > b is checked by its components."""
+    n, m = G.n, G.m
+    full = G.all_edges().bits
+    stars = set(G.incidence)
+    for a in range(m):
+        for b in range(a + 1, m - 1):
+            kept = full ^ (1 << a | 1 << b)
+            cut, reached = _bridges(G, kept, (0,))
+            if reached == n:
+                for c in cut:
+                    if c > b and (a, b, c) not in stars:
+                        return True, (a, b, c)
+                continue
+            for c in range(b + 1, m):
+                comps = _components(G, kept ^ (1 << c), range(n))
+                if any(2 <= len(comp) <= n - 2 for comp in comps):
+                    return True, (a, b, c)
+    return False, None
+
+
+def test_3_edge_cut_matches_tarjan_pair_oracle(corpus):
+    assert len(corpus) == 590
+    graphs = list(corpus)
+    graphs += [(f"J{t}", flower_snark(t)) for t in (5, 7, 9, 11, 13)]
+    graphs.append(("C64xK2", CubicGraph(128, prism_edges(64))))
+    assert graphs[-1][1].m == MAX_EDGES
+    for name, G in graphs:
+        assert has_nontrivial_3_edge_cut(G) == tarjan_pair_oracle(G), name
+
+
 def min_edge_cut_size(G: CubicGraph) -> int:
     """Smallest k in (1, 2) such that some k edges disconnect G, else 3."""
     for k in (1, 2):
-        for removed in itertools.combinations(range(G.m), k):
-            kept = G.all_edges().bits
-            for f in removed:
-                kept ^= 1 << f
-            if len(_components(G, kept, range(G.n))) > 1:
-                return k
+        if any(disconnects(G, removed)
+               for removed in itertools.combinations(range(G.m), k)):
+            return k
     return 3
 
 

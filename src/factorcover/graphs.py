@@ -610,22 +610,35 @@ def _hamiltonian_circuit(
     lowest vertex other than avoid.  Multigraph-correct: a 2-circuit
     through two parallel edges is a valid hamiltonian circuit of a
     2-vertex graph.
+
+    Prune: free[y] counts the edges at y that a circuit may still use.  An
+    edge to avoid is never usable, and once the path passes through v, the
+    edge of v that the path does not take is dead too.  A circuit uses two
+    edges at every vertex, so a move that leaves an unvisited vertex with
+    fewer than two is skipped.  That only cuts subtrees with no circuit, so
+    the first circuit found is the one the unpruned search finds.
     """
     edges, incidence = G.edges, G.incidence
     n = G.n
     used = [False] * n
+    free = [3] * n
     if avoid >= 0:
         used[avoid] = True
         n -= 1
-    if n <= 0:
+        for f in incidence[avoid]:
+            free[G.other_end(f, avoid)] -= 1
+    if n <= 0 or any(free[v] < 2 for v in range(G.n) if v != avoid):
         return None
     start = 1 if avoid == 0 else 0
     used[start] = True
     path_edges: List[int] = []
 
     def extend(v: int, count: int) -> bool:
-        for f in incidence[v]:
-            if path_edges and f == path_edges[-1]:
+        inc = incidence[v]
+        # the in-edge, or -1 at the start, where no edge dies
+        e = path_edges[-1] if path_edges else -1
+        for f in inc:
+            if f == e:
                 continue
             a, b = edges[f]
             w = b if v == a else a
@@ -638,12 +651,27 @@ def _hamiltonian_circuit(
                 continue
             if used[w]:
                 continue
+            y = -1
+            if e >= 0:
+                # v becomes interior: its third edge g dies
+                g = inc[0] + inc[1] + inc[2] - e - f
+                a, b = edges[g]
+                y = b if v == a else a
+                if used[y]:
+                    y = -1
+                else:
+                    free[y] -= 1
+                    if free[y] < 2:
+                        free[y] += 1
+                        continue
             used[w] = True
             path_edges.append(f)
             if extend(w, count + 1):
                 return True
             path_edges.pop()
             used[w] = False
+            if y >= 0:
+                free[y] += 1
         return False
 
     if extend(start, 1):

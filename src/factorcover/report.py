@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import (
+    CoreClassification,
     FactorError,
     build_core,
     classify_core,
@@ -190,6 +191,11 @@ def _cover_dict(kind: str, cover, target: Optional[EdgeSet] = None) -> dict:
     return out
 
 
+def _component_dicts(cls: CoreClassification) -> List[dict]:
+    return [{"kind": c.kind, "vertices": list(c.vertices),
+             "edges": c.edges.indices()} for c in cls.components]
+
+
 class _Budget:
     def __init__(self, budget_ms: Optional[int]):
         self.deadline = (
@@ -311,11 +317,7 @@ def analyze(
                 "M": core.M.indices(),
                 "U": core.U.indices(),
                 "T": core.T.indices(),
-                "components": [
-                    {"kind": c.kind, "vertices": list(c.vertices),
-                     "edges": c.edges.indices()}
-                    for c in cls.components
-                ],
+                "components": _component_dicts(cls),
                 "cyclic": cls.is_cyclic,
                 "bipartite": cls.is_bipartite,
                 "bridgeless": cls.is_bridgeless,
@@ -444,7 +446,8 @@ def audit_report(
 
     Raises ReportAuditError on the first mismatch, and when a field it reads
     is missing or of the wrong type.  pms may be passed to reuse an existing
-    enumeration; it is only computed when a witness refers to factor indices.
+    enumeration; it is only computed when a witness refers to factor indices,
+    and then at most once.
     """
     if not isinstance(data, dict):
         raise ReportAuditError("report is not a JSON object")
@@ -474,7 +477,23 @@ def _audit_witnesses(G: CubicGraph, data: dict,
                 fail(f"{what}: factor {i} is not a perfect matching")
         return sets
 
-    for k, wit in data.get("mu_witness", {}).items():
+    def check_indices(indices, what: str) -> None:
+        nonlocal pms
+        if pms is None:
+            pms = enumerate_perfect_matchings(G, cap=pm_cap)
+        if any(not 0 <= i < len(pms) for i in indices):
+            fail(f"{what}: factor index out of range 0..{len(pms) - 1}")
+
+    def check_indexed_factors(key: str) -> List[EdgeSet]:
+        sets = check_factors(data[key]["factors"], key)
+        indices = data[key]["factor_indices"]
+        check_indices(indices, key)
+        if [pms[i] for i in indices] != sets:
+            fail(f"{key}: factors differ from the indexed matchings")
+        return sets
+
+    witnesses = data.get("mu_witness", {})
+    for k, wit in witnesses.items():
         sets = check_factors(wit["factors"], f"mu_{k}")
         if len(sets) != int(k):
             fail(f"mu_{k}: expected {k} factors")
@@ -487,22 +506,22 @@ def _audit_witnesses(G: CubicGraph, data: dict,
         if len(uncovered) != data["mu"][k]:
             fail(f"mu_{k}: recorded value {data['mu'][k]} != "
                  f"{len(uncovered)}")
+    # every witness key has a value by now (data["mu"][k] above)
+    if set(data.get("mu", {})) != set(witnesses):
+        fail("mu: a recorded value has no witness")
 
     if data.get("fan_raspaud"):
-        sets = check_factors(data["fan_raspaud"]["factors"], "fan_raspaud")
+        sets = check_indexed_factors("fan_raspaud")
         if len(sets) != 3 or (sets[0] & sets[1] & sets[2]):
             fail("fan_raspaud: triple intersection is not empty")
 
     if data.get("fulkerson"):
-        sets = check_factors(data["fulkerson"]["factors"], "fulkerson")
+        sets = check_indexed_factors("fulkerson")
         if not verify_fulkerson(G, sets):
             fail("fulkerson: not every edge is covered exactly twice")
 
     for entry in data.get("cores", []):
-        if pms is None:
-            pms = enumerate_perfect_matchings(G, cap=pm_cap)
-        if any(not 0 <= i < len(pms) for i in entry["factors"]):
-            fail(f"core: factor index out of range 0..{len(pms) - 1}")
+        check_indices(entry["factors"], "core")
         i, j, l = entry["factors"]
         try:
             core = build_core(G, pms[i], pms[j], pms[l])
@@ -514,6 +533,8 @@ def _audit_witnesses(G: CubicGraph, data: dict,
                 or core.k != entry["k"]):
             fail("core: M/U/T/k mismatch against rebuilt core")
         cls = classify_core(core)
+        if _component_dicts(cls) != entry["components"]:
+            fail("core: components mismatch against its classification")
         flags = (cls.is_cyclic, cls.is_bipartite, cls.is_bridgeless,
                  cls.is_empty)
         recorded = (entry["cyclic"], entry["bipartite"], entry["bridgeless"],

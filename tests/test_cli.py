@@ -580,6 +580,60 @@ def test_audit_rejects_bad_indices(petersen, field, index, value):
         audit_report(petersen, data)
 
 
+# Tamperings that only the comparison of the recorded core components,
+# of the keys of mu and mu_witness, or of the factor indices of
+# fan_raspaud and fulkerson can catch.
+AUDIT_GAPS = {
+    "core_component_edge_dropped": (
+        "cubic_n6_0",
+        lambda r: r["cores"][0]["components"][0]["edges"].pop()),
+    "core_component_kind_flipped": (
+        "cubic_n6_0",
+        lambda r: r["cores"][0]["components"][0].update(
+            kind="cubic_subdivision")),
+    "core_component_vertices_reversed": (
+        "cubic_n6_0",
+        lambda r: r["cores"][0]["components"][0]["vertices"].reverse()),
+    "mu_without_witness": (
+        "K_2^3",
+        lambda r: (r["mu"].update({"3": 99}), r["mu_witness"].pop("3"))),
+    "fan_raspaud_indices_out_of_range": (
+        "cubic_n4_0",
+        lambda r: r["fan_raspaud"].update(factor_indices=[7, 8, 9])),
+    "fan_raspaud_indices_of_other_factors": (
+        "cubic_n4_0",
+        lambda r: r["fan_raspaud"].update(factor_indices=[0, 1, 1])),
+    "fulkerson_indices_of_other_factors": (
+        "cubic_n6_0",
+        lambda r: r["fulkerson"]["factor_indices"].reverse()),
+}
+
+
+@pytest.fixture(scope="module")
+def gap_scan(tmp_path_factory):
+    """A verified scan of three bundled graphs, with --fulkerson."""
+    entries = dict(read_corpus(corpus_path(), "mgf"))
+    corpus = tmp_path_factory.mktemp("gaps") / "three.mgf"
+    corpus.write_text("\n\n".join(
+        entries[name] for name in ("K_2^3", "cubic_n4_0", "cubic_n6_0")))
+    out = corpus.with_suffix(".jsonl")
+    assert main(["scan", str(corpus), "--fulkerson", "--out", str(out)]) == 0
+    assert main(["verify", str(out), str(corpus)]) == 0
+    return corpus, out.read_text().splitlines()
+
+
+@pytest.mark.parametrize("gap", sorted(AUDIT_GAPS))
+def test_verify_closes_audit_gap(gap_scan, gap, tmp_path, capsys):
+    corpus, lines = gap_scan
+    name, tamper = AUDIT_GAPS[gap]
+    reports = [json.loads(line) for line in lines]
+    tamper(next(r for r in reports if r.get("id") == name))
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text("".join(json.dumps(r) + "\n" for r in reports))
+    assert main(["verify", str(tampered), str(corpus)]) == 1
+    assert "verified 2 reports, 1 failures" in capsys.readouterr().out
+
+
 SMALL_GRAPHS = {name: text for name, text in read_corpus(corpus_path(), "mgf")
                 if parse_entry(text, "mgf").n <= 10}
 
@@ -591,7 +645,8 @@ def _all_ops_report(name):
 
 
 def _witness_paths(data):
-    """Paths to every factor and cover cycle edge list of a report."""
+    """Paths to every factor, core edge set and cover cycle edge list of a
+    report."""
     paths = [("mu_witness", k, "factors", i)
              for k, w in data["mu_witness"].items()
              for i in range(len(w["factors"]))]
@@ -599,6 +654,10 @@ def _witness_paths(data):
         if data[key] is not None:
             paths += [(key, "factors", i)
                       for i in range(len(data[key]["factors"]))]
+    for j, core in enumerate(data["cores"]):
+        paths += [("cores", j, key) for key in ("M", "U", "T")]
+        paths += [("cores", j, "components", i, "edges")
+                  for i in range(len(core["components"]))]
     paths += [("covers", j, "cycles", i)
               for j, cover in enumerate(data["covers"])
               for i in range(len(cover["cycles"]))]
@@ -609,7 +668,8 @@ def _witness_paths(data):
 @given(st.data())
 def test_audit_rejects_any_one_edge_flip(data):
     """A perfect matching or a cycle stops being one when a single edge
-    joins or leaves it, so the audit must reject every such change."""
+    joins or leaves it, and a core's edge sets are fixed by its factors,
+    so the audit must reject every such change."""
     G, report = _all_ops_report(data.draw(st.sampled_from(sorted(SMALL_GRAPHS))))
     path = data.draw(st.sampled_from(_witness_paths(report)))
     edge = data.draw(st.integers(0, G.m - 1))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import networkx as nx
 import pytest
@@ -17,6 +18,7 @@ from factorcover.graphs import (
     _components,
     _cycle_labels,
     _girth,
+    _hamiltonian_circuit,
     _levels,
     _two_coloring,
     bridges,
@@ -556,6 +558,91 @@ def test_hypohamiltonian(petersen, k4, j5):
     assert is_hypohamiltonian(petersen)
     assert not is_hypohamiltonian(k4)  # hamiltonian, so not hypo
     assert is_hypohamiltonian(j5)
+
+
+def hamiltonian_unpruned_oracle(G: CubicGraph, avoid: int = -1):
+    """The search that the free-edge prune replaced: a plain DFS over
+    paths from the lowest vertex other than avoid, trying edges in
+    G.incidence order."""
+    edges, incidence = G.edges, G.incidence
+    n = G.n
+    used = [False] * n
+    if avoid >= 0:
+        used[avoid] = True
+        n -= 1
+    if n <= 0:
+        return None
+    start = 1 if avoid == 0 else 0
+    used[start] = True
+    path_edges = []
+
+    def extend(v, count):
+        for f in incidence[v]:
+            if path_edges and f == path_edges[-1]:
+                continue
+            a, b = edges[f]
+            w = b if v == a else a
+            if count == n:
+                if w == start:
+                    path_edges.append(f)
+                    return True
+                continue
+            if used[w]:
+                continue
+            used[w] = True
+            path_edges.append(f)
+            if extend(w, count + 1):
+                return True
+            path_edges.pop()
+            used[w] = False
+        return False
+
+    if extend(start, 1):
+        return path_edges
+    return None
+
+
+def assert_same_circuits(G: CubicGraph, avoids, name):
+    for v in avoids:
+        assert (_hamiltonian_circuit(G, v)
+                == hamiltonian_unpruned_oracle(G, v)), (name, v)
+
+
+def test_hamiltonian_prune_keeps_the_circuit_on_corpus(corpus):
+    assert len(corpus) == 590
+    small = 0
+    for name, G in corpus:
+        if G.n <= 12:
+            small += 1
+            assert_same_circuits(G, range(-1, G.n), name)
+        else:
+            assert_same_circuits(G, (-1,), name)
+    assert small > 100
+
+
+def test_hamiltonian_prune_keeps_the_circuit_on_flower_snarks(j5):
+    for name, G in (("J5", j5), ("J7", flower_snark(7))):
+        assert_same_circuits(G, range(-1, G.n), name)
+
+
+def test_hamiltonian_prune_keeps_the_circuit_on_random_multigraphs():
+    rng = random.Random(1012)
+    parallel = found = 0
+    for trial in range(300):
+        G = random_connected_cubic_multigraph(rng, rng.choice(range(2, 13, 2)))
+        assert_same_circuits(G, range(-1, G.n), (trial, G.edges))
+        parallel += len(set(map(frozenset, G.edges))) < G.m
+        found += _hamiltonian_circuit(G) is not None
+    # parallel edges, and both outcomes of the search, are exercised
+    assert parallel and 0 < found < 300
+
+
+def test_hamiltonian_flower_snarks():
+    t0 = time.perf_counter()
+    assert not is_hamiltonian(flower_snark(9))
+    assert not is_hamiltonian(flower_snark(11))
+    assert is_hypohamiltonian(flower_snark(9))
+    assert time.perf_counter() - t0 < 5.0
 
 
 # ---------------------------------------------------------------------------

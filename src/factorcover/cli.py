@@ -25,6 +25,7 @@ from .report import (
     ALL_OPS,
     AnalyzeOptions,
     ReportAuditError,
+    ScanTally,
     analyze,
     audit_report,
     parse_entry,
@@ -172,6 +173,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     counts = collections.Counter(name for name, _ in corpus)
     failures = 0
     audited = 0
+    # the summary lines, checked once every record has been counted
+    summaries = []
+    tally = ScanTally()
+    uncounted = None  # the first record the tally could not count
     for number, line in lines:
         try:
             data = json.loads(line)
@@ -181,7 +186,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"fail line {number}: not a JSON object", file=sys.stderr)
             failures += 1
             continue
-        if "summary" in data or ("error" in data and "n" not in data):
+        if "summary" in data:
+            summaries.append((number, data))
+            continue
+        if uncounted is None:
+            try:
+                tally.add(data)
+            except (KeyError, TypeError, AttributeError):
+                uncounted = number
+        if "error" in data and "n" not in data:
             continue
         name = data.get("id")
         if not isinstance(name, str):
@@ -207,6 +220,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             failures += 1
             continue
         audited += 1
+    for number, data in summaries:
+        if uncounted is not None:
+            print(f"fail line {number}: summary cannot be recounted, line "
+                  f"{uncounted} is not a countable record", file=sys.stderr)
+            failures += 1
+        elif data != tally.summary():
+            print(f"fail line {number}: summary differs from the recount "
+                  f"{json.dumps(tally.summary()['summary'])}",
+                  file=sys.stderr)
+            failures += 1
     print(f"verified {audited} reports, {failures} failures")
     return 1 if failures else 0
 
@@ -234,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_verify = sub.add_parser("verify",
-                              help="re-audit report witnesses against a "
-                                   "corpus")
+                              help="re-audit report witnesses and the "
+                                   "summary line against a corpus")
     p_verify.add_argument("report", help="JSONL report file from scan")
     p_verify.add_argument("corpus", help="corpus the report was built from")
     p_verify.add_argument("--format", choices=("mgf", "graph6"),

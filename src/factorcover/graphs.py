@@ -8,7 +8,6 @@ sets of edge indices (EdgeSet), so witnesses are reproducible across runs.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Hard capacity for edge sets (graphs up to 128 vertices).
@@ -324,33 +323,53 @@ def _girth(G: CubicGraph, mask: int) -> Optional[int]:
 
     A parallel pair counts as a 2-circuit (its two edges are different).
     Returns None when the subgraph is a forest.
+
+    Method (Itai and Rodeh, 1978): one BFS per root, in vertex order.  A
+    non-tree edge, told apart from the tree edge by index, from x at depth
+    d to a reached y closes a walk of length d + depth[y] + 1 through it,
+    and such a walk contains a circuit no longer than itself.  A BFS from
+    a vertex of a shortest circuit C closes a walk of length |C| within
+    its levels below |C| / 2, and no edge first seen at level d closes one
+    shorter than 2d + 1, so each BFS stops before the level d with
+    2d + 1 >= best.  Once its BFS is done the root's star leaves the mask:
+    the first root lying on C still sees all of C.  A root with fewer than
+    two edges lies on no circuit and only leaves the mask.
     """
-    edges, incidence = G.edges, G.incidence
-    best: Optional[int] = None
-    for e, (u, v) in enumerate(edges):
-        if not mask >> e & 1:
-            continue
-        # shortest u-v path avoiding edge e, then close it with e
-        dist = {u: 0}
-        queue = deque([u])
-        limit = (best - 1) if best is not None else None
-        while queue:
-            x = queue.popleft()
-            if x == v:
-                break
-            if limit is not None and dist[x] >= limit:
-                continue
-            for f in incidence[x]:
-                if f == e or not mask >> f & 1:
-                    continue
-                a, b = edges[f]
-                y = b if x == a else a
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        if v in dist and (best is None or dist[v] + 1 < best):
-            best = dist[v] + 1
-    return best
+    edges, incidence, stars = G.edges, G.incidence, G.stars
+    best = 0  # 0 until a circuit is found
+    depth = [-1] * G.n
+    parent_edge = [-1] * G.n
+    for r in range(G.n):
+        if (stars[r] & mask).bit_count() >= 2:
+            depth[r] = 0
+            parent_edge[r] = -1
+            reached = [r]
+            level = [r]
+            d = 0
+            while level and (not best or 2 * d + 1 < best):
+                below = d + 1
+                nxt = []
+                for x in level:
+                    in_edge = parent_edge[x]
+                    for f in incidence[x]:
+                        if f == in_edge or not mask >> f & 1:
+                            continue
+                        a, b = edges[f]
+                        y = b if x == a else a
+                        dy = depth[y]
+                        if dy < 0:
+                            depth[y] = below
+                            parent_edge[y] = f
+                            nxt.append(y)
+                        elif not best or d + dy + 1 < best:
+                            best = d + dy + 1
+                reached += nxt
+                level = nxt
+                d = below
+            for v in reached:
+                depth[v] = -1
+        mask &= ~stars[r]
+    return best or None
 
 
 def girth(G: CubicGraph) -> int:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import (
+    Core,
     CoreClassification,
     FactorError,
     build_core,
@@ -304,6 +305,7 @@ def analyze(
                 }
         run("fulkerson", _fulkerson)
 
+    built_cores: List[Tuple[Core, CoreClassification]] = []
     if "core" in needs_pms:
         def _core():
             if len(pms) < 3:
@@ -311,6 +313,7 @@ def analyze(
                 return
             core = build_core(G, *pms[:3])
             cls = classify_core(core)
+            built_cores.append((core, cls))
             report.cores.append({
                 "factors": [0, 1, 2],
                 "k": core.k,
@@ -366,7 +369,7 @@ def analyze(
     if options.timings:
         report.timings_ms = timings
 
-    audit_report(G, report.to_dict(), pms=pms)
+    audit_report(G, report.to_dict(), pms=pms, cores=built_cores)
     return report
 
 
@@ -441,26 +444,33 @@ def audit_report(
     data: dict,
     pms: Optional[Sequence[EdgeSet]] = None,
     pm_cap: int = DEFAULT_PM_CAP,
+    cores: Optional[Sequence[Tuple[Core, CoreClassification]]] = None,
 ) -> None:
     """Re-verify every witness in a serialized report against the graph.
 
     Raises ReportAuditError on the first mismatch, and when a field it reads
     is missing or of the wrong type.  pms may be passed to reuse an existing
     enumeration; it is only computed when a witness refers to factor indices,
-    and then at most once.
+    and then at most once.  cores may be passed to reuse the (core,
+    classification) pair behind each entry of data["cores"]; each pair must
+    be built from the matchings its entry's indices name, and every recorded
+    core field is compared with it.  Without cores, each core is rebuilt
+    and reclassified from pms.
     """
     if not isinstance(data, dict):
         raise ReportAuditError("report is not a JSON object")
     try:
-        _audit_witnesses(G, data, pms, pm_cap)
+        _audit_witnesses(G, data, pms, pm_cap, cores)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise ReportAuditError(
             f"report {data.get('id')}: missing or mistyped field "
             f"({type(exc).__name__}: {exc})") from exc
 
 
-def _audit_witnesses(G: CubicGraph, data: dict,
-                     pms: Optional[Sequence[EdgeSet]], pm_cap: int) -> None:
+def _audit_witnesses(
+    G: CubicGraph, data: dict, pms: Optional[Sequence[EdgeSet]], pm_cap: int,
+    cores: Optional[Sequence[Tuple[Core, CoreClassification]]],
+) -> None:
     def fail(msg: str):
         raise ReportAuditError(f"report {data.get('id')}: {msg}")
 
@@ -492,6 +502,12 @@ def _audit_witnesses(G: CubicGraph, data: dict,
             fail(f"{key}: factors differ from the indexed matchings")
         return sets
 
+    failed = [check["name"] for check in data["checks"]
+              if not check["passed"]]
+    if failed != data["violations"]:
+        fail(f"violations {data['violations']} differ from the failed "
+             f"checks {failed}")
+
     witnesses = data.get("mu_witness", {})
     for k, wit in witnesses.items():
         sets = check_factors(wit["factors"], f"mu_{k}")
@@ -520,19 +536,27 @@ def _audit_witnesses(G: CubicGraph, data: dict,
         if not verify_fulkerson(G, sets):
             fail("fulkerson: not every edge is covered exactly twice")
 
-    for entry in data.get("cores", []):
+    entries = data.get("cores", [])
+    if cores is not None and len(cores) != len(entries):
+        fail(f"cores: {len(entries)} entries for {len(cores)} built cores")
+    for index, entry in enumerate(entries):
         check_indices(entry["factors"], "core")
         i, j, l = entry["factors"]
-        try:
-            core = build_core(G, pms[i], pms[j], pms[l])
-        except FactorError as exc:
-            fail(f"core: {exc}")
+        if cores is None:
+            try:
+                core = build_core(G, pms[i], pms[j], pms[l])
+            except FactorError as exc:
+                fail(f"core: {exc}")
+            cls = classify_core(core)
+        else:
+            core, cls = cores[index]
+            if core.factors != (pms[i], pms[j], pms[l]):
+                fail("core: factors differ from the indexed matchings")
         if (core.M.indices() != entry["M"]
                 or core.U.indices() != entry["U"]
                 or core.T.indices() != entry["T"]
                 or core.k != entry["k"]):
-            fail("core: M/U/T/k mismatch against rebuilt core")
-        cls = classify_core(core)
+            fail("core: M/U/T/k mismatch against its core")
         if _component_dicts(cls) != entry["components"]:
             fail("core: components mismatch against its classification")
         flags = (cls.is_cyclic, cls.is_bipartite, cls.is_bridgeless,
@@ -640,38 +664,57 @@ def _scan_items(items, workers: int) -> Iterator[dict]:
         yield from map(_scan_one, items)
 
 
-def _with_summary(results) -> Iterator[dict]:
-    graphs = parse_errors = violations = timeouts = 0
-    fr_found = fr_checked = fu_found = fu_checked = 0
-    violating: List[str] = []
-    for data in results:
-        yield data
+class ScanTally:
+    """Running counts over the records of a scan, for its summary record.
+
+    scan() ends its output with the summary of its own records, and
+    `verify` recounts a report file's records to check that line.
+    """
+
+    def __init__(self) -> None:
+        self.graphs = self.parse_errors = self.violations = self.timeouts = 0
+        self.fr_found = self.fr_checked = self.fu_found = self.fu_checked = 0
+        self.violating: List[str] = []
+
+    def add(self, data: dict) -> None:
+        """Count one report, or one per-entry {"id", "error"} record."""
         if "error" in data and "n" not in data:
-            parse_errors += 1
-            continue
-        graphs += 1
+            self.parse_errors += 1
+            return
+        self.graphs += 1
         if data["violations"]:
-            violations += len(data["violations"])
-            violating.append(data["id"])
-        timeouts += sum(1 for v in data["errors"].values() if v == "timeout")
+            self.violations += len(data["violations"])
+            self.violating.append(data["id"])
+        self.timeouts += sum(1 for v in data["errors"].values()
+                             if v == "timeout")
         for check in data["checks"]:
             if check["name"] == "fan_raspaud_exists":
-                fr_checked += 1
-                fr_found += check["passed"]
+                self.fr_checked += 1
+                self.fr_found += check["passed"]
             elif check["name"] == "fulkerson_exists":
-                fu_checked += 1
-                fu_found += check["passed"]
-    yield {
-        "summary": {
-            "graphs": graphs,
-            "parse_errors": parse_errors,
-            "violations": violations,
-            "violating_graphs": violating,
-            "timeouts": timeouts,
-            "fan_raspaud_found": [fr_found, fr_checked],
-            "fulkerson_found": [fu_found, fu_checked],
+                self.fu_checked += 1
+                self.fu_found += check["passed"]
+
+    def summary(self) -> dict:
+        return {
+            "summary": {
+                "graphs": self.graphs,
+                "parse_errors": self.parse_errors,
+                "violations": self.violations,
+                "violating_graphs": self.violating,
+                "timeouts": self.timeouts,
+                "fan_raspaud_found": [self.fr_found, self.fr_checked],
+                "fulkerson_found": [self.fu_found, self.fu_checked],
+            }
         }
-    }
+
+
+def _with_summary(results) -> Iterator[dict]:
+    tally = ScanTally()
+    for data in results:
+        yield data
+        tally.add(data)
+    yield tally.summary()
 
 
 def report_lines(reports: Iterator[dict]) -> Iterator[str]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from factorcover import cli as cli_module
 from factorcover import report as report_module
 from factorcover.cli import main
+from factorcover.cores import build_core, classify_core
 from factorcover.graphs import parse_edge_list, to_mgf
 from factorcover.report import (
     ALL_OPS,
@@ -463,6 +464,81 @@ def test_verify_detects_tampering(mini_corpus, tmp_path, capsys):
     assert main(["verify", str(tampered), mini_corpus]) == 1
 
 
+@pytest.fixture
+def summary_scan(tmp_path):
+    """A --fulkerson scan of the mini corpus plus an unparsable block, as
+    (corpus path, report records, summary record)."""
+    corpus = tmp_path / "mixed.mgf"
+    corpus.write_text(MINI_MGF + "\n# bad\n4 pear\n")
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(corpus), "--fulkerson", "--out", str(out)]) == 0
+    *records, summary = read_jsonl(out)
+    assert summary["summary"]["parse_errors"] == 1
+    return str(corpus), records, summary
+
+
+def verify_records(tmp_path, corpus, records, capsys):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    capsys.readouterr()
+    status = main(["verify", str(path), corpus])
+    captured = capsys.readouterr()
+    return status, captured.out.strip(), captured.err.splitlines()
+
+
+SUMMARY_TAMPERINGS = {
+    "graphs": lambda s: s.update(graphs=s["graphs"] + 1),
+    "parse_errors": lambda s: s.update(parse_errors=0),
+    "violations": lambda s: s.update(violations=1),
+    "violating_graphs": lambda s: s["violating_graphs"].append("K4"),
+    "timeouts": lambda s: s.update(timeouts=1),
+    "fan_raspaud_found": lambda s: s["fan_raspaud_found"].__setitem__(0, 2),
+    "fulkerson_found": lambda s: s["fulkerson_found"].__setitem__(1, 4),
+    "extra_key": lambda s: s.update(extra=0),
+}
+
+
+@pytest.mark.parametrize("field", sorted(SUMMARY_TAMPERINGS))
+def test_verify_recounts_the_summary_line(summary_scan, tmp_path, capsys,
+                                          field):
+    corpus, records, summary = summary_scan
+    assert verify_records(tmp_path, corpus, records + [summary], capsys) == (
+        0, "verified 3 reports, 0 failures", [])
+    SUMMARY_TAMPERINGS[field](summary["summary"])
+    status, out, err = verify_records(tmp_path, corpus, records + [summary],
+                                      capsys)
+    assert (status, out) == (1, "verified 3 reports, 1 failures")
+    (failure,) = err
+    assert failure.startswith("fail line 5: summary differs from the recount")
+
+
+def test_verify_summary_counts_the_lines_of_the_file(summary_scan, tmp_path,
+                                                     capsys):
+    corpus, records, summary = summary_scan
+    # a dropped report, or a dropped error record, changes the recount
+    for dropped in (1, 3):
+        kept = records[:dropped] + records[dropped + 1:]
+        status, out, err = verify_records(tmp_path, corpus,
+                                          kept + [summary], capsys)
+        assert status == 1 and len(err) == 1, (dropped, err)
+        assert "summary differs" in err[0]
+    # without a summary line the reports verify as before
+    assert verify_records(tmp_path, corpus, records, capsys) == (
+        0, "verified 3 reports, 0 failures", [])
+
+
+def test_verify_fails_a_summary_it_cannot_recount(summary_scan, tmp_path,
+                                                  capsys):
+    corpus, records, summary = summary_scan
+    del records[0]["checks"]
+    status, out, err = verify_records(tmp_path, corpus, records + [summary],
+                                      capsys)
+    assert (status, out) == (1, "verified 2 reports, 2 failures")
+    assert err[0].startswith("fail K4: ") and "missing" in err[0]
+    assert err[1] == ("fail line 5: summary cannot be recounted, line 1 is "
+                      "not a countable record")
+
+
 def test_verify_fails_duplicate_ids(tmp_path, capsys):
     k4 = MINI_MGF.split("\n\n")[0].replace("# K4", "# same")
     theta = "# same\n2 3\n0 1\n0 1\n0 1\n"
@@ -580,9 +656,99 @@ def test_audit_rejects_bad_indices(petersen, field, index, value):
         audit_report(petersen, data)
 
 
+@pytest.fixture
+def petersen_cores(petersen, monkeypatch):
+    """A default-ops Petersen report and the (core, classification) pairs
+    that analyze built for it, as analyze passes them to the audit."""
+    passed = []
+
+    def capture(G, data, pms=None, pm_cap=None, cores=None):
+        passed.append((pms, cores))
+
+    monkeypatch.setattr(report_module, "audit_report", capture)
+    data = analyze(petersen, AnalyzeOptions(), id="petersen").to_dict()
+    ((pms, cores),) = passed
+    monkeypatch.undo()
+    assert len(cores) == len(data["cores"]) == 1
+    return data, pms, cores
+
+
+CORE_TAMPERINGS = {
+    "M": lambda e: e["M"].append(e["U"].pop()),
+    "U": lambda e: e["U"].pop(),
+    "T": lambda e: e["T"].append(e["U"][0]),
+    "k": lambda e: e.update(k=e["k"] + 1),
+    "components": lambda e: e["components"][0]["edges"].pop(),
+    "cyclic": lambda e: e.update(cyclic=not e["cyclic"]),
+    "bipartite": lambda e: e.update(bipartite=not e["bipartite"]),
+    "bridgeless": lambda e: e.update(bridgeless=not e["bridgeless"]),
+    "empty": lambda e: e.update(empty=not e["empty"]),
+    "factor_indices": lambda e: e.update(factors=[0, 1, 3]),
+}
+
+
+@pytest.mark.parametrize("field", sorted(CORE_TAMPERINGS))
+def test_shared_core_audit_rejects_a_tampered_core(petersen, petersen_cores,
+                                                   field):
+    data, pms, cores = petersen_cores
+    audit_report(petersen, data, pms=pms, cores=cores)
+    tampered = copy.deepcopy(data)
+    CORE_TAMPERINGS[field](tampered["cores"][0])
+    with pytest.raises(ReportAuditError):
+        audit_report(petersen, tampered, pms=pms, cores=cores)
+
+
+def test_shared_core_audit_rejects_a_core_of_other_factors(petersen,
+                                                          petersen_cores):
+    data, pms, cores = petersen_cores
+    ((core, cls),) = cores
+    other = build_core(petersen, pms[0], pms[1], pms[3])
+    for pair in ((other, cls), (other, classify_core(other))):
+        with pytest.raises(ReportAuditError, match="factors differ"):
+            audit_report(petersen, data, pms=pms, cores=[pair])
+    with pytest.raises(ReportAuditError, match="1 entries for 2"):
+        audit_report(petersen, data, pms=pms, cores=[(core, cls)] * 2)
+
+
+def test_analyze_classifies_each_core_once(petersen, monkeypatch):
+    calls = []
+    classify = report_module.classify_core
+    monkeypatch.setattr(report_module, "classify_core",
+                        lambda core: calls.append(core) or classify(core))
+    analyze(petersen, AnalyzeOptions(), id="petersen")
+    assert len(calls) == 1
+
+
+def fail_checks(data, names):
+    for check in data["checks"]:
+        if check["name"] in names:
+            check["passed"] = False
+
+
+@pytest.mark.parametrize("failed,violations,ok", [
+    ((), (), True),
+    ((0,), (), False),  # a failed check hidden from violations
+    ((), (0,), False),  # a violation without a failed check
+    ((0, 1), (0, 1), True),
+    ((0, 1), (1, 0), False),  # out of check order
+    ((0, 1), (0,), False),
+])
+def test_audit_compares_violations_with_failed_checks(petersen, failed,
+                                                     violations, ok):
+    data = analyze(petersen, AnalyzeOptions(), id="petersen").to_dict()
+    names = [check["name"] for check in data["checks"]]
+    fail_checks(data, {names[i] for i in failed})
+    data["violations"] = [names[i] for i in violations]
+    if ok:
+        audit_report(petersen, data)
+    else:
+        with pytest.raises(ReportAuditError, match="violations"):
+            audit_report(petersen, data)
+
+
 # Tamperings that only the comparison of the recorded core components,
-# of the keys of mu and mu_witness, or of the factor indices of
-# fan_raspaud and fulkerson can catch.
+# of the keys of mu and mu_witness, of the factor indices of fan_raspaud
+# and fulkerson, or of violations with the failed checks can catch.
 AUDIT_GAPS = {
     "core_component_edge_dropped": (
         "cubic_n6_0",
@@ -606,6 +772,9 @@ AUDIT_GAPS = {
     "fulkerson_indices_of_other_factors": (
         "cubic_n6_0",
         lambda r: r["fulkerson"]["factor_indices"].reverse()),
+    "check_failed_without_violation": (
+        "K_2^3",
+        lambda r: r["checks"][0].update(passed=False)),
 }
 
 

@@ -1,11 +1,13 @@
 import itertools
 import random
 import time
+from collections import deque
 
 import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from factorcover.cores import build_core
 from factorcover.graphs import (
     MAX_EDGES,
     CubicGraph,
@@ -35,6 +37,7 @@ from factorcover.graphs import (
     theta_graph,
     to_mgf,
 )
+from factorcover.matching import enumerate_perfect_matchings
 
 from conftest import (
     K4_EDGES,
@@ -323,6 +326,89 @@ def test_masked_queries_against_networkx(corpus):
             seen["odd"] += comps != [] and not bip
             seen["bipartite"] += comps != [] and bip
     assert seen["subsets"] >= 500 and all(seen.values()), seen
+
+
+def girth_per_edge_oracle(G: CubicGraph, mask: int):
+    """The girth search that the vertex-rooted BFS replaced: for each edge
+    e = uv of mask, the shortest u-v path avoiding e, closed by e."""
+    edges, incidence = G.edges, G.incidence
+    best = None
+    for e, (u, v) in enumerate(edges):
+        if not mask >> e & 1:
+            continue
+        dist = {u: 0}
+        queue = deque([u])
+        limit = (best - 1) if best is not None else None
+        while queue:
+            x = queue.popleft()
+            if x == v:
+                break
+            if limit is not None and dist[x] >= limit:
+                continue
+            for f in incidence[x]:
+                if f == e or not mask >> f & 1:
+                    continue
+                a, b = edges[f]
+                y = b if x == a else a
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
+def test_girth_matches_per_edge_oracle_on_corpus(corpus):
+    assert len(corpus) == 590
+    for name, G in corpus:
+        full = G.all_edges().bits
+        assert _girth(G, full) == girth_per_edge_oracle(G, full), name
+
+
+def test_girth_matches_per_edge_oracle_on_core_samples(corpus, corpus_pms):
+    rng = random.Random(1978)
+    cores = 0
+    for name, G in corpus:
+        pms = corpus_pms[name]
+        triples = list(itertools.combinations(range(len(pms)), 3))
+        for i, j, l in rng.sample(triples, min(len(triples), 4)):
+            mask = build_core(G, pms[i], pms[j], pms[l]).edge_indices.bits
+            assert _girth(G, mask) == girth_per_edge_oracle(G, mask), (
+                name, (i, j, l))
+            cores += 1
+    assert cores > 2000
+
+
+def test_girth_matches_per_edge_oracle_on_flower_snarks():
+    for t in range(5, 15, 2):
+        J = flower_snark(t)
+        full = J.all_edges().bits
+        assert _girth(J, full) == girth_per_edge_oracle(J, full), t
+        pms = enumerate_perfect_matchings(J)
+        rng = random.Random(t)
+        for _ in range(20):
+            i, j, l = sorted(rng.sample(range(len(pms)), 3))
+            mask = build_core(J, pms[i], pms[j], pms[l]).edge_indices.bits
+            assert _girth(J, mask) == girth_per_edge_oracle(J, mask), (
+                t, (i, j, l))
+
+
+def test_girth_matches_per_edge_oracle_on_random_multigraph_masks():
+    rng = random.Random(1012)
+    seen = {"parallel": 0, "forest": 0, "circuit": 0}
+    for trial in range(400):
+        G = random_connected_cubic_multigraph(rng, rng.choice(range(2, 31, 2)))
+        masks = [G.all_edges().bits] + [
+            sum(1 << f for f in range(G.m) if rng.random() < p)
+            for p in (0.3, 0.6, 0.8, 0.9)
+        ]
+        for mask in masks:
+            want = girth_per_edge_oracle(G, mask)
+            assert _girth(G, mask) == want, (G.edges, mask)
+            seen["parallel"] += want == 2
+            seen["forest"] += want is None
+            seen["circuit"] += want is not None and want > 2
+    assert all(count >= 100 for count in seen.values()), seen
 
 
 @st.composite

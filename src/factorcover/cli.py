@@ -55,8 +55,10 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fulkerson", action="store_true",
                         help="also search for a Fulkerson coloring")
     parser.add_argument("--budget-ms", type=int, default=None, metavar="N",
-                        help="per-graph wall-clock budget; overruns are "
-                             "recorded per field")
+                        help="per-graph wall-clock budget, checked before "
+                             "each field starts (a running field is not "
+                             "stopped); fields not started are recorded "
+                             "as timeouts")
     parser.add_argument("--pm-cap", type=int, default=DEFAULT_PM_CAP,
                         metavar="N",
                         help="abort matching enumeration beyond N matchings")

@@ -17,8 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .graphs import (
     CubicGraph,
     EdgeSet,
-    _bridges,
-    _components,
+    _cycle_labels,
     _girth,
     _levels,
     _two_coloring,
@@ -140,11 +139,21 @@ def classify_core(core: Core) -> CoreClassification:
     multigraph whose suppressed triple-intersection edges form a 1-factor
     (violations raise CoreInvariantError).  The empty core is classified
     cyclic vacuously, with is_empty set.
+
+    One BFS forest of the core answers everything: its trees are the
+    components, its depth parity the bipartiteness and its cycle labels
+    the bridges.
     """
     G = core.graph
     mask = core.edge_indices.bits
+    order, _, depth, label = _cycle_labels(G, mask, core.vertices)
+    trees: List[List[int]] = []
+    for v in order:
+        if depth[v] == 0:
+            trees.append([])
+        trees[-1].append(v)
     components: List[CoreComponent] = []
-    for comp_vertices in _components(G, mask, core.vertices):
+    for comp_vertices in map(sorted, trees):
         comp_bits = 0
         for v in comp_vertices:
             comp_bits |= G.stars[v]
@@ -154,14 +163,11 @@ def classify_core(core: Core) -> CoreClassification:
                            for v in comp_vertices)
                     else _classify_subdivision)
         components.append(classify(core, comp_vertices, comp_edges))
-    is_cyclic = all(c.kind == "even_circuit" for c in components)
-    bip = _two_coloring(G, mask, core.vertices) is not None
-    bridgeless = not _bridges(G, mask, core.vertices)[0]
     return CoreClassification(
         components=tuple(components),
-        is_cyclic=is_cyclic,
-        is_bipartite=bip,
-        is_bridgeless=bridgeless,
+        is_cyclic=all(c.kind == "even_circuit" for c in components),
+        is_bipartite=_two_coloring(G, mask, depth) is not None,
+        is_bridgeless=0 not in label,
         is_empty=core.is_empty,
     )
 
@@ -295,7 +301,7 @@ def verify_core_theorems(
         colorable, _ = is_three_edge_colorable(G)
         check("k_lt_3_implies_3_edge_colorable", colorable, {"k": k})
     if classification.is_bipartite:
+        label = _cycle_labels(G, core.edge_indices.bits, core.vertices)[3]
         check("bipartite_implies_bridgeless", classification.is_bridgeless,
-              {"bridges": _bridges(G, core.edge_indices.bits,
-                                   core.vertices)[0]})
+              {"bridges": [e for e, x in enumerate(label) if x == 0]})
     return results

@@ -17,7 +17,6 @@ from .graphs import (
     EdgeSet,
     _indices,
     _levels,
-    hamiltonian_circuit_avoiding,
 )
 from .matching import NoPerfectMatchingError
 
@@ -237,33 +236,3 @@ def verify_fulkerson(G: CubicGraph, factors: Sequence[EdgeSet]) -> bool:
     full = G.all_edges().bits
     return (len(factors) == 6
             and _levels(full, [f.bits for f in factors])[2] == full)
-
-
-def matchings_from_circuit_avoiding(
-    G: CubicGraph, v: int
-) -> Optional[List[EdgeSet]]:
-    """The three 1-factors induced by a hamiltonian circuit C of G - v.
-
-    For each edge vw of G, C - w is a path of even order with a unique
-    perfect matching; together with vw it is a 1-factor of G.  Returns None
-    when G - v is not hamiltonian.
-    """
-    circuit = hamiltonian_circuit_avoiding(G, v)
-    if circuit is None:
-        return None
-    # verts[t] is the vertex where step circuit[t] starts
-    verts: List[int] = []
-    w = 1 if v == 0 else 0  # the circuit starts at the lowest vertex of G - v
-    for f in circuit:
-        verts.append(w)
-        w = G.other_end(f, w)
-    L = len(verts)  # n - 1, odd
-    out: List[EdgeSet] = []
-    for e_v in G.incidence[v]:
-        w = G.other_end(e_v, v)
-        p = verts.index(w)
-        # unique matching of the path C - w: steps p+1, p+3, ..., p+L-2
-        chosen = [e_v] + [circuit[(p + t) % L] for t in range(1, L - 1, 2)]
-        out.append(G.edge_set(chosen))
-    return out
-

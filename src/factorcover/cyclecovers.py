@@ -16,6 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 from .graphs import (
     CubicGraph,
     EdgeSet,
+    _bfs,
     _levels,
     _two_coloring,
     cycle_space_basis,
@@ -174,7 +175,8 @@ def bipartite_core_cover(core: Core) -> List[EdgeSet]:
     T empty is covered by side 0 alone.
     """
     G = core.graph
-    if _two_coloring(G, core.edge_indices.bits, core.vertices) is None:
+    mask = core.edge_indices.bits
+    if _two_coloring(G, mask, _bfs(G, mask, core.vertices)[2]) is None:
         raise CoverConstructionError("core is not bipartite")
     if core.is_empty:
         return []

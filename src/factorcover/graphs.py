@@ -378,62 +378,6 @@ def girth(G: CubicGraph) -> int:
     return g
 
 
-def _bridges(
-    G: CubicGraph, mask: int, roots: Iterable[int]
-) -> Tuple[List[int], int]:
-    """Bridges of the subgraph with edge set mask.
-
-    Iterative Tarjan DFS from each unvisited vertex of roots, skipping the
-    tree in-edge by index, so a parallel pair never counts as a bridge.
-    Returns the sorted bridges of the part that was reached and the number
-    of vertices reached.
-    """
-    edges, incidence = G.edges, G.incidence
-    disc = [-1] * G.n
-    low = [0] * G.n
-    out: List[int] = []
-    timer = 0
-    for root in roots:
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [(root, -1, iter(incidence[root]))]
-        while stack:
-            v, in_edge, it = stack[-1]
-            for f in it:
-                if f == in_edge or not mask >> f & 1:
-                    continue
-                a, b = edges[f]
-                w = b if v == a else a
-                if disc[w] >= 0:
-                    if disc[w] < low[v]:
-                        low[v] = disc[w]
-                else:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, f, iter(incidence[w])))
-                    break
-            else:
-                stack.pop()
-                if in_edge >= 0:
-                    parent = stack[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-                    if low[v] > disc[parent]:
-                        out.append(in_edge)
-    out.sort()
-    return out, timer
-
-
-def bridges(G: CubicGraph) -> EdgeSet:
-    return G.edge_set(_bridges(G, G.all_edges().bits, range(G.n))[0])
-
-
-def is_bridgeless(G: CubicGraph) -> bool:
-    return not bridges(G)
-
-
 def _bfs(
     G: CubicGraph, mask: int, roots: Iterable[int]
 ) -> Tuple[List[int], List[int], List[int]]:
@@ -489,15 +433,14 @@ def _levels(
 
 
 def _two_coloring(
-    G: CubicGraph, mask: int, roots: Iterable[int]
+    G: CubicGraph, mask: int, depth: Sequence[int]
 ) -> Optional[List[int]]:
-    """2-coloring of the subgraph with edge set mask by BFS depth parity,
-    from each uncolored vertex of roots in turn.
+    """2-coloring of the subgraph with edge set mask by the depth parity
+    of a BFS forest of it: depth is _bfs(G, mask, roots)[2].
 
     Returns the color (0 or 1) of every vertex, -1 where no root reaches,
     or None when a reached component has an odd circuit.
     """
-    depth = _bfs(G, mask, roots)[2]
     for f, (u, v) in enumerate(G.edges):
         if mask >> f & 1 and depth[u] >= 0 and (depth[u] ^ depth[v]) & 1 == 0:
             return None
@@ -505,45 +448,35 @@ def _two_coloring(
 
 
 def is_bipartite(G: CubicGraph) -> Tuple[bool, Optional[List[int]]]:
-    coloring = _two_coloring(G, G.all_edges().bits, range(G.n))
+    full = G.all_edges().bits
+    coloring = _two_coloring(G, full, _bfs(G, full, range(G.n))[2])
     return (coloring is not None), coloring
 
 
-def is_connected(G: CubicGraph) -> bool:
-    return len(_bfs(G, G.all_edges().bits, (0,))[0]) == G.n
-
-
-def _components(
+def _cycle_labels(
     G: CubicGraph, mask: int, roots: Iterable[int]
-) -> List[List[int]]:
-    """Connected components of the subgraph with edge set mask that meet
-    roots, as sorted vertex lists in the order of their least root."""
-    order, _, depth = _bfs(G, mask, sorted(roots))
-    comps: List[List[int]] = []
-    for v in order:
-        if depth[v] == 0:
-            comps.append([])
-        comps[-1].append(v)
-    return [sorted(comp) for comp in comps]
+) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """The BFS forest _bfs(G, mask, roots) and its cycle labels.
 
-
-def _cycle_labels(G: CubicGraph) -> List[int]:
-    """label[e]: bit j is set when edge e lies on the j-th fundamental
-    cycle of a BFS spanning forest, the j-th non-tree edge in index order.
+    Returns (order, parent_edge, depth, label).  label[e]: bit j is set
+    when edge e lies on the j-th fundamental cycle of the forest, the one
+    closed by the j-th non-tree edge in index order; label[e] is -1 when e
+    is not in mask or no root reaches it.
 
     A non-tree edge carries its own bit; the tree edge above v carries the
     bits of the non-tree edges with exactly one end below v.  An edge set
-    is a cut delta(X) of G exactly when it meets every cycle evenly, that
-    is when the XOR of its labels is 0: the bridges are the edges labelled
-    0, and two edges whose labels are equal and nonzero form a 2-edge cut.
+    of a reached component is a cut of it exactly when it meets every
+    cycle evenly, that is when the XOR of its labels is 0: the bridges are
+    the edges labelled 0, and two edges whose labels are equal and nonzero
+    form a 2-edge cut.
     """
-    order, parent_edge, _ = _bfs(G, G.all_edges().bits, range(G.n))
+    order, parent_edge, depth = _bfs(G, mask, roots)
     tree = set(parent_edge)
-    label = [0] * G.m
+    label = [-1] * G.m
     below = [0] * G.n  # XOR of the labels of non-tree edges at v, then below v
     bit = 1
     for e, (u, v) in enumerate(G.edges):
-        if e not in tree:
+        if mask >> e & 1 and depth[u] >= 0 and e not in tree:
             label[e] = bit
             below[u] ^= bit
             below[v] ^= bit
@@ -553,13 +486,22 @@ def _cycle_labels(G: CubicGraph) -> List[int]:
         if f >= 0:
             label[f] = below[v]
             below[G.other_end(f, v)] ^= below[v]
-    return label
+    return order, parent_edge, depth, label
+
+
+def bridges(G: CubicGraph) -> EdgeSet:
+    label = _cycle_labels(G, G.all_edges().bits, range(G.n))[3]
+    return G.edge_set(e for e, x in enumerate(label) if x == 0)
+
+
+def is_bridgeless(G: CubicGraph) -> bool:
+    return not bridges(G)
 
 
 def cycle_space_basis(G: CubicGraph) -> List[int]:
     """Fundamental cycles (as edge bitmasks) w.r.t. a BFS spanning forest:
     the transpose of _cycle_labels."""
-    label = _cycle_labels(G)
+    label = _cycle_labels(G, G.all_edges().bits, range(G.n))[3]
     basis = [0] * max(label).bit_length()
     for e, x in enumerate(label):
         for j in _indices(x):
@@ -585,10 +527,10 @@ def has_nontrivial_3_edge_cut(
     label[a] ^ label[b]: one bisect in each of the four label classes.
     That is O(m^2) pairs times O(log m), after one O(m) labelling.
     """
-    if not is_connected(G):
+    _, _, depth, label = _cycle_labels(G, G.all_edges().bits, range(G.n))
+    if depth.count(0) > 1:  # more than one tree
         raise ValueError("has_nontrivial_3_edge_cut: graph is disconnected")
     m = G.m
-    label = _cycle_labels(G)
     carriers: Dict[int, List[int]] = {}
     for e, x in enumerate(label):
         carriers.setdefault(x, []).append(e)
@@ -702,18 +644,10 @@ def is_hamiltonian(G: CubicGraph) -> bool:
     return _hamiltonian_circuit(G) is not None
 
 
-def hamiltonian_circuit_avoiding(G: CubicGraph, v: int) -> Optional[List[int]]:
-    """Hamiltonian circuit of G - v, as edge indices of G in walking order
-    from the lowest vertex other than v."""
-    return _hamiltonian_circuit(G, avoid=v)
-
-
 def is_hypohamiltonian(G: CubicGraph) -> bool:
     if is_hamiltonian(G):
         return False
-    return all(
-        hamiltonian_circuit_avoiding(G, v) is not None for v in range(G.n)
-    )
+    return all(_hamiltonian_circuit(G, v) is not None for v in range(G.n))
 
 
 # ---------------------------------------------------------------------------

@@ -423,8 +423,8 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
             "passed": report.fulkerson is not None,
             "measured": {"mu3": mu3},
         })
-    if (report.oddness is not None and bridgeless
-            and report.mu.get("3", 1) != 0):
+    # stated for graphs that are not 3-edge-colourable: oddness > 0
+    if report.oddness and bridgeless:
         has_class2 = exists_4ec_with_class_of_size(G, 2)
         report.checks.append({
             "name": "oddness2_iff_4ec_class_of_2",

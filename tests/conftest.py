@@ -3,12 +3,7 @@ import random
 
 import pytest
 
-from factorcover.graphs import (
-    CubicGraph,
-    flower_snark,
-    is_connected,
-    theta_graph,
-)
+from factorcover.graphs import CubicGraph, _bfs, flower_snark, theta_graph
 from factorcover.matching import enumerate_perfect_matchings
 from factorcover.report import parse_entry, read_corpus
 
@@ -33,6 +28,22 @@ def prism_edges(t: int):
     edges += [(t + i, t + (i + 1) % t) for i in range(t)]
     edges += [(i, t + i) for i in range(t)]
     return edges
+
+
+def components(G: CubicGraph, mask: int, roots):
+    """Connected components of the subgraph with edge set mask that meet
+    roots, as sorted vertex lists in the order of their least root."""
+    order, _, depth = _bfs(G, mask, sorted(roots))
+    comps = []
+    for v in order:
+        if depth[v] == 0:
+            comps.append([])
+        comps[-1].append(v)
+    return [sorted(comp) for comp in comps]
+
+
+def is_connected(G: CubicGraph) -> bool:
+    return len(_bfs(G, G.all_edges().bits, (0,))[0]) == G.n
 
 
 def random_connected_cubic_multigraph(rng: random.Random, n: int):

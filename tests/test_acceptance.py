@@ -26,7 +26,6 @@ from factorcover.cyclecovers import (
 )
 from factorcover.graphs import (
     CubicGraph,
-    _components,
     _girth,
     girth,
     has_nontrivial_3_edge_cut,
@@ -40,7 +39,7 @@ from factorcover.matching import (
     oddness,
 )
 
-from conftest import PETERSEN_EDGES, corpus_path
+from conftest import PETERSEN_EDGES, components, corpus_path
 
 # Exhaustive shortest-cover search is feasible on this hardware up to this
 # cycle space dimension (under 0.1 s per graph at the cap; the 480 graphs of
@@ -136,7 +135,7 @@ def test_criterion_05_core_property_suite(corpus, corpus_pms):
                 g_c = _girth(G, mask)
                 if g_c is not None:
                     assert g_c <= 2 * k, name
-                    comps = _components(G, mask, core.vertices)
+                    comps = components(G, mask, core.vertices)
                     assert len(comps) <= (2 * k) / g_c, name
                 # component classification (classify_core asserts the
                 # circuit/subdivision structure while building it)

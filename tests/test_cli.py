@@ -277,6 +277,31 @@ def test_theorem_checks_run_without_the_structure_op(tmp_path):
     assert last["summary"]["fan_raspaud_found"] == [1, 1]
 
 
+TWO_K4_MGF = "# two_k4\n8 12\n" + "".join(
+    f"{u + s} {v + s}\n" for s in (0, 4)
+    for u, v in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+
+
+@pytest.mark.parametrize("args", [["--ops", "structure,oddness"],
+                                  ["--ops", "oddness"],
+                                  ["--ops", ",".join(ALL_OPS),
+                                   "--mu-upto", "2"]])
+def test_oddness_check_skips_3_edge_colourable_graphs(tmp_path, args):
+    """oddness2_iff_4ec_class_of_2 is about graphs of oddness > 0, so it
+    is not run on K4 or two disjoint K4s, whether or not mu_3 is."""
+    corpus = tmp_path / "k4s.mgf"
+    corpus.write_text(MINI_MGF.split("\n\n")[0] + "\n\n" + TWO_K4_MGF)
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(corpus), *args, "--out", str(out)]) == 0
+    *reports, last = read_jsonl(out)
+    assert [r["id"] for r in reports] == ["K4", "two_k4"]
+    for r in reports:
+        assert r["oddness"] == 0 and r["violations"] == [], r["id"]
+        assert "oddness2_iff_4ec_class_of_2" not in [
+            c["name"] for c in r["checks"]], r["id"]
+    assert last["summary"]["violations"] == 0
+
+
 def test_all_ops_scan_digest(tmp_path):
     """Every op on the corpus graphs with n <= 12 (covers, scc, fulkerson,
     oddness and hypohamiltonian included) gives fixed bytes; the digest

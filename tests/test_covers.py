@@ -9,15 +9,14 @@ from factorcover.covers import (
     NoPerfectMatchingError,
     fan_raspaud_indices,
     fulkerson_witness,
-    matchings_from_circuit_avoiding,
     mu_k,
     verify_fulkerson,
 )
 from factorcover.graphs import (
     CubicGraph,
     EdgeSet,
+    _hamiltonian_circuit,
     flower_snark,
-    hamiltonian_circuit_avoiding,
 )
 from factorcover.matching import (
     enumerate_perfect_matchings,
@@ -254,6 +253,35 @@ def test_fulkerson_on_corpus_sample(corpus, corpus_pms):
         assert verify_fulkerson(G, witness.factors), name
 
 
+def matchings_from_circuit_avoiding(
+    G: CubicGraph, v: int
+) -> Optional[List[EdgeSet]]:
+    """The three 1-factors induced by a hamiltonian circuit C of G - v.
+
+    For each edge vw of G, C - w is a path of even order with a unique
+    perfect matching; together with vw it is a 1-factor of G.  Returns None
+    when G - v is not hamiltonian.
+    """
+    circuit = _hamiltonian_circuit(G, v)
+    if circuit is None:
+        return None
+    # verts[t] is the vertex where step circuit[t] starts
+    verts: List[int] = []
+    w = 1 if v == 0 else 0  # the circuit starts at the lowest vertex of G - v
+    for f in circuit:
+        verts.append(w)
+        w = G.other_end(f, w)
+    L = len(verts)  # n - 1, odd
+    out: List[EdgeSet] = []
+    for e_v in G.incidence[v]:
+        w = G.other_end(e_v, v)
+        p = verts.index(w)
+        # unique matching of the path C - w: steps p+1, p+3, ..., p+L-2
+        chosen = [e_v] + [circuit[(p + t) % L] for t in range(1, L - 1, 2)]
+        out.append(G.edge_set(chosen))
+    return out
+
+
 def test_matchings_from_circuit(petersen, j5):
     """Every vertex of the hypohamiltonian Petersen graph and J5, and of
     seeded configuration-model multigraphs (parallel edges included)."""
@@ -265,7 +293,7 @@ def test_matchings_from_circuit(petersen, j5):
     found = parallel_used = 0
     for G in graphs:
         for v in range(G.n):
-            circuit = hamiltonian_circuit_avoiding(G, v)
+            circuit = _hamiltonian_circuit(G, v)
             factors = matchings_from_circuit_avoiding(G, v)
             assert (circuit is None) == (factors is None), (G.edges, v)
             if circuit is None:

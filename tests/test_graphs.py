@@ -7,7 +7,7 @@ import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from factorcover.cores import build_core
+from factorcover.cores import build_core, classify_core, verify_core_theorems
 from factorcover.graphs import (
     MAX_EDGES,
     CubicGraph,
@@ -16,8 +16,6 @@ from factorcover.graphs import (
     GraphTooLargeError,
     NotCubicError,
     _bfs,
-    _bridges,
-    _components,
     _cycle_labels,
     _girth,
     _hamiltonian_circuit,
@@ -42,6 +40,7 @@ from factorcover.matching import enumerate_perfect_matchings
 from conftest import (
     K4_EDGES,
     PETERSEN_EDGES,
+    components,
     prism_edges,
     random_connected_cubic_multigraph,
 )
@@ -282,15 +281,16 @@ def check_bfs(G: CubicGraph, H: nx.MultiGraph, mask: int, roots,
 
 
 def test_masked_queries_against_networkx(corpus):
-    """_girth, _components, _two_coloring and _bfs on seeded random edge
-    subsets of corpus graphs and configuration-model multigraphs."""
+    """_girth, _bfs, _cycle_labels (the bridges are the edges labelled 0)
+    and _two_coloring on seeded random edge subsets of corpus graphs and
+    configuration-model multigraphs."""
     rng = random.Random(2013)
     graphs = [G for _, G in rng.sample(corpus, 50)]
     for _ in range(50):
         n = rng.choice(range(2, 13, 2))
         graphs.append(random_connected_cubic_multigraph(rng, n))
     seen = {"subsets": 0, "forest": 0, "parallel": 0, "odd": 0,
-            "bipartite": 0}
+            "bipartite": 0, "bridge": 0, "parallel_reached": 0}
     for G in graphs:
         full = G.all_edges().bits
         masks = [0, full] + [
@@ -308,14 +308,27 @@ def test_masked_queries_against_networkx(corpus):
                      else rng.sample(range(G.n), rng.randint(0, G.n)))
             comps = [c for c in nx.connected_components(H) if c & set(roots)]
             comps.sort(key=lambda c: min(c & set(roots)))
-            assert _components(G, mask, roots) == [sorted(c) for c in comps]
+            assert components(G, mask, roots) == [sorted(c) for c in comps]
             check_bfs(G, H, mask, roots, comps)
+            reached = set().union(*comps)
+
+            order, parent_edge, depth, label = _cycle_labels(G, mask, roots)
+            assert (order, parent_edge, depth) == _bfs(G, mask, roots)
+            assert all((x >= 0) == (mask >> e & 1 and G.edges[e][0] in reached)
+                       for e, x in enumerate(label)), (G.edges, mask, roots)
+            # nx.bridges of a MultiGraph never holds a parallel pair, so
+            # each of its bridges is the pair of exactly one mask edge
+            nx_bridges = {frozenset(e) for e in nx.bridges(H)}
+            want_bridges = [f for f, (u, v) in enumerate(G.edges)
+                            if mask >> f & 1 and u in reached
+                            and frozenset((u, v)) in nx_bridges]
+            got_bridges = [e for e, x in enumerate(label) if x == 0]
+            assert got_bridges == want_bridges, (G.edges, mask, roots)
 
             bip = all(nx.is_bipartite(H.subgraph(c)) for c in comps)
-            coloring = _two_coloring(G, mask, roots)
+            coloring = _two_coloring(G, mask, depth)
             assert (coloring is not None) == bip, (G.edges, mask, roots)
             if coloring is not None:
-                reached = set().union(*comps)
                 assert all((coloring[v] >= 0) == (v in reached)
                            for v in range(G.n))
                 assert all(coloring[u] != coloring[v] for u, v in H.edges()
@@ -325,6 +338,10 @@ def test_masked_queries_against_networkx(corpus):
             seen["parallel"] += parallel
             seen["odd"] += comps != [] and not bip
             seen["bipartite"] += comps != [] and bip
+            seen["bridge"] += bool(want_bridges)
+            seen["parallel_reached"] += any(
+                H.number_of_edges(u, v) > 1 for u, v in H.edges()
+                if u in reached)
     assert seen["subsets"] >= 500 and all(seen.values()), seen
 
 
@@ -431,6 +448,128 @@ def test_levels_against_per_edge_count(case, top):
 
 
 # ---------------------------------------------------------------------------
+# bridges from cycle labels (oracle: the Tarjan DFS they replaced)
+# ---------------------------------------------------------------------------
+
+
+def tarjan_bridges_oracle(G: CubicGraph, mask: int, roots):
+    """Bridges of the subgraph with edge set mask.
+
+    Iterative Tarjan DFS from each unvisited vertex of roots, skipping the
+    tree in-edge by index, so a parallel pair never counts as a bridge.
+    Returns the sorted bridges of the part that was reached and the number
+    of vertices reached.
+    """
+    edges, incidence = G.edges, G.incidence
+    disc = [-1] * G.n
+    low = [0] * G.n
+    out = []
+    timer = 0
+    for root in roots:
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(incidence[root]))]
+        while stack:
+            v, in_edge, it = stack[-1]
+            for f in it:
+                if f == in_edge or not mask >> f & 1:
+                    continue
+                a, b = edges[f]
+                w = b if v == a else a
+                if disc[w] >= 0:
+                    if disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, f, iter(incidence[w])))
+                    break
+            else:
+                stack.pop()
+                if in_edge >= 0:
+                    parent = stack[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if low[v] > disc[parent]:
+                        out.append(in_edge)
+    out.sort()
+    return out, timer
+
+
+def assert_label_bridges(G: CubicGraph, mask: int, roots, name):
+    """The edges labelled 0 are the bridges of the reached part, and the
+    forest reaches the vertices the DFS does."""
+    order, _, _, label = _cycle_labels(G, mask, roots)
+    got = [e for e, x in enumerate(label) if x == 0]
+    assert (got, len(order)) == tarjan_bridges_oracle(G, mask, roots), name
+    return got
+
+
+def test_label_bridges_match_tarjan_on_corpus_and_cores(corpus, corpus_pms):
+    """All corpus graphs and four seeded PM-triple cores of each, where
+    classify_core and verify_core_theorems read the same bridges."""
+    assert len(corpus) == 590
+    rng = random.Random(1973)
+    cores = 0
+    for name, G in corpus:
+        assert_label_bridges(G, G.all_edges().bits, range(G.n), name)
+        assert bridges(G).indices() == tarjan_bridges_oracle(
+            G, G.all_edges().bits, range(G.n))[0], name
+        pms = corpus_pms[name]
+        triples = list(itertools.combinations(range(len(pms)), 3))
+        for i, j, l in triples[:1] + rng.sample(triples, min(len(triples), 4)):
+            core = build_core(G, pms[i], pms[j], pms[l])
+            mask = core.edge_indices.bits
+            want = tarjan_bridges_oracle(G, mask, core.vertices)[0]
+            assert_label_bridges(G, mask, core.vertices, (name, i, j, l))
+            cls = classify_core(core)
+            assert cls.is_bridgeless == (not want), (name, i, j, l)
+            assert [list(c.vertices) for c in cls.components] == components(
+                G, mask, core.vertices), (name, i, j, l)
+            for check in verify_core_theorems(core, cls):
+                if check["name"] == "bipartite_implies_bridgeless":
+                    assert check["measured"]["bridges"] == want
+            cores += 1
+    assert cores > 2000
+
+
+def test_label_bridges_match_tarjan_on_flower_snarks():
+    for t in range(5, 15, 2):
+        J = flower_snark(t)
+        assert_label_bridges(J, J.all_edges().bits, range(J.n), t)
+        pms = enumerate_perfect_matchings(J)
+        rng = random.Random(t)
+        for _ in range(20):
+            i, j, l = sorted(rng.sample(range(len(pms)), 3))
+            core = build_core(J, pms[i], pms[j], pms[l])
+            assert_label_bridges(J, core.edge_indices.bits, core.vertices,
+                                 (t, i, j, l))
+
+
+def test_label_bridges_match_tarjan_on_random_multigraph_masks():
+    rng = random.Random(1974)
+    seen = {"parallel": 0, "forest": 0, "disconnected": 0, "bridge": 0}
+    for trial in range(400):
+        G = random_connected_cubic_multigraph(rng, rng.choice(range(2, 31, 2)))
+        masks = [G.all_edges().bits] + [
+            sum(1 << f for f in range(G.m) if rng.random() < p)
+            for p in (0.3, 0.6, 0.8, 0.9)
+        ]
+        for mask in masks:
+            roots = (range(G.n) if rng.random() < 0.5
+                     else rng.sample(range(G.n), rng.randint(1, G.n)))
+            got = assert_label_bridges(G, mask, roots, (G.edges, mask))
+            kept = [G.edges[f] for f in range(G.m) if mask >> f & 1]
+            seen["parallel"] += len(set(map(frozenset, kept))) < len(kept)
+            seen["forest"] += _girth(G, mask) is None
+            seen["disconnected"] += len(components(G, mask, range(G.n))) > 1
+            seen["bridge"] += bool(got)
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
 # cycle-space labels (brute-force oracle: BFS after removing edges)
 # ---------------------------------------------------------------------------
 
@@ -466,11 +605,12 @@ def test_cycle_labels_find_the_small_cuts(corpus):
         for _ in range(300)]
     seen = {"bridge": 0, "two_cut": 0}
     for name, G in graphs:
-        label = _cycle_labels(G)
+        label = _cycle_labels(G, G.all_edges().bits, range(G.n))[3]
         for a, b, c in G.incidence:
             assert label[a] ^ label[b] ^ label[c] == 0, name
         zero = [e for e in range(G.m) if not label[e]]
-        assert zero == bridges(G).indices(), name
+        assert zero == tarjan_bridges_oracle(G, G.all_edges().bits,
+                                             range(G.n))[0], name
         for a, b in itertools.combinations(range(G.m), 2):
             if label[a] and label[b]:
                 two_cut = disconnects(G, (a, b))
@@ -537,7 +677,7 @@ def triple_scan_oracle(G: CubicGraph):
     order, whose removal leaves a component of 2..n-2 vertices."""
     for a, b, c in itertools.combinations(range(G.m), 3):
         kept = G.all_edges().bits ^ (1 << a | 1 << b | 1 << c)
-        comps = _components(G, kept, range(G.n))
+        comps = components(G, kept, range(G.n))
         if any(2 <= len(comp) <= G.n - 2 for comp in comps):
             return True, (a, b, c)
     return False, None
@@ -545,7 +685,7 @@ def triple_scan_oracle(G: CubicGraph):
 
 def tarjan_pair_oracle(G: CubicGraph):
     """The O(m^3) search that the label lookup replaced: for each edge
-    pair a < b, one Tarjan DFS (_bridges) over G - {a, b}.  When it reaches
+    pair a < b, one Tarjan DFS (tarjan_bridges_oracle) over G - {a, b}.  When it reaches
     all n vertices, {a, b, c} is a cut exactly when c is a bridge of
     G - {a, b}, and the cut is trivial exactly when {a, b, c} is the edge
     set of one vertex.  When it does not, {a, b} is a 2-edge cut and each
@@ -556,14 +696,14 @@ def tarjan_pair_oracle(G: CubicGraph):
     for a in range(m):
         for b in range(a + 1, m - 1):
             kept = full ^ (1 << a | 1 << b)
-            cut, reached = _bridges(G, kept, (0,))
+            cut, reached = tarjan_bridges_oracle(G, kept, (0,))
             if reached == n:
                 for c in cut:
                     if c > b and (a, b, c) not in stars:
                         return True, (a, b, c)
                 continue
             for c in range(b + 1, m):
-                comps = _components(G, kept ^ (1 << c), range(n))
+                comps = components(G, kept ^ (1 << c), range(n))
                 if any(2 <= len(comp) <= n - 2 for comp in comps):
                     return True, (a, b, c)
     return False, None

@@ -150,13 +150,15 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         print("error: flower snark parameter must be odd and >= 5",
               file=sys.stderr)
         return 2
+    # built first, so that a graph over the edge capacity leaves no file
+    text = f"# flower_snark_J{args.t}\n" + to_mgf(flower_snark(args.t))
     try:
         out = _open_out(args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with out as fh:
-        fh.write(f"# flower_snark_J{args.t}\n" + to_mgf(flower_snark(args.t)))
+        fh.write(text)
     return 0
 
 

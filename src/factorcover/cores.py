@@ -301,7 +301,10 @@ def verify_core_theorems(
         colorable, _ = is_three_edge_colorable(G)
         check("k_lt_3_implies_3_edge_colorable", colorable, {"k": k})
     if classification.is_bipartite:
-        label = _cycle_labels(G, core.edge_indices.bits, core.vertices)[3]
+        bridges: List[int] = []
+        if not classification.is_bridgeless:
+            label = _cycle_labels(G, core.edge_indices.bits, core.vertices)[3]
+            bridges = [e for e, x in enumerate(label) if x == 0]
         check("bipartite_implies_bridgeless", classification.is_bridgeless,
-              {"bridges": [e for e, x in enumerate(label) if x == 0]})
+              {"bridges": bridges})
     return results

@@ -265,6 +265,13 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
     ceil(4m/3).  The incumbent is replaced only on a strict improvement, so
     the pruning never changes the returned cover.
 
+    Each node branches on its lowest uncovered edge, over the members
+    through it in order of (|v & covered|, bits).  The last two slots are
+    scored without recursion: the last member must contain every edge
+    still uncovered, so the best one is the first superset in the members
+    through one of those edges presorted by (length, bits), and that scan
+    stops at the first member too long to beat the incumbent.
+
     Exact, deterministic; raises DimensionCapExceededError when the cycle
     space dimension m - n + (#components) exceeds dim_cap, and
     CoverConstructionError when no such cover exists.
@@ -294,46 +301,66 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
         for i in range(m):
             if (v >> i) & 1:
                 by_edge[i].append(v)
+    # the members through each edge by (length, bits); by_edge is in bits
+    # order and the sort is stable
+    by_short = [sorted(vs, key=lengths.__getitem__) for vs in by_edge]
     root_bound = (4 * m + 2) // 3
-    best_len: Optional[int] = None
+    # longer than any cover by SCC_MAX_CYCLES cycles, so no cover is pruned
+    best_len = SCC_MAX_CYCLES * m + 1
     best_choice: Optional[Tuple[int, ...]] = None
     choice: List[int] = []
 
     def rec(covered: int, twice: int, length: int, slots: int) -> None:
         nonlocal best_len, best_choice
         if covered == full:
-            if best_len is None or length < best_len:
+            if length < best_len:
                 best_len = length
                 best_choice = tuple(choice)
             return
-        if slots == 0:
-            return
         uncovered = full & ~covered
-        if best_len is not None:
-            bound = length + uncovered.bit_count()
-            if bound >= best_len:
-                return
-            lonely = sum(1 for star in G.stars if not star & twice)
-            if bound + (lonely + 1) // 2 >= best_len:
-                return
+        bound = length + uncovered.bit_count()
+        if bound >= best_len:
+            return
+        lonely = sum(1 for star in G.stars if not star & twice)
+        if bound + (lonely + 1) // 2 >= best_len:
+            return
         # branching on the lowest uncovered edge makes every cover set
-        # reachable in exactly one order, so no dedup is needed
+        # reachable in exactly one order, so no dedup is needed; low
+        # overshoot |v & covered| first, to find good incumbents early
         pivot = (uncovered & -uncovered).bit_length() - 1
-        # try low-overshoot members first, to find good incumbents early
-        ordered = sorted(
-            by_edge[pivot],
-            key=lambda v: (lengths[v] - (v & uncovered).bit_count(), v),
-        )
+        ordered = sorted(by_edge[pivot],
+                         key=lambda v: (v & covered).bit_count() << m | v)
+        if slots > 2:
+            for v in ordered:
+                choice.append(v)
+                rec(covered | v, twice | covered & v, length + lengths[v],
+                    slots - 1)
+                choice.pop()
+                if best_len == root_bound:  # no cover is shorter
+                    return
+            return
+        # two slots left: the last member w must contain rest, and the
+        # first such w by (length, bits) is the child's best completion
         for v in ordered:
-            choice.append(v)
-            rec(covered | v, twice | covered & v, length + lengths[v],
-                slots - 1)
-            choice.pop()
-            if best_len == root_bound:  # no cover is shorter
+            total = length + lengths[v]
+            rest = uncovered & ~v
+            if total + rest.bit_count() >= best_len:  # the child's bound
+                continue
+            if not rest:
+                best_len, best_choice = total, (*choice, v)
+            else:
+                for w in by_short[(rest & -rest).bit_length() - 1]:
+                    if total + lengths[w] >= best_len:
+                        break
+                    if not rest & ~w:
+                        best_len = total + lengths[w]
+                        best_choice = (*choice, v, w)
+                        break
+            if best_len == root_bound:
                 return
 
     rec(0, 0, 0, SCC_MAX_CYCLES)
-    if best_len is None:
+    if best_choice is None:
         raise CoverConstructionError("graph has no cycle cover")
     cover = verify_cover(G, [EdgeSet(m, bits) for bits in best_choice])
     assert cover.valid and cover.length == best_len

@@ -42,9 +42,9 @@ from factorcover.matching import (
 from conftest import PETERSEN_EDGES, components, corpus_path
 
 # Exhaustive shortest-cover search is feasible on this hardware up to this
-# cycle space dimension (under 0.1 s per graph at the cap; the 480 graphs of
-# dimension 8 would add about 23 s of search, slowest 0.8 s).
-SCC_FEASIBLE_DIM = 7
+# cycle space dimension (the 480 graphs of dimension 8 take about 5 s of
+# search, slowest 0.4 s); of the corpus only J5 and J7 lie above it.
+SCC_FEASIBLE_DIM = 8
 
 
 @contextmanager
@@ -213,7 +213,7 @@ def test_criterion_09_constructions_vs_oracle(corpus, corpus_pms):
                 four = four_cover_cycles(G, *witness.factors)
                 assert four.valid and four.length >= best, name
             checked += 1
-        assert checked >= 100
+        assert checked >= 580
         assert time.monotonic() - t0 < 15.0
 
 

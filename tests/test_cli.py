@@ -466,6 +466,15 @@ def test_gen_rejects_bad_parameter(capsys):
     assert main(["gen", "flower", "3"]) == 2
 
 
+def test_gen_over_capacity_leaves_no_file(tmp_path, capsys):
+    out = tmp_path / "j33.mgf"
+    assert main(["gen", "flower", "33", "--out", str(out)]) == 2
+    assert "exceeds capacity 192" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["gen", "flower", "31", "--out", str(out)]) == 0
+    assert parse_edge_list(out.read_text()).m == 186
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -12,6 +13,8 @@ from factorcover.cores import (
 )
 from factorcover.graphs import girth
 from factorcover.matching import enumerate_perfect_matchings, trace_circuits
+
+from conftest import components
 
 
 def sample_triples(pms, count, seed):
@@ -54,6 +57,41 @@ def test_core_invariants_hold_on_random_triples(corpus, corpus_pms):
             core = build_core(G, pms[i], pms[j], pms[l])
             for check in verify_core_theorems(core, classify_core(core)):
                 assert check["passed"], (name, (i, j, l), check)
+
+
+def bipartite_check(core, classification):
+    (check,) = [c for c in verify_core_theorems(core, classification)
+                if c["name"] == "bipartite_implies_bridgeless"]
+    return check
+
+
+def test_bipartite_check_reports_the_bridges(corpus, corpus_pms):
+    """A classification that says bipartite but not bridgeless gets the
+    core's bridges in the failed check; a bridgeless one gets none."""
+    reported = 0
+    for name, G in corpus[:40]:
+        pms = corpus_pms[name]
+        for triple in itertools.combinations(pms, 3):
+            core = build_core(G, *triple)
+            classification = classify_core(core)
+            if classification.is_bridgeless:
+                continue
+            mask = core.edge_indices.bits
+            count = len(components(G, mask, core.vertices))
+            bridges = [e for e in core.edge_indices
+                       if len(components(G, mask & ~(1 << e),
+                                         core.vertices)) > count]
+            assert bridges
+            check = bipartite_check(core, dataclasses.replace(
+                classification, is_bipartite=True))
+            assert not check["passed"]
+            assert check["measured"] == {"bridges": bridges}, name
+            check = bipartite_check(core, dataclasses.replace(
+                classification, is_bipartite=True, is_bridgeless=True))
+            assert check["passed"] and check["measured"] == {"bridges": []}
+            reported += 1
+            break
+    assert reported >= 3
 
 
 def test_petersen_core_is_one_even_six_circuit(petersen):

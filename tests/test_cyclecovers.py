@@ -329,10 +329,9 @@ def test_scc_equals_4m_over_3_on_colorable(corpus):
     assert checked >= 100
 
 
-def scc_unpruned_oracle(G: CubicGraph) -> Tuple[int, ...]:
-    """The cycles (as bitmasks) of scc_exact's search with no bound but
-    length + |uncovered| and no early stop: same members, same candidate
-    order, incumbent replaced only on a strict improvement."""
+def cycle_space_members(G: CubicGraph) -> Tuple[int, List[List[int]]]:
+    """E(G) as a bitmask and, per edge, the nonzero cycle-space members
+    through it in bits order, as scc_exact enumerates them."""
     m = G.m
     basis = cycle_space_basis(G)
     dim = len(basis)
@@ -352,6 +351,14 @@ def scc_unpruned_oracle(G: CubicGraph) -> Tuple[int, ...]:
         for i in range(m):
             if (v >> i) & 1:
                 by_edge[i].append(v)
+    return full, by_edge
+
+
+def scc_unpruned_oracle(G: CubicGraph) -> Tuple[int, ...]:
+    """The cycles (as bitmasks) of scc_exact's search with no bound but
+    length + |uncovered| and no early stop: same members, same candidate
+    order, incumbent replaced only on a strict improvement."""
+    full, by_edge = cycle_space_members(G)
     best_len: Optional[int] = None
     best_choice: Tuple[int, ...] = ()
     choice: List[int] = []
@@ -384,8 +391,55 @@ def scc_unpruned_oracle(G: CubicGraph) -> Tuple[int, ...]:
     return best_choice
 
 
-def scc_bits(G: CubicGraph) -> Tuple[int, ...]:
-    return tuple(c.bits for c in scc_exact(G, dim_cap=7).cycles)
+def scc_recursive_oracle(G: CubicGraph) -> Tuple[int, ...]:
+    """The cycles (as bitmasks) of scc_exact's search with one recursive
+    call per node down to the leaves, with the vertex-excess prune, the
+    4m/3 stop and the tuple sort key."""
+    full, by_edge = cycle_space_members(G)
+    m = G.m
+    root_bound = (4 * m + 2) // 3
+    best_len: Optional[int] = None
+    best_choice: Tuple[int, ...] = ()
+    choice: List[int] = []
+
+    def rec(covered: int, twice: int, length: int, slots: int) -> None:
+        nonlocal best_len, best_choice
+        if covered == full:
+            if best_len is None or length < best_len:
+                best_len = length
+                best_choice = tuple(choice)
+            return
+        if slots == 0:
+            return
+        uncovered = full & ~covered
+        if best_len is not None:
+            bound = length + uncovered.bit_count()
+            if bound >= best_len:
+                return
+            lonely = sum(1 for star in G.stars if not star & twice)
+            if bound + (lonely + 1) // 2 >= best_len:
+                return
+        pivot = (uncovered & -uncovered).bit_length() - 1
+        ordered = sorted(
+            by_edge[pivot],
+            key=lambda v: (v.bit_count() - (v & uncovered).bit_count(), v),
+        )
+        for v in ordered:
+            choice.append(v)
+            rec(covered | v, twice | covered & v, length + v.bit_count(),
+                slots - 1)
+            choice.pop()
+            if best_len == root_bound:
+                return
+
+    rec(0, 0, 0, 4)
+    if best_len is None:
+        raise CoverConstructionError("graph has no cycle cover")
+    return best_choice
+
+
+def scc_bits(G: CubicGraph, dim_cap: int = 7) -> Tuple[int, ...]:
+    return tuple(c.bits for c in scc_exact(G, dim_cap=dim_cap).cycles)
 
 
 def test_scc_prune_keeps_the_witness_on_corpus(corpus):
@@ -405,14 +459,26 @@ def test_scc_prune_keeps_the_witness_on_multigraphs():
     for _ in range(200):
         G = random_connected_cubic_multigraph(rng, rng.choice((2, 4, 6, 8, 10)))
         if is_bridgeless(G):
-            assert scc_bits(G) == scc_unpruned_oracle(G), G.edges
+            bits = scc_bits(G)
+            assert bits == scc_unpruned_oracle(G), G.edges
+            assert bits == scc_recursive_oracle(G), G.edges
             continue
         bridged += 1
-        with pytest.raises(CoverConstructionError):
-            scc_exact(G)
-        with pytest.raises(CoverConstructionError):
-            scc_unpruned_oracle(G)
+        for search in (scc_exact, scc_unpruned_oracle, scc_recursive_oracle):
+            with pytest.raises(CoverConstructionError):
+                search(G)
     assert 10 <= bridged <= 190
+
+
+def test_scc_last_slots_keep_the_witness_on_corpus(corpus, j5):
+    """The flat last two slots return the very cycles of the recursive
+    search: every graph of dimension <= 7, 40 of dimension 8, and J5."""
+    dim7 = [G for _, G in corpus if G.m - G.n + 1 <= 7]
+    dim8 = [G for _, G in corpus if G.m - G.n + 1 == 8]
+    assert len(dim7) >= 100
+    for G in dim7 + random.Random(71).sample(dim8, 40):
+        assert scc_bits(G, dim_cap=8) == scc_recursive_oracle(G), G
+    assert scc_bits(j5, dim_cap=11) == scc_recursive_oracle(j5)
 
 
 def test_scc_flower_snark_j5(j5):

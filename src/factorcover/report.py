@@ -13,7 +13,7 @@ import json
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import (
@@ -92,7 +92,6 @@ class AnalyzeOptions:
     ops: Tuple[str, ...] = DEFAULT_OPS
     mu_upto: int = 4
     pm_cap: int = DEFAULT_PM_CAP
-    budget_ms: Optional[int] = None
     scc_dim_cap: int = 10
     timings: bool = False
 
@@ -106,12 +105,6 @@ class AnalyzeOptions:
             raise ValueError("pm_cap must be at least 1")
         if self.scc_dim_cap < 0:
             raise ValueError("scc_dim_cap must be at least 0")
-        if self.budget_ms is not None and self.budget_ms < 0:
-            raise ValueError("budget_ms must be at least 0")
-
-    def with_ops(self, *extra: str) -> "AnalyzeOptions":
-        ops = self.ops + tuple(o for o in extra if o not in self.ops)
-        return replace(self, ops=ops)
 
 
 @dataclass
@@ -197,33 +190,17 @@ def _component_dicts(cls: CoreClassification) -> List[dict]:
              "edges": c.edges.indices()} for c in cls.components]
 
 
-class _Budget:
-    def __init__(self, budget_ms: Optional[int]):
-        self.deadline = (
-            time.monotonic() + budget_ms / 1000.0
-            if budget_ms is not None
-            else None
-        )
-
-    def expired(self) -> bool:
-        return self.deadline is not None and time.monotonic() > self.deadline
-
-
 def analyze(
     G: CubicGraph, options: AnalyzeOptions = AnalyzeOptions(), id: str = "g0"
 ) -> GraphReport:
     """Compute every requested field of the report; never raises for
-    per-field caps or budget overruns, which are recorded in errors."""
+    the pm_cap and scc_dim_cap limits, which are recorded in errors."""
     ops = set(options.ops)
     report = GraphReport(id=id, n=G.n, m=G.m)
     report.skipped = [op for op in ALL_OPS if op not in ops]
-    budget = _Budget(options.budget_ms)
     timings: Dict[str, float] = {}
 
     def run(name: str, fn) -> bool:
-        if budget.expired():
-            report.errors[name] = "timeout"
-            return False
         t0 = time.monotonic()
         try:
             fn()
@@ -591,7 +568,8 @@ def read_corpus(path: str, fmt: str = "mgf") -> List[Tuple[str, str]]:
 
     MGF: blocks separated by blank (empty or whitespace-only) lines, named
     by their first '#' comment, else mgf_<i> for the i-th block.
-    graph6: one graph per non-blank line.
+    graph6: one graph per non-blank line, named g6_<i>.  An id shared by
+    two entries raises ValueError, since reports name their graph by id.
     """
     with open(path) as fh:
         raw = fh.read()
@@ -612,6 +590,11 @@ def read_corpus(path: str, fmt: str = "mgf") -> List[Tuple[str, str]]:
                 entries.append((f"g6_{i}", line.strip()))
     else:
         raise ValueError(f"unknown format {fmt!r}")
+    seen = set()
+    for name, _ in entries:
+        if name in seen:
+            raise ValueError(f"duplicate id {name!r} in corpus")
+        seen.add(name)
     return entries
 
 
@@ -638,20 +621,14 @@ def scan(
     yielding one report dict per entry, then a summary dict.
 
     A missing corpus file raises OSError, and an id shared by two entries
-    or a worker count below 1 raises ValueError, here, before any entry is
-    analyzed.  Output order
-    equals input order for any worker count; per-entry parse errors and
-    graphs over the edge capacity become {"id", "error"} records and are
-    counted in the summary.
+    (read_corpus) or a worker count below 1 raises ValueError, here, before
+    any entry is analyzed.  Output order equals input order for any worker
+    count; per-entry parse errors and graphs over the edge capacity become
+    {"id", "error"} records and are counted in the summary.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     entries = read_corpus(corpus_path, fmt)
-    seen = set()
-    for name, _ in entries:
-        if name in seen:
-            raise ValueError(f"duplicate id {name!r} in corpus")
-        seen.add(name)
     items = [(name, text, fmt, options) for name, text in entries]
     return _with_summary(_scan_items(items, workers))
 
@@ -672,7 +649,7 @@ class ScanTally:
     """
 
     def __init__(self) -> None:
-        self.graphs = self.parse_errors = self.violations = self.timeouts = 0
+        self.graphs = self.parse_errors = self.violations = 0
         self.fr_found = self.fr_checked = self.fu_found = self.fu_checked = 0
         self.violating: List[str] = []
 
@@ -685,8 +662,6 @@ class ScanTally:
         if data["violations"]:
             self.violations += len(data["violations"])
             self.violating.append(data["id"])
-        self.timeouts += sum(1 for v in data["errors"].values()
-                             if v == "timeout")
         for check in data["checks"]:
             if check["name"] == "fan_raspaud_exists":
                 self.fr_checked += 1
@@ -702,7 +677,6 @@ class ScanTally:
                 "parse_errors": self.parse_errors,
                 "violations": self.violations,
                 "violating_graphs": self.violating,
-                "timeouts": self.timeouts,
                 "fan_raspaud_found": [self.fr_found, self.fr_checked],
                 "fulkerson_found": [self.fu_found, self.fu_checked],
             }

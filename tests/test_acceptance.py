@@ -229,4 +229,4 @@ def test_criterion_10_scan_determinism(tmp_path):
         # the default-scan JSONL changes only with an intentional schema or
         # witness change, which must update this digest
         assert hashlib.sha256(outs[0]).hexdigest() == (
-            "2b3f23d2984afab6552ae920517dbef0b4e126946eebd245f4a0b762affa0575")
+            "ab147fe26bb0086681181cf6da52c3fde396c614b86dd11d77a7f3e043cc18f8")

@@ -13,6 +13,7 @@ from factorcover.cores import build_core, classify_core
 from factorcover.graphs import parse_edge_list, to_mgf
 from factorcover.report import (
     ALL_OPS,
+    DEFAULT_OPS,
     AnalyzeOptions,
     ReportAuditError,
     analyze,
@@ -61,6 +62,10 @@ MINI_MGF = """\
 
 
 THETA_MGF = "# theta\n2 3\n0 1\n0 1\n0 1\n"
+
+# the default ops plus the Fulkerson search
+FULKERSON_OPS = DEFAULT_OPS + ("fulkerson",)
+FULKERSON_ARGS = ["--ops", ",".join(FULKERSON_OPS)]
 
 # two K4-minus-an-edge pieces joined by the bridge 4-9
 BRIDGED_MGF = """\
@@ -112,7 +117,7 @@ def test_analyze_writes_one_report(mini_corpus, tmp_path, capsys):
 
 def test_analyze_stdout_and_flags(mini_corpus, capsys):
     assert main(["analyze", mini_corpus, "--mu-upto", "5",
-                 "--fulkerson"]) == 0
+                 *FULKERSON_ARGS]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["mu"]["5"] == 0
     assert report["fulkerson"] is not None
@@ -178,13 +183,17 @@ def test_scc_dim_cap_below_0_exits_2(mini_corpus, tmp_path, capsys):
                                        "scc_dim_cap must be at least 0")
 
 
-def test_budget_ms_below_0_exits_2(mini_corpus, tmp_path, capsys):
-    AnalyzeOptions(budget_ms=0)  # a zero budget times out every field
-    with pytest.raises(ValueError):
-        AnalyzeOptions(budget_ms=-1)
-    check_rejected_by_scan_and_analyze(mini_corpus, tmp_path, capsys,
-                                       "--budget-ms", "-1",
-                                       "budget_ms must be at least 0")
+@pytest.mark.parametrize("args", [["--budget-ms", "0"], ["--scc"],
+                                  ["--scc", "3"], ["--fulkerson"]])
+def test_removed_flags_exit_2(args, mini_corpus, tmp_path, capsys):
+    """The work is chosen by --ops alone, no wall-clock limit exists, and
+    --scc is not taken as an abbreviation of --scc-dim-cap."""
+    out = tmp_path / "r.jsonl"
+    for command in ("scan", "analyze"):
+        capsys.readouterr()
+        assert main([command, mini_corpus, *args, "--out", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +324,7 @@ def test_all_ops_scan_digest(tmp_path):
     assert main(["scan", str(corpus), "--ops", ",".join(ALL_OPS),
                  "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-        "dd261be7442545948ee532d448b4a7048ab33c911a6001f0a5ffd9168a041360")
+        "506cd5337b3cb8dbe278220579a5b3301e4dddeaeecc4d418698542da24c5eaa")
 
 
 def test_scan_rejects_duplicate_ids_exits_2(tmp_path, capsys):
@@ -363,17 +372,6 @@ def test_scan_records_oversize_graph_and_continues(tmp_path):
     assert lines[1]["error"].startswith("GraphTooLargeError")
     summary = lines[-1]["summary"]
     assert summary["graphs"] == 1 and summary["parse_errors"] == 1
-
-
-def test_scan_budget_records_timeouts(tmp_path):
-    j5 = tmp_path / "j5.mgf"
-    main(["gen", "flower", "5", "--out", str(j5)])
-    out = tmp_path / "out.jsonl"
-    main(["scan", str(j5), "--budget-ms", "0", "--out", str(out)])
-    lines = read_jsonl(out)
-    assert lines[0]["errors"]  # every field timed out
-    assert all(v == "timeout" for v in lines[0]["errors"].values())
-    assert lines[-1]["summary"]["timeouts"] >= 1
 
 
 def test_scan_streams_reports_before_a_crash(tmp_path, monkeypatch):
@@ -461,9 +459,14 @@ def test_gen_flower_round_trips(tmp_path):
     assert (G.n, G.m) == (20, 30)
 
 
-def test_gen_rejects_bad_parameter(capsys):
-    assert main(["gen", "flower", "4"]) == 2
-    assert main(["gen", "flower", "3"]) == 2
+def test_gen_rejects_bad_parameter(tmp_path, capsys):
+    out = tmp_path / "j.mgf"
+    for t in ("4", "3"):
+        capsys.readouterr()
+        assert main(["gen", "flower", t]) == 2
+        assert main(["gen", "flower", t, "--out", str(out)]) == 2
+        assert "odd t >= 5" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_gen_over_capacity_leaves_no_file(tmp_path, capsys):
@@ -482,7 +485,7 @@ def test_gen_over_capacity_leaves_no_file(tmp_path, capsys):
 
 def test_verify_round_trip(mini_corpus, tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
-    main(["scan", mini_corpus, "--fulkerson", "--out", str(out)])
+    main(["scan", mini_corpus, *FULKERSON_ARGS, "--out", str(out)])
     assert main(["verify", str(out), mini_corpus]) == 0
 
 
@@ -500,12 +503,13 @@ def test_verify_detects_tampering(mini_corpus, tmp_path, capsys):
 
 @pytest.fixture
 def summary_scan(tmp_path):
-    """A --fulkerson scan of the mini corpus plus an unparsable block, as
+    """A Fulkerson scan of the mini corpus plus an unparsable block, as
     (corpus path, report records, summary record)."""
     corpus = tmp_path / "mixed.mgf"
     corpus.write_text(MINI_MGF + "\n# bad\n4 pear\n")
     out = tmp_path / "scan.jsonl"
-    assert main(["scan", str(corpus), "--fulkerson", "--out", str(out)]) == 0
+    assert main(["scan", str(corpus), *FULKERSON_ARGS,
+                 "--out", str(out)]) == 0
     *records, summary = read_jsonl(out)
     assert summary["summary"]["parse_errors"] == 1
     return str(corpus), records, summary
@@ -525,7 +529,6 @@ SUMMARY_TAMPERINGS = {
     "parse_errors": lambda s: s.update(parse_errors=0),
     "violations": lambda s: s.update(violations=1),
     "violating_graphs": lambda s: s["violating_graphs"].append("K4"),
-    "timeouts": lambda s: s.update(timeouts=1),
     "fan_raspaud_found": lambda s: s["fan_raspaud_found"].__setitem__(0, 2),
     "fulkerson_found": lambda s: s["fulkerson_found"].__setitem__(1, 4),
     "extra_key": lambda s: s.update(extra=0),
@@ -589,11 +592,23 @@ def test_verify_fails_duplicate_ids(tmp_path, capsys):
     out = tmp_path / "scan.jsonl"
     out.write_text("\n".join(reports) + "\n")
     capsys.readouterr()
-    assert main(["verify", str(out), str(corpus)]) == 1
+    assert main(["verify", str(out), str(corpus)]) == 2
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == [
-        "fail same: duplicate id in corpus"] * 2
-    assert "verified 0 reports, 2 failures" in captured.out
+    assert captured.err == "error: duplicate id 'same' in corpus\n"
+    assert "verified" not in captured.out
+    report = tmp_path / "analyze.jsonl"
+    assert main(["analyze", str(corpus), "--out", str(report)]) == 2
+    assert captured.err == capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_read_corpus_rejects_a_repeated_mgf_id(tmp_path):
+    path = tmp_path / "dup.mgf"
+    # the unnamed second block is mgf_1, like the name of the third
+    path.write_text(THETA_MGF + "\n2 3\n0 1\n0 1\n0 1\n\n"
+                    + THETA_MGF.replace("theta", "mgf_1"))
+    with pytest.raises(ValueError, match="^duplicate id 'mgf_1' in corpus$"):
+        read_corpus(str(path))
 
 
 def test_verify_fails_out_of_range_index_and_continues(mini_corpus, tmp_path,
@@ -814,13 +829,14 @@ AUDIT_GAPS = {
 
 @pytest.fixture(scope="module")
 def gap_scan(tmp_path_factory):
-    """A verified scan of three bundled graphs, with --fulkerson."""
+    """A verified scan of three bundled graphs, with the Fulkerson op."""
     entries = dict(read_corpus(corpus_path(), "mgf"))
     corpus = tmp_path_factory.mktemp("gaps") / "three.mgf"
     corpus.write_text("\n\n".join(
         entries[name] for name in ("K_2^3", "cubic_n4_0", "cubic_n6_0")))
     out = corpus.with_suffix(".jsonl")
-    assert main(["scan", str(corpus), "--fulkerson", "--out", str(out)]) == 0
+    assert main(["scan", str(corpus), *FULKERSON_ARGS,
+                 "--out", str(out)]) == 0
     assert main(["verify", str(out), str(corpus)]) == 0
     return corpus, out.read_text().splitlines()
 
@@ -891,7 +907,7 @@ def test_audit_rejects_any_one_edge_flip(data):
 
 def test_no_check_on_fields_whose_matchings_failed(petersen, tmp_path,
                                                    capsys):
-    options = AnalyzeOptions(pm_cap=1).with_ops("fulkerson")
+    options = AnalyzeOptions(ops=FULKERSON_OPS, pm_cap=1)
     data = analyze(petersen, options, id="petersen").to_dict()
     assert data["errors"] == {"matchings": "pm_cap_exceeded"}
     assert data["violations"] == []
@@ -899,7 +915,8 @@ def test_no_check_on_fields_whose_matchings_failed(petersen, tmp_path,
     assert not names & {"fan_raspaud_exists", "fulkerson_exists"}
     path = tmp_path / "petersen.mgf"
     path.write_text(to_mgf(petersen))
-    assert main(["analyze", str(path), "--pm-cap", "1", "--fulkerson"]) == 0
+    assert main(["analyze", str(path), "--pm-cap", "1",
+                 *FULKERSON_ARGS]) == 0
 
 
 def test_default_ops_skip_expensive_fields(petersen):

@@ -101,13 +101,17 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         entries = read_corpus(args.file, args.format)
         if not entries:
             raise GraphFormatError("no graph found in input")
-        G = parse_entry(entries[0][1], args.format)
+        if len(entries) > 1:
+            raise GraphFormatError(f"{len(entries)} graphs in input; "
+                                   "analyze takes one, use scan")
+        ((name, text),) = entries
+        G = parse_entry(text, args.format)
         out = _open_out(args.out)
     except (OSError, GraphFormatError, NotCubicError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with out as fh:
-        report = analyze(G, options, id=entries[0][0])
+        report = analyze(G, options, id=name)
         _emit(report_lines(iter([report.to_dict()])), fh)
     return 1 if report.violations else 0
 

@@ -16,13 +16,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
     CubicGraph,
-    EdgeSet,
     _cycle_labels,
     _girth,
     _levels,
     _two_coloring,
 )
-from .matching import is_perfect_matching, is_three_edge_colorable
+from .matching import (
+    is_perfect_matching,
+    is_three_edge_colorable,
+    trace_circuits,
+)
 
 
 class CoreInvariantError(AssertionError):
@@ -47,7 +50,7 @@ class CoreComponent:
 
     kind: str
     vertices: Tuple[int, ...]
-    edges: EdgeSet
+    edges: int
     h_vertices: Optional[Tuple[int, ...]] = None
     h_edges: Optional[Tuple[Tuple[int, int], ...]] = None
     h_edge_paths: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -56,20 +59,21 @@ class CoreComponent:
 
 @dataclass(frozen=True)
 class Core:
-    """The core of G with respect to three pairwise-distinct 1-factors."""
+    """The core of G with respect to three pairwise-distinct 1-factors;
+    every edge set is an int bitmask over G's edge indices."""
 
     graph: CubicGraph
-    factors: Tuple[EdgeSet, EdgeSet, EdgeSet]
-    M: EdgeSet  # edges in >= 2 factors
-    U: EdgeSet  # edges in no factor
-    T: EdgeSet  # edges in all three factors
+    factors: Tuple[int, int, int]
+    M: int  # edges in >= 2 factors
+    U: int  # edges in no factor
+    T: int  # edges in all three factors
     k: int  # |U|
     vertices: Tuple[int, ...]
-    edge_indices: EdgeSet  # M | U
+    edge_indices: int  # M | U
 
     @property
     def is_empty(self) -> bool:
-        return len(self.edge_indices) == 0
+        return not self.edge_indices
 
 
 @dataclass(frozen=True)
@@ -81,26 +85,22 @@ class CoreClassification:
     is_empty: bool
 
 
-def build_core(G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet) -> Core:
+def build_core(G: CubicGraph, M1: int, M2: int, M3: int) -> Core:
     for i, f in enumerate((M1, M2, M3)):
         if not is_perfect_matching(G, f):
             raise FactorError(f"factor {i + 1} is not a perfect matching of G")
     if M1 == M2 or M1 == M3 or M2 == M3:
         raise FactorError("factors must be pairwise distinct")
-    m = G.m
-    none, _, two, three = _levels(G.all_edges().bits,
-                                  [M1.bits, M2.bits, M3.bits])
-    M = EdgeSet(m, two | three)
-    U = EdgeSet(m, none)
-    sub = M | U
+    none, _, two, three = _levels((1 << G.m) - 1, [M1, M2, M3])
+    sub = none | two | three
     core = Core(
         graph=G,
         factors=(M1, M2, M3),
-        M=M,
-        U=U,
-        T=EdgeSet(m, three),
-        k=len(U),
-        vertices=tuple(v for v, star in enumerate(G.stars) if star & sub.bits),
+        M=two | three,
+        U=none,
+        T=three,
+        k=none.bit_count(),
+        vertices=tuple(v for v, star in enumerate(G.stars) if star & sub),
         edge_indices=sub,
     )
     _assert_core_invariants(core)
@@ -108,27 +108,28 @@ def build_core(G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet) -> Core:
 
 
 def _assert_core_invariants(core: Core) -> None:
-    k, t = core.k, len(core.T)
+    k, t = core.k, core.T.bit_count()
     if core.M & core.U:
         raise CoreInvariantError("M and U intersect")
-    if len(core.M) != k - t:
-        raise CoreInvariantError(f"|M| = {len(core.M)} != k - |T| = {k - t}")
+    if core.M.bit_count() != k - t:
+        raise CoreInvariantError(
+            f"|M| = {core.M.bit_count()} != k - |T| = {k - t}")
     if len(core.vertices) != 2 * k - 2 * t:
         raise CoreInvariantError(
             f"|V(G_c)| = {len(core.vertices)} != 2k - 2|T| = {2 * k - 2 * t}"
         )
-    if len(core.edge_indices) != 2 * k - t:
+    edges = core.edge_indices.bit_count()
+    if edges != 2 * k - t:
         raise CoreInvariantError(
-            f"|E(G_c)| = {len(core.edge_indices)} != 2k - |T| = {2 * k - t}"
-        )
+            f"|E(G_c)| = {edges} != 2k - |T| = {2 * k - t}")
     # M is a perfect matching of the core subgraph, and degrees are 2 or 3:
     # 3 exactly at endpoints of T-edges
     for v in core.vertices:
         star = core.graph.stars[v]
-        if (star & core.M.bits).bit_count() != 1:
+        if (star & core.M).bit_count() != 1:
             raise CoreInvariantError(f"M does not meet vertex {v} once")
-        deg = (star & core.edge_indices.bits).bit_count()
-        if deg != (3 if star & core.T.bits else 2):
+        deg = (star & core.edge_indices).bit_count()
+        if deg != (3 if star & core.T else 2):
             raise CoreInvariantError(f"vertex {v} has core degree {deg}")
 
 
@@ -145,7 +146,7 @@ def classify_core(core: Core) -> CoreClassification:
     the bridges.
     """
     G = core.graph
-    mask = core.edge_indices.bits
+    mask = core.edge_indices
     order, _, depth, label = _cycle_labels(G, mask, core.vertices)
     trees: List[List[int]] = []
     for v in order:
@@ -157,7 +158,7 @@ def classify_core(core: Core) -> CoreClassification:
         comp_bits = 0
         for v in comp_vertices:
             comp_bits |= G.stars[v]
-        comp_edges = EdgeSet(G.m, comp_bits & mask)
+        comp_edges = comp_bits & mask
         classify = (_classify_circuit
                     if all((G.stars[v] & mask).bit_count() == 2
                            for v in comp_vertices)
@@ -173,10 +174,8 @@ def classify_core(core: Core) -> CoreClassification:
 
 
 def _classify_circuit(
-    core: Core, comp_vertices: Sequence[int], edges: EdgeSet
+    core: Core, comp_vertices: Sequence[int], edges: int
 ) -> CoreComponent:
-    from .matching import trace_circuits
-
     circuits = trace_circuits(core.graph, edges)
     if len(circuits) != 1:
         raise CoreInvariantError("2-regular component is not a single circuit")
@@ -184,7 +183,7 @@ def _classify_circuit(
     if len(circ) % 2 != 0:
         raise CoreInvariantError("circuit component has odd length")
     # edges must alternate between M and U along the circuit
-    in_m = [i in core.M for i in circ]
+    in_m = [core.M >> i & 1 for i in circ]
     for a, b in zip(in_m, in_m[1:] + in_m[:1]):
         if a == b:
             raise CoreInvariantError("circuit does not alternate M/U")
@@ -194,11 +193,11 @@ def _classify_circuit(
 
 
 def _classify_subdivision(
-    core: Core, comp_vertices: Sequence[int], edges: EdgeSet
+    core: Core, comp_vertices: Sequence[int], edges: int
 ) -> CoreComponent:
     """Suppress bivalent vertices along maximal paths to obtain H."""
     G = core.graph
-    mask = core.edge_indices.bits
+    mask = core.edge_indices
     inc = {
         v: [f for f in G.incidence[v] if mask >> f & 1] for v in comp_vertices
     }
@@ -238,7 +237,7 @@ def _classify_subdivision(
     estar_h = tuple(
         i
         for i, path in enumerate(h_paths)
-        if len(path) == 1 and path[0] in core.T
+        if len(path) == 1 and core.T >> path[0] & 1
     )
     covered = set()
     for i in estar_h:
@@ -260,7 +259,7 @@ def _classify_subdivision(
     )
 
 
-def find_core(G: CubicGraph, pms: Sequence[EdgeSet]) -> Optional[Core]:
+def find_core(G: CubicGraph, pms: Sequence[int]) -> Optional[Core]:
     """First cyclic core over the triples of pms (the list from
     enumerate_perfect_matchings(G)) in lexicographic index order, or None."""
     for i, j, l in itertools.combinations(range(len(pms)), 3):
@@ -284,13 +283,14 @@ def verify_core_theorems(
     def check(name: str, passed: bool, measured: Dict[str, object]) -> None:
         results.append({"name": name, "passed": passed, "measured": measured})
 
-    k, t = core.k, len(core.T)
+    k, t = core.k, core.T.bit_count()
+    edges = core.edge_indices.bit_count()
     check("counting_identities",
-          len(core.M) == k - t
+          core.M.bit_count() == k - t
           and len(core.vertices) == 2 * k - 2 * t
-          and len(core.edge_indices) == 2 * k - t,
-          {"k": k, "t": t, "edges": len(core.edge_indices)})
-    g_c = _girth(G, core.edge_indices.bits)
+          and edges == 2 * k - t,
+          {"k": k, "t": t, "edges": edges})
+    g_c = _girth(G, core.edge_indices)
     check("girth_le_2k", g_c is None or g_c <= 2 * k,
           {"core_girth": g_c, "k": k})
     comp_count = len(classification.components)
@@ -303,7 +303,7 @@ def verify_core_theorems(
     if classification.is_bipartite:
         bridges: List[int] = []
         if not classification.is_bridgeless:
-            label = _cycle_labels(G, core.edge_indices.bits, core.vertices)[3]
+            label = _cycle_labels(G, core.edge_indices, core.vertices)[3]
             bridges = [e for e, x in enumerate(label) if x == 0]
         check("bipartite_implies_bridgeless", classification.is_bridgeless,
               {"bridges": bridges})

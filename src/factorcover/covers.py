@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .graphs import (
-    CubicGraph,
-    EdgeSet,
-    _indices,
-    _levels,
-)
+from .graphs import CubicGraph, _indices, _levels
 from .matching import NoPerfectMatchingError
 
 
@@ -28,9 +23,9 @@ class CoverWitness:
 
     k: int
     factor_indices: Tuple[int, ...]
-    factors: Tuple[EdgeSet, ...]
-    union: EdgeSet
-    uncovered: EdgeSet
+    factors: Tuple[int, ...]
+    union: int
+    uncovered: int
     mu: int
     scored: int
 
@@ -40,11 +35,11 @@ class FulkersonWitness:
     """Six 1-factors with every edge in exactly two of them."""
 
     factor_indices: Tuple[int, ...]
-    factors: Tuple[EdgeSet, ...]
+    factors: Tuple[int, ...]
 
 
 def mu_k(
-    G: CubicGraph, k: int, pms: Sequence[EdgeSet]
+    G: CubicGraph, k: int, pms: Sequence[int]
 ) -> Tuple[int, CoverWitness]:
     """Exact mu_k via branch and bound over nondecreasing factor-index tuples
     of pms, the list from enumerate_perfect_matchings(G).
@@ -69,13 +64,12 @@ def mu_k(
         raise NoPerfectMatchingError("graph has no perfect matching")
     m = G.m
     half = G.n // 2
-    masks = [pm.bits for pm in pms]
-    p = len(masks)
+    p = len(pms)
     everyone = (1 << p) - 1
     most = min(m, k * half)  # no k factors cover more
     suffix_or = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | masks[i]
+        suffix_or[i] = suffix_or[i + 1] | pms[i]
     # by_edge[e] has bit l set when pms[l] contains edge e; built on first use
     by_edge: List[int] = []
     # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
@@ -96,12 +90,12 @@ def mu_k(
         if f not in near:
             if not by_edge:
                 by_edge.extend([0] * m)
-                for l, x in enumerate(masks):
+                for l, x in enumerate(pms):
                     for e in _indices(x):
                         by_edge[e] |= 1 << l
             within = 0
             for level in _levels(
-                everyone, [by_edge[e] for e in _indices(masks[f])], c
+                everyone, [by_edge[e] for e in _indices(pms[f])], c
             ):
                 within |= level
             near[f] = within
@@ -125,7 +119,7 @@ def mu_k(
             else:
                 order = _indices(cand)
             for l in order:
-                pop = (union | masks[l]).bit_count()
+                pop = (union | pms[l]).bit_count()
                 if pop > best_pop:
                     best_pop, best_tuple = pop, (*chosen, l)
                     near.clear()
@@ -136,7 +130,7 @@ def mu_k(
             l = low.bit_length() - 1
             before = best_pop
             chosen.append(l)
-            rec(l, union | masks[l], cand & followers(l))
+            rec(l, union | pms[l], cand & followers(l))
             chosen.pop()
             if best_pop == most:
                 return
@@ -149,45 +143,43 @@ def mu_k(
 
     rec(0, 0, everyone)
     assert best_tuple is not None
-    union_bits = 0
+    union = 0
     for i in best_tuple:
-        union_bits |= masks[i]
-    union = EdgeSet(m, union_bits)
-    uncovered = G.all_edges() - union
+        union |= pms[i]
+    uncovered = (1 << m) - 1 & ~union
     witness = CoverWitness(
         k=k,
         factor_indices=best_tuple,
         factors=tuple(pms[i] for i in best_tuple),
         union=union,
         uncovered=uncovered,
-        mu=len(uncovered),
+        mu=uncovered.bit_count(),
         scored=scored,
     )
     return witness.mu, witness
 
 
 def fan_raspaud_indices(
-    G: CubicGraph, pms: Sequence[EdgeSet]
+    G: CubicGraph, pms: Sequence[int]
 ) -> Optional[Tuple[int, int, int]]:
     """First index triple i < j < l (lexicographic) of pms whose 1-factors
     have empty intersection, or None."""
-    masks = [pm.bits for pm in pms]
-    p = len(masks)
+    p = len(pms)
     for i in range(p):
         for j in range(i + 1, p):
-            ij = masks[i] & masks[j]
+            ij = pms[i] & pms[j]
             if not ij:
                 for l in range(j + 1, p):
                     return i, j, l
                 continue
             for l in range(j + 1, p):
-                if ij & masks[l] == 0:
+                if ij & pms[l] == 0:
                     return i, j, l
     return None
 
 
 def fulkerson_witness(
-    G: CubicGraph, pms: Sequence[EdgeSet]
+    G: CubicGraph, pms: Sequence[int]
 ) -> Optional[FulkersonWitness]:
     """Exact search for six 1-factors of pms covering every edge exactly
     twice.
@@ -196,12 +188,11 @@ def fulkerson_witness(
     duplicates) with per-edge count <= 2 pruning; exhausts the space before
     returning None.
     """
-    masks = [pm.bits for pm in pms]
-    p = len(masks)
+    p = len(pms)
     full = (1 << G.m) - 1
     suffix_or = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | masks[i]
+        suffix_or[i] = suffix_or[i + 1] | pms[i]
     chosen: List[int] = []
 
     def rec(start: int, once: int, twice: int) -> Optional[Tuple[int, ...]]:
@@ -213,7 +204,7 @@ def fulkerson_witness(
         if (full & ~twice) & ~avail:
             return None
         for i in range(start, p):
-            pm = masks[i]
+            pm = pms[i]
             if pm & twice:
                 continue
             chosen.append(i)
@@ -231,8 +222,7 @@ def fulkerson_witness(
     )
 
 
-def verify_fulkerson(G: CubicGraph, factors: Sequence[EdgeSet]) -> bool:
+def verify_fulkerson(G: CubicGraph, factors: Sequence[int]) -> bool:
     """Are factors six edge sets covering every edge exactly twice?"""
-    full = G.all_edges().bits
-    return (len(factors) == 6
-            and _levels(full, [f.bits for f in factors])[2] == full)
+    full = (1 << G.m) - 1
+    return len(factors) == 6 and _levels(full, factors)[2] == full

@@ -5,7 +5,8 @@ shortest-cycle-cover oracle for small cycle spaces.
 A cycle is an edge set inducing degree 0 or 2 at every vertex (a disjoint
 union of circuits); it is even when all its circuits have even length.  The
 length of a cover is the sum of its members' sizes, and ced is the maximum
-number of members through a single edge.
+number of members through a single edge.  Edge sets are int bitmasks over
+G's edge indices.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from .graphs import (
     CubicGraph,
-    EdgeSet,
     _bfs,
+    _indices,
     _levels,
     _two_coloring,
     cycle_space_basis,
@@ -41,7 +42,7 @@ class DimensionCapExceededError(RuntimeError):
 class CycleCover:
     """A family of cycles with its statistics and validity verdict."""
 
-    cycles: Tuple[EdgeSet, ...]
+    cycles: Tuple[int, ...]
     length: int
     ced: int
     even: bool
@@ -49,32 +50,35 @@ class CycleCover:
     valid: bool
     problems: Tuple[str, ...] = ()
 
-    def is_double_cover(self) -> bool:
+    def is_double_cover(self, G: CubicGraph) -> bool:
+        """Does every edge of G lie in exactly two of the cycles?"""
         if len(self.cycles) < 2:
             return False
-        full = (1 << self.cycles[0].m) - 1
-        return _levels(full, [c.bits for c in self.cycles])[2] == full
+        full = (1 << G.m) - 1
+        return _levels(full, self.cycles)[2] == full
 
 
-def _is_cycle(G: CubicGraph, edges: EdgeSet) -> bool:
-    return all((star & edges.bits).bit_count() in (0, 2) for star in G.stars)
+def _is_cycle(G: CubicGraph, edges: int) -> bool:
+    return all((star & edges).bit_count() in (0, 2) for star in G.stars)
 
 
-def _is_even_cycle(G: CubicGraph, edges: EdgeSet) -> bool:
+def _is_even_cycle(G: CubicGraph, edges: int) -> bool:
     return all(len(c) % 2 == 0 for c in trace_circuits(G, edges))
 
 
 def verify_cover(
     G: CubicGraph,
-    cycles: Sequence[EdgeSet],
-    target: Optional[EdgeSet] = None,
+    cycles: Sequence[int],
+    target: Optional[int] = None,
 ) -> CycleCover:
     """Compute all cover statistics; the verdict lists failures precisely.
 
-    target defaults to E(G); pass a core's edge set to verify core covers.
+    Every cycle and the target must lie within E(G).  target defaults to
+    E(G); pass a core's edge set to verify core covers.
     """
+    full = (1 << G.m) - 1
     if target is None:
-        target = G.all_edges()
+        target = full
     problems: List[str] = []
     members: List[int] = []
     even = True
@@ -84,19 +88,19 @@ def verify_cover(
             continue
         if not _is_even_cycle(G, c):
             even = False
-        members.append(c.bits)
-    full = G.all_edges().bits
+        members.append(c)
     levels = _levels(full, members)
-    covered = EdgeSet(G.m, full & ~levels[0])
-    missing = target - covered
+    covered = full & ~levels[0]
+    missing = target & ~covered
     if missing:
-        problems.append(f"{len(missing)} edges uncovered: {missing.indices()}")
-    stray = covered - target
+        problems.append(f"{missing.bit_count()} edges uncovered: "
+                        f"{_indices(missing)}")
+    stray = covered & ~target
     if stray:
-        problems.append(f"cycles leave the target edge set: {stray.indices()}")
+        problems.append(f"cycles leave the target edge set: {_indices(stray)}")
     return CycleCover(
         cycles=tuple(cycles),
-        length=sum(len(c) for c in cycles),
+        length=sum(c.bit_count() for c in cycles),
         ced=max(t for t, level in enumerate(levels) if level),
         even=even,
         count=len(cycles),
@@ -107,24 +111,24 @@ def verify_cover(
 
 def canonical_cover(
     G: CubicGraph,
-    coloring: Tuple[EdgeSet, EdgeSet, EdgeSet],
+    coloring: Tuple[int, int, int],
 ) -> CycleCover:
     """The 2-cycle cover {a|b, a|c} of a 3-edge-colored cubic graph.
 
     The first class is doubled; length is |E| + |a| = 4/3 |E|.
     """
     a, b, c = coloring
-    if (a & b) or (a & c) or (b & c) or (a | b | c) != G.all_edges():
+    if (a & b) or (a & c) or (b & c) or (a | b | c) != (1 << G.m) - 1:
         raise CoverConstructionError(
             "coloring is not a partition of E(G) into three 1-factors"
         )
     cover = verify_cover(G, [a | b, a | c])
-    assert cover.valid and cover.length == G.m + len(a)
+    assert cover.valid and cover.length == G.m + a.bit_count()
     return cover
 
 
 def cover_from_core(
-    G: CubicGraph, core: Core, core_cover: Sequence[EdgeSet]
+    G: CubicGraph, core: Core, core_cover: Sequence[int]
 ) -> CycleCover:
     """Extend a cover of the core to a cover of G with two symmetric
     differences of 1-factors.
@@ -141,9 +145,9 @@ def cover_from_core(
     f1, f2, f3 = core.factors
     t = core.T
     pair_sizes = {
-        0: len((f2 & f3) - t),
-        1: len((f1 & f3) - t),
-        2: len((f1 & f2) - t),
+        0: (f2 & f3 & ~t).bit_count(),
+        1: (f1 & f3 & ~t).bit_count(),
+        2: (f1 & f2 & ~t).bit_count(),
     }
     # hub factor: the one whose two pairs carry the most M2 edges, i.e. the
     # one whose OPPOSITE pair is smallest; first index wins ties
@@ -163,7 +167,7 @@ def cover_from_core(
     return cover
 
 
-def bipartite_core_cover(core: Core) -> List[EdgeSet]:
+def bipartite_core_cover(core: Core) -> List[int]:
     """Even cover of a bipartite core by at most two cycles, of length 2k.
 
     Core - T is 2-regular.  Each of its circuits is walked from its lowest
@@ -175,14 +179,14 @@ def bipartite_core_cover(core: Core) -> List[EdgeSet]:
     T empty is covered by side 0 alone.
     """
     G = core.graph
-    mask = core.edge_indices.bits
+    mask = core.edge_indices
     if _two_coloring(G, mask, _bfs(G, mask, core.vertices)[2]) is None:
         raise CoverConstructionError("core is not bipartite")
     if core.is_empty:
         return []
-    t_bits = core.T.bits
+    t_bits = core.T
     sides = [0, 0]
-    for circuit in trace_circuits(G, core.edge_indices - core.T):
+    for circuit in trace_circuits(G, mask & ~t_bits):
         side, v = 0, G.edges[circuit[0]][0]
         for f in circuit:
             sides[side] |= 1 << f
@@ -193,12 +197,12 @@ def bipartite_core_cover(core: Core) -> List[EdgeSet]:
             raise CoverConstructionError(
                 "a circuit of core - T has an odd number of T-ends")
     if not t_bits:
-        return [EdgeSet(G.m, sides[0])]
-    return [EdgeSet(G.m, bits | t_bits) for bits in sides]
+        return [sides[0]]
+    return [bits | t_bits for bits in sides]
 
 
 def four_cover_cycles(
-    G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet, M4: EdgeSet
+    G: CubicGraph, M1: int, M2: int, M3: int, M4: int
 ) -> CycleCover:
     """The 4-cycle cover built from four 1-factors with empty intersection.
 
@@ -207,15 +211,13 @@ def four_cover_cycles(
     length accounting gives exactly 4/3 |E| + 4k, where k counts uncovered
     edges.  With k = 0 the cover is even and ced <= 2.
     """
-    fs = [M1.bits, M2.bits, M3.bits, M4.bits]
+    fs = [M1, M2, M3, M4]
     m = G.m
     uncovered, once, twice, thrice, common = _levels((1 << m) - 1, fs)
     if common:
         raise CoverConstructionError("the four factors have a common edge")
     k = uncovered.bit_count()
-    cycles = [
-        EdgeSet(m, f & once | twice & ~f | f & thrice | uncovered) for f in fs
-    ]
+    cycles = [f & once | twice & ~f | f & thrice | uncovered for f in fs]
     cover = verify_cover(G, cycles)
     expect = 4 * m // 3 + 4 * k
     if not cover.valid or cover.length != expect:
@@ -227,21 +229,19 @@ def four_cover_cycles(
 
 
 def five_cdc(
-    G: CubicGraph, M1: EdgeSet, M2: EdgeSet, M3: EdgeSet, M4: EdgeSet
+    G: CubicGraph, M1: int, M2: int, M3: int, M4: int
 ) -> CycleCover:
     """5-cycle double cover from four 1-factors covering E(G) (k = 0).
 
     Adds the 2-factor of singly-covered edges to the k = 0 four-cover; every
     edge then lies in exactly two members.
     """
-    uncovered, singly = _levels(
-        (1 << G.m) - 1, [M1.bits, M2.bits, M3.bits, M4.bits])[:2]
+    uncovered, singly = _levels((1 << G.m) - 1, [M1, M2, M3, M4])[:2]
     if uncovered:
         raise CoverConstructionError("union of the four factors is not E(G)")
     base = four_cover_cycles(G, M1, M2, M3, M4)
-    cycles = list(base.cycles) + [EdgeSet(G.m, singly)]
-    cover = verify_cover(G, cycles)
-    if not cover.valid or not cover.is_double_cover():
+    cover = verify_cover(G, [*base.cycles, singly])
+    if not cover.valid or not cover.is_double_cover(G):
         raise CoverConstructionError("5-CDC construction failed")
     return cover
 
@@ -362,6 +362,6 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
     rec(0, 0, 0, SCC_MAX_CYCLES)
     if best_choice is None:
         raise CoverConstructionError("graph has no cycle cover")
-    cover = verify_cover(G, [EdgeSet(m, bits) for bits in best_choice])
+    cover = verify_cover(G, best_choice)
     assert cover.valid and cover.length == best_len
     return cover

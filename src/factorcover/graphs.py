@@ -1,14 +1,15 @@
 """Cubic multigraphs: representation, ingestion formats, structural queries.
 
 Graphs are loop-free but may contain parallel edges.  Edges are indexed by
-their position in the input, and all subgraph-valued results are reported as
-sets of edge indices (EdgeSet), so witnesses are reproducible across runs.
+their position in the input, and every edge set is an int bitmask over
+those indices (bit f set when edge f belongs to it), so witnesses are
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Hard capacity for edge sets (graphs up to 128 vertices).
 MAX_EDGES = 192
@@ -36,90 +37,14 @@ def _indices(bits: int) -> List[int]:
     return out
 
 
-class EdgeSet:
-    """Immutable set of edge indices backed by a fixed-width bit vector.
-
-    All set algebra (| & - ^) requires both operands to share the same
-    capacity m.  Only indices < m may be set.
-    """
-
-    __slots__ = ("m", "bits")
-
-    def __init__(self, m: int, bits: int = 0):
-        if m > MAX_EDGES:
-            raise GraphTooLargeError(f"edge capacity {m} exceeds {MAX_EDGES}")
-        if bits < 0 or bits >> m:
-            raise ValueError("bits outside capacity")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EdgeSet is immutable")
-
-    @classmethod
-    def from_indices(cls, m: int, indices: Iterable[int]) -> "EdgeSet":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < m:
-                raise ValueError(f"edge index {i} out of range 0..{m - 1}")
-            bits |= 1 << i
-        return cls(m, bits)
-
-    @classmethod
-    def full(cls, m: int) -> "EdgeSet":
-        return cls(m, (1 << m) - 1)
-
-    def _check(self, other: "EdgeSet") -> None:
-        if self.m != other.m:
-            raise ValueError("EdgeSet capacity mismatch")
-
-    def __or__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check(other)
-        return EdgeSet(self.m, self.bits | other.bits)
-
-    def __and__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check(other)
-        return EdgeSet(self.m, self.bits & other.bits)
-
-    def __sub__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check(other)
-        return EdgeSet(self.m, self.bits & ~other.bits)
-
-    def __xor__(self, other: "EdgeSet") -> "EdgeSet":
-        self._check(other)
-        return EdgeSet(self.m, self.bits ^ other.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index < self.m and (self.bits >> index) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.indices())
-
-    def indices(self) -> List[int]:
-        return _indices(self.bits)
-
-    def isdisjoint(self, other: "EdgeSet") -> bool:
-        self._check(other)
-        return self.bits & other.bits == 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EdgeSet)
-            and self.m == other.m
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.bits))
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __repr__(self) -> str:
-        return f"EdgeSet({self.m}, {self.indices()})"
+def _mask(m: int, indices: Iterable[int]) -> int:
+    """The edge bitmask of indices, each of which must lie in 0..m-1."""
+    bits = 0
+    for i in indices:
+        if not 0 <= i < m:
+            raise ValueError(f"edge index {i} out of range 0..{m - 1}")
+        bits |= 1 << i
+    return bits
 
 
 class CubicGraph:
@@ -165,12 +90,6 @@ class CubicGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def edge_set(self, indices: Iterable[int]) -> EdgeSet:
-        return EdgeSet.from_indices(self.m, indices)
-
-    def all_edges(self) -> EdgeSet:
-        return EdgeSet.full(self.m)
 
     def other_end(self, edge: int, v: int) -> int:
         u, w = self.edges[edge]
@@ -373,7 +292,7 @@ def _girth(G: CubicGraph, mask: int) -> Optional[int]:
 
 
 def girth(G: CubicGraph) -> int:
-    g = _girth(G, G.all_edges().bits)
+    g = _girth(G, (1 << G.m) - 1)
     assert g is not None  # cubic graphs always contain a circuit
     return g
 
@@ -448,7 +367,7 @@ def _two_coloring(
 
 
 def is_bipartite(G: CubicGraph) -> Tuple[bool, Optional[List[int]]]:
-    full = G.all_edges().bits
+    full = (1 << G.m) - 1
     coloring = _two_coloring(G, full, _bfs(G, full, range(G.n))[2])
     return (coloring is not None), coloring
 
@@ -489,9 +408,9 @@ def _cycle_labels(
     return order, parent_edge, depth, label
 
 
-def bridges(G: CubicGraph) -> EdgeSet:
-    label = _cycle_labels(G, G.all_edges().bits, range(G.n))[3]
-    return G.edge_set(e for e, x in enumerate(label) if x == 0)
+def bridges(G: CubicGraph) -> int:
+    label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))[3]
+    return sum(1 << e for e, x in enumerate(label) if x == 0)
 
 
 def is_bridgeless(G: CubicGraph) -> bool:
@@ -501,7 +420,7 @@ def is_bridgeless(G: CubicGraph) -> bool:
 def cycle_space_basis(G: CubicGraph) -> List[int]:
     """Fundamental cycles (as edge bitmasks) w.r.t. a BFS spanning forest:
     the transpose of _cycle_labels."""
-    label = _cycle_labels(G, G.all_edges().bits, range(G.n))[3]
+    label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))[3]
     basis = [0] * max(label).bit_length()
     for e, x in enumerate(label):
         for j in _indices(x):
@@ -527,7 +446,7 @@ def has_nontrivial_3_edge_cut(
     label[a] ^ label[b]: one bisect in each of the four label classes.
     That is O(m^2) pairs times O(log m), after one O(m) labelling.
     """
-    _, _, depth, label = _cycle_labels(G, G.all_edges().bits, range(G.n))
+    _, _, depth, label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))
     if depth.count(0) > 1:  # more than one tree
         raise ValueError("has_nontrivial_3_edge_cut: graph is disconnected")
     m = G.m

@@ -1,14 +1,15 @@
-"""Perfect matchings, edge colorings, 2-factors, and oddness of cubic graphs.
+"""Perfect matchings, edge colorings, and oddness of cubic graphs.
 
 All searches are exact backtracking with deterministic branch order (lowest
-edge index first), so witnesses are reproducible.
+edge index first), so witnesses are reproducible.  A 1-factor, like every
+edge set, is an int bitmask over G's edge indices.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from .graphs import CubicGraph, EdgeSet, _bfs
+from .graphs import CubicGraph, _bfs, _indices
 
 DEFAULT_PM_CAP = 1_000_000
 
@@ -21,14 +22,15 @@ class NoPerfectMatchingError(ValueError):
     """Graph has no perfect matching (equivalently, no 2-factor)."""
 
 
-def is_perfect_matching(G: CubicGraph, edges: EdgeSet) -> bool:
-    return edges.m == G.m and all(
-        (star & edges.bits).bit_count() == 1 for star in G.stars)
+def is_perfect_matching(G: CubicGraph, edges: int) -> bool:
+    """False also for a mask with a bit at or above m, or a negative one."""
+    return not edges >> G.m and all(
+        (star & edges).bit_count() == 1 for star in G.stars)
 
 
 def enumerate_perfect_matchings(
     G: CubicGraph, cap: int = DEFAULT_PM_CAP
-) -> List[EdgeSet]:
+) -> List[int]:
     """All perfect matchings, in lexicographic edge-index order.
 
     Branches on the lowest-indexed uncovered vertex and tries its incident
@@ -37,16 +39,15 @@ def enumerate_perfect_matchings(
     """
     n, edges, incidence = G.n, G.edges, G.incidence
     full = (1 << n) - 1
-    out: List[EdgeSet] = []
-    chosen: List[int] = []
+    out: List[int] = []
 
-    def rec(covered: int) -> None:
+    def rec(covered: int, chosen: int) -> None:
         if covered == full:
             if len(out) >= cap:
                 raise PMCapExceededError(
                     f"more than {cap} perfect matchings"
                 )
-            out.append(G.edge_set(chosen))
+            out.append(chosen)
             return
         free = (~covered) & full
         v = (free & -free).bit_length() - 1
@@ -55,26 +56,21 @@ def enumerate_perfect_matchings(
             w = b if v == a else a
             if covered & (1 << w):
                 continue
-            chosen.append(f)
-            rec(covered | (1 << v) | (1 << w))
-            chosen.pop()
+            rec(covered | (1 << v) | (1 << w), chosen | 1 << f)
 
-    rec(0)
+    rec(0, 0)
     return out
 
 
-def trace_circuits(G: CubicGraph, cycle: EdgeSet) -> List[List[int]]:
+def trace_circuits(G: CubicGraph, cycle: int) -> List[List[int]]:
     """Split a cycle (edge set with all degrees 0 or 2) into circuits.
 
     Each circuit is a list of edge indices in traversal order, starting from
     the lowest unvisited index; ties at a vertex break lowest-index-first.
     """
-    member = [False] * G.m
-    for i in cycle.indices():
-        member[i] = True
     seen = [False] * G.m
     circuits: List[List[int]] = []
-    for start in cycle.indices():
+    for start in _indices(cycle):
         if seen[start]:
             continue
         circuit = [start]
@@ -83,7 +79,7 @@ def trace_circuits(G: CubicGraph, cycle: EdgeSet) -> List[List[int]]:
         prev = start
         while v != u0:
             for f in G.incidence[v]:
-                if member[f] and f != prev and not seen[f]:
+                if cycle >> f & 1 and f != prev and not seen[f]:
                     circuit.append(f)
                     seen[f] = True
                     v = G.other_end(f, v)
@@ -98,7 +94,7 @@ def trace_circuits(G: CubicGraph, cycle: EdgeSet) -> List[List[int]]:
 def _edge_order_bfs(G: CubicGraph) -> List[int]:
     """Edge ordering where each edge touches an earlier one when possible:
     the edges at each vertex in BFS order, each edge where first seen."""
-    order = _bfs(G, G.all_edges().bits, range(G.n))[0]
+    order = _bfs(G, (1 << G.m) - 1, range(G.n))[0]
     return list(dict.fromkeys(f for v in order for f in G.incidence[v]))
 
 
@@ -146,7 +142,7 @@ def _edge_coloring(G: CubicGraph, s: int) -> Optional[List[int]]:
 
 def is_three_edge_colorable(
     G: CubicGraph,
-) -> Tuple[bool, Optional[Tuple[EdgeSet, EdgeSet, EdgeSet]]]:
+) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Exact proper 3-edge-coloring search.
 
     Returns (True, (M_a, M_b, M_c)) with the three color classes as disjoint
@@ -155,21 +151,21 @@ def is_three_edge_colorable(
     color = _edge_coloring(G, 0)
     if color is None:
         return False, None
-    classes = tuple(
-        G.edge_set(i for i in range(G.m) if color[i] == c) for c in range(3)
-    )
-    return True, classes
+    classes = [0, 0, 0]
+    for i, c in enumerate(color):
+        classes[c] |= 1 << i
+    return True, tuple(classes)
 
 
-def oddness(G: CubicGraph, pms: Sequence[EdgeSet]) -> int:
+def oddness(G: CubicGraph, pms: Sequence[int]) -> int:
     """Minimum number of odd circuits over all 2-factors (exact, full scan
     of pms, the list from enumerate_perfect_matchings(G))."""
     if not pms:
         raise NoPerfectMatchingError("graph has no perfect matching")
+    full = (1 << G.m) - 1
     best = None
     for pm in pms:
-        odd = sum(1 for c in trace_circuits(G, G.all_edges() - pm)
-                  if len(c) % 2)
+        odd = sum(1 for c in trace_circuits(G, full & ~pm) if len(c) % 2)
         if best is None or odd < best:
             best = odd
             if best == 0:

@@ -44,10 +44,11 @@ from .cyclecovers import (
 )
 from .graphs import (
     CubicGraph,
-    EdgeSet,
     GraphFormatError,
     GraphTooLargeError,
     NotCubicError,
+    _indices,
+    _mask,
     girth,
     has_nontrivial_3_edge_cut,
     is_bipartite,
@@ -170,24 +171,21 @@ class GraphReport:
         return out
 
 
-def _cover_dict(kind: str, cover, target: Optional[EdgeSet] = None) -> dict:
-    out = {
+def _cover_dict(kind: str, cover) -> dict:
+    return {
         "kind": kind,
-        "cycles": [c.indices() for c in cover.cycles],
+        "cycles": [_indices(c) for c in cover.cycles],
         "length": cover.length,
         "ced": cover.ced,
         "even": cover.even,
         "count": cover.count,
         "valid": cover.valid,
     }
-    if target is not None:
-        out["target"] = target.indices()
-    return out
 
 
 def _component_dicts(cls: CoreClassification) -> List[dict]:
     return [{"kind": c.kind, "vertices": list(c.vertices),
-             "edges": c.edges.indices()} for c in cls.components]
+             "edges": _indices(c.edges)} for c in cls.components]
 
 
 def analyze(
@@ -229,9 +227,9 @@ def analyze(
         run("hypohamiltonian",
             lambda: setattr(report, "hypohamiltonian", is_hypohamiltonian(G)))
 
-    pms: Optional[List[EdgeSet]] = None
+    pms: Optional[List[int]] = None
 
-    def factor_list() -> List[EdgeSet]:
+    def factor_list() -> List[int]:
         nonlocal pms
         if pms is None:
             pms = enumerate_perfect_matchings(G, cap=options.pm_cap)
@@ -252,8 +250,8 @@ def analyze(
                 value, witness = mu_k(G, k, pms)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = {
-                    "factors": [f.indices() for f in witness.factors],
-                    "uncovered": witness.uncovered.indices(),
+                    "factors": [_indices(f) for f in witness.factors],
+                    "uncovered": _indices(witness.uncovered),
                 }
                 mu_witnesses[k] = witness
             if not run(f"mu_{k}", _mu):
@@ -268,7 +266,7 @@ def analyze(
             if found is not None:
                 report.fan_raspaud = {
                     "factor_indices": list(found),
-                    "factors": [pms[i].indices() for i in found],
+                    "factors": [_indices(pms[i]) for i in found],
                 }
         run("fan_raspaud", _fan_raspaud)
 
@@ -278,7 +276,7 @@ def analyze(
             if witness is not None:
                 report.fulkerson = {
                     "factor_indices": list(witness.factor_indices),
-                    "factors": [f.indices() for f in witness.factors],
+                    "factors": [_indices(f) for f in witness.factors],
                 }
         run("fulkerson", _fulkerson)
 
@@ -294,9 +292,9 @@ def analyze(
             report.cores.append({
                 "factors": [0, 1, 2],
                 "k": core.k,
-                "M": core.M.indices(),
-                "U": core.U.indices(),
-                "T": core.T.indices(),
+                "M": _indices(core.M),
+                "U": _indices(core.U),
+                "T": _indices(core.T),
                 "components": _component_dicts(cls),
                 "cyclic": cls.is_cyclic,
                 "bipartite": cls.is_bipartite,
@@ -419,7 +417,7 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
 def audit_report(
     G: CubicGraph,
     data: dict,
-    pms: Optional[Sequence[EdgeSet]] = None,
+    pms: Optional[Sequence[int]] = None,
     pm_cap: int = DEFAULT_PM_CAP,
     cores: Optional[Sequence[Tuple[Core, CoreClassification]]] = None,
 ) -> None:
@@ -445,19 +443,19 @@ def audit_report(
 
 
 def _audit_witnesses(
-    G: CubicGraph, data: dict, pms: Optional[Sequence[EdgeSet]], pm_cap: int,
+    G: CubicGraph, data: dict, pms: Optional[Sequence[int]], pm_cap: int,
     cores: Optional[Sequence[Tuple[Core, CoreClassification]]],
 ) -> None:
     def fail(msg: str):
         raise ReportAuditError(f"report {data.get('id')}: {msg}")
 
-    def as_set(indices) -> EdgeSet:
+    def as_set(indices) -> int:
         try:
-            return G.edge_set(indices)
+            return _mask(G.m, indices)
         except ValueError as exc:
             fail(str(exc))
 
-    def check_factors(arrays, what: str) -> List[EdgeSet]:
+    def check_factors(arrays, what: str) -> List[int]:
         sets = [as_set(a) for a in arrays]
         for i, s in enumerate(sets):
             if not is_perfect_matching(G, s):
@@ -471,7 +469,7 @@ def _audit_witnesses(
         if any(not 0 <= i < len(pms) for i in indices):
             fail(f"{what}: factor index out of range 0..{len(pms) - 1}")
 
-    def check_indexed_factors(key: str) -> List[EdgeSet]:
+    def check_indexed_factors(key: str) -> List[int]:
         sets = check_factors(data[key]["factors"], key)
         indices = data[key]["factor_indices"]
         check_indices(indices, key)
@@ -490,15 +488,15 @@ def _audit_witnesses(
         sets = check_factors(wit["factors"], f"mu_{k}")
         if len(sets) != int(k):
             fail(f"mu_{k}: expected {k} factors")
-        union = EdgeSet(G.m, 0)
+        union = 0
         for s in sets:
-            union = union | s
-        uncovered = G.all_edges() - union
-        if uncovered.indices() != wit["uncovered"]:
+            union |= s
+        uncovered = (1 << G.m) - 1 & ~union
+        if _indices(uncovered) != wit["uncovered"]:
             fail(f"mu_{k}: uncovered set mismatch")
-        if len(uncovered) != data["mu"][k]:
+        if uncovered.bit_count() != data["mu"][k]:
             fail(f"mu_{k}: recorded value {data['mu'][k]} != "
-                 f"{len(uncovered)}")
+                 f"{uncovered.bit_count()}")
     # every witness key has a value by now (data["mu"][k] above)
     if set(data.get("mu", {})) != set(witnesses):
         fail("mu: a recorded value has no witness")
@@ -529,9 +527,9 @@ def _audit_witnesses(
             core, cls = cores[index]
             if core.factors != (pms[i], pms[j], pms[l]):
                 fail("core: factors differ from the indexed matchings")
-        if (core.M.indices() != entry["M"]
-                or core.U.indices() != entry["U"]
-                or core.T.indices() != entry["T"]
+        if (_indices(core.M) != entry["M"]
+                or _indices(core.U) != entry["U"]
+                or _indices(core.T) != entry["T"]
                 or core.k != entry["k"]):
             fail("core: M/U/T/k mismatch against its core")
         if _component_dicts(cls) != entry["components"]:

@@ -43,7 +43,7 @@ def components(G: CubicGraph, mask: int, roots):
 
 
 def is_connected(G: CubicGraph) -> bool:
-    return len(_bfs(G, G.all_edges().bits, (0,))[0]) == G.n
+    return len(_bfs(G, (1 << G.m) - 1, (0,))[0]) == G.n
 
 
 def random_connected_cubic_multigraph(rng: random.Random, n: int):

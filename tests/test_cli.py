@@ -96,6 +96,14 @@ def mini_corpus(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def k4_file(tmp_path):
+    """The first graph of MINI_MGF on its own, for analyze."""
+    path = tmp_path / "k4.mgf"
+    path.write_text(MINI_MGF.split("\n\n")[0])
+    return str(path)
+
+
 def read_jsonl(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -106,21 +114,32 @@ def read_jsonl(path):
 # ---------------------------------------------------------------------------
 
 
-def test_analyze_writes_one_report(mini_corpus, tmp_path, capsys):
+def test_analyze_writes_one_report(k4_file, tmp_path, capsys):
     out = tmp_path / "report.jsonl"
-    assert main(["analyze", mini_corpus, "--out", str(out)]) == 0
+    assert main(["analyze", k4_file, "--out", str(out)]) == 0
     (report,) = read_jsonl(out)
     assert report["id"] == "K4"
     assert report["mu"] == {"1": 4, "2": 2, "3": 0, "4": 0}
     assert report["violations"] == []
 
 
-def test_analyze_stdout_and_flags(mini_corpus, capsys):
-    assert main(["analyze", mini_corpus, "--mu-upto", "5",
+def test_analyze_stdout_and_flags(k4_file, capsys):
+    assert main(["analyze", k4_file, "--mu-upto", "5",
                  *FULKERSON_ARGS]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["mu"]["5"] == 0
     assert report["fulkerson"] is not None
+
+
+def test_analyze_rejects_several_graphs_exits_2(mini_corpus, tmp_path,
+                                                 monkeypatch, capsys):
+    """analyze reads one graph; a corpus is an error, not its first entry."""
+    monkeypatch.setattr(cli_module, "analyze", _no_analysis)
+    out = tmp_path / "report.jsonl"
+    assert main(["analyze", mini_corpus, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 3 graphs in input; analyze takes one, use scan\n")
+    assert not out.exists()
 
 
 def test_analyze_parse_error_exits_2(tmp_path, capsys):
@@ -403,12 +422,12 @@ def _no_analysis(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command", ["analyze", "scan"])
-def test_unwritable_out_exits_2_before_analysis(command, mini_corpus, tmp_path,
+def test_unwritable_out_exits_2_before_analysis(command, k4_file, tmp_path,
                                                  monkeypatch, capsys):
     monkeypatch.setattr(report_module, "analyze", _no_analysis)
     monkeypatch.setattr(cli_module, "analyze", _no_analysis)
     out = tmp_path / "no_such_dir" / "out.jsonl"
-    assert main([command, mini_corpus, "--out", str(out)]) == 2
+    assert main([command, k4_file, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.parent.exists()
 
@@ -691,6 +710,7 @@ def test_audit_rejects_forged_witness(petersen):
 
 @pytest.mark.parametrize("field,index,value", [
     ("fan_raspaud", ("factors", 0, 0), 15),  # edge index out of range
+    ("fan_raspaud", ("factors", 0, 0), -1),
     ("cores", (0, "factors", 0), 10_000),  # factor index out of range
     ("cores", (0, "factors", 0), -1),
     ("cores", (0, "factors", 1), 0),  # repeated factor

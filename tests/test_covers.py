@@ -14,8 +14,9 @@ from factorcover.covers import (
 )
 from factorcover.graphs import (
     CubicGraph,
-    EdgeSet,
     _hamiltonian_circuit,
+    _indices,
+    _mask,
     flower_snark,
 )
 from factorcover.matching import (
@@ -35,7 +36,7 @@ def mu_oracle(G: CubicGraph, k: int) -> int:
         union = combo[0]
         for pm in combo[1:]:
             union = union | pm
-        best = min(best, G.m - len(union))
+        best = min(best, G.m - union.bit_count())
     return best
 
 
@@ -46,7 +47,8 @@ def test_mu_against_brute_force(corpus, corpus_pms):
         for k in range(1, 6):
             value, witness = mu_k(G, k, corpus_pms[name])
             assert value == mu_oracle(G, k), (name, k)
-            assert witness.mu == value and len(witness.uncovered) == value
+            assert witness.mu == value
+            assert witness.uncovered.bit_count() == value
 
 
 def test_mu_witness_is_consistent(petersen):
@@ -59,7 +61,7 @@ def test_mu_witness_is_consistent(petersen):
             assert is_perfect_matching(petersen, pm)
             union = union | pm
         assert witness.union == union
-        assert witness.uncovered == petersen.all_edges() - union
+        assert witness.uncovered == (1 << petersen.m) - 1 & ~union
 
 
 def test_mu_petersen_values(petersen):
@@ -74,14 +76,14 @@ def test_mu_flower_snark(j5):
 
 
 def mu_unpruned_oracle(
-    G: CubicGraph, k: int, pms: Sequence[EdgeSet]
+    G: CubicGraph, k: int, pms: Sequence[int]
 ) -> Tuple[int, Tuple[int, ...]]:
     """mu_k's search with no overlap filter: the bound union + remaining*n/2
     only, the same nondecreasing tuples in the same order, and the
     incumbent replaced only on a strict improvement."""
     m = G.m
     half = G.n // 2
-    masks = [pm.bits for pm in pms]
+    masks = list(pms)
     p = len(masks)
     suffix_or = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
@@ -240,7 +242,7 @@ def test_fulkerson_petersen(petersen):
     assert sorted(witness.factor_indices) == [0, 1, 2, 3, 4, 5]
     counts = [0] * petersen.m
     for pm in witness.factors:
-        for i in pm.indices():
+        for i in _indices(pm):
             counts[i] += 1
     assert counts == [2] * petersen.m
 
@@ -255,7 +257,7 @@ def test_fulkerson_on_corpus_sample(corpus, corpus_pms):
 
 def matchings_from_circuit_avoiding(
     G: CubicGraph, v: int
-) -> Optional[List[EdgeSet]]:
+) -> Optional[List[int]]:
     """The three 1-factors induced by a hamiltonian circuit C of G - v.
 
     For each edge vw of G, C - w is a path of even order with a unique
@@ -272,13 +274,13 @@ def matchings_from_circuit_avoiding(
         verts.append(w)
         w = G.other_end(f, w)
     L = len(verts)  # n - 1, odd
-    out: List[EdgeSet] = []
+    out: List[int] = []
     for e_v in G.incidence[v]:
         w = G.other_end(e_v, v)
         p = verts.index(w)
         # unique matching of the path C - w: steps p+1, p+3, ..., p+L-2
         chosen = [e_v] + [circuit[(p + t) % L] for t in range(1, L - 1, 2)]
-        out.append(G.edge_set(chosen))
+        out.append(_mask(G.m, chosen))
     return out
 
 
@@ -312,7 +314,7 @@ def test_matchings_from_circuit(petersen, j5):
             assert len(factors) == 3
             for e_v, pm in zip(G.incidence[v], factors):
                 assert is_perfect_matching(G, pm), (G.edges, v)
-                assert e_v in pm
+                assert pm >> e_v & 1
             found += 1
             pairs = [frozenset(e) for e in G.edges]
             parallel_used += any(pairs.count(pairs[f]) > 1 for f in circuit)

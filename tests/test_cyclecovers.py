@@ -19,7 +19,7 @@ from factorcover.cyclecovers import (
     scc_exact,
     verify_cover,
 )
-from factorcover.graphs import CubicGraph, EdgeSet, is_bridgeless
+from factorcover.graphs import CubicGraph, _indices, _mask, is_bridgeless
 from factorcover.matching import (
     enumerate_perfect_matchings,
     is_three_edge_colorable,
@@ -34,9 +34,9 @@ from conftest import random_connected_cubic_multigraph
 
 
 def test_verify_cover_statistics(k4):
-    t012 = k4.edge_set([0, 1, 3])  # triangle 0-1-2
-    t013 = k4.edge_set([0, 2, 4])  # triangle 0-1-3
-    t023 = k4.edge_set([1, 2, 5])  # triangle 0-2-3
+    t012 = _mask(k4.m, [0, 1, 3])  # triangle 0-1-2
+    t013 = _mask(k4.m, [0, 2, 4])  # triangle 0-1-3
+    t023 = _mask(k4.m, [1, 2, 5])  # triangle 0-2-3
     cover = verify_cover(k4, [t012, t013, t023])
     assert cover.valid and cover.count == 3
     assert cover.length == 3 + 3 + 3
@@ -45,10 +45,10 @@ def test_verify_cover_statistics(k4):
 
 
 def test_verify_cover_flags_problems(k4):
-    not_a_cycle = k4.edge_set([0])
+    not_a_cycle = _mask(k4.m, [0])
     cover = verify_cover(k4, [not_a_cycle])
     assert not cover.valid and cover.problems
-    missing = verify_cover(k4, [k4.edge_set([0, 1, 3])])
+    missing = verify_cover(k4, [_mask(k4.m, [0, 1, 3])])
     assert not missing.valid
     assert any("uncovered" in p or "missing" in p for p in missing.problems)
 
@@ -104,7 +104,7 @@ def test_cover_from_core_length_bound(corpus, corpus_pms):
         if core is None or core.is_empty:
             continue
         core_cover = bipartite_core_cover(core)
-        t = sum(len(c) for c in core_cover)
+        t = sum(c.bit_count() for c in core_cover)
         cover = cover_from_core(G, core, core_cover)
         assert cover.valid, name
         assert 3 * cover.length <= 4 * (G.m - core.k) + 3 * t, name
@@ -114,7 +114,7 @@ def test_bipartite_core_cover_cyclic(petersen):
     core = find_core(petersen, enumerate_perfect_matchings(petersen))
     cover = bipartite_core_cover(core)
     assert len(cover) == 1 and cover[0] == core.edge_indices
-    assert sum(len(c) for c in cover) == 2 * core.k
+    assert sum(c.bit_count() for c in cover) == 2 * core.k
 
 
 def test_bipartite_core_cover_with_t(corpus, corpus_pms):
@@ -130,11 +130,11 @@ def test_bipartite_core_cover_with_t(corpus, corpus_pms):
             if not classify_core(core).is_bipartite:
                 continue
             cover = bipartite_core_cover(core)
-            assert sum(len(c) for c in cover) == 2 * core.k, name
-            counts = {e: sum(e in c for c in cover)
-                      for e in core.edge_indices.indices()}
+            assert sum(c.bit_count() for c in cover) == 2 * core.k, name
+            counts = {e: sum(c >> e & 1 for c in cover)
+                      for e in _indices(core.edge_indices)}
             for e, cnt in counts.items():
-                assert cnt == (2 if e in core.T else 1), name
+                assert cnt == (2 if core.T >> e & 1 else 1), name
             checked += 1
             break
         if checked >= 3:
@@ -185,7 +185,7 @@ def h_lift_cover(core):
     have_two = False
     for comp in cls.components:
         if comp.kind == "even_circuit":
-            sides[0] |= comp.edges.bits
+            sides[0] |= comp.edges
             continue
         have_two = True
         paths = [sum(1 << e for e in path) for path in comp.h_edge_paths]
@@ -201,8 +201,7 @@ def h_lift_cover(core):
                          key=lambda pos: min(comp.h_edge_paths[circuit[pos]]))
             for pos in range(len(circuit)):
                 sides[pos % 2] |= paths[circuit[(anchor + pos) % len(circuit)]]
-    m = core.graph.m
-    return [EdgeSet(m, bits) for bits in (sides if have_two else sides[:1])]
+    return sides if have_two else sides[:1]
 
 
 def test_bipartite_core_cover_equals_h_lift(corpus, corpus_pms):
@@ -259,7 +258,7 @@ def test_five_cdc_flower_snark(j5):
     _, witness = mu_k(j5, 4, enumerate_perfect_matchings(j5))
     cover = five_cdc(j5, *witness.factors)
     assert cover.valid and cover.count == 5
-    assert cover.is_double_cover()
+    assert cover.is_double_cover(j5)
     assert cover.length == 2 * j5.m
 
 
@@ -439,7 +438,7 @@ def scc_recursive_oracle(G: CubicGraph) -> Tuple[int, ...]:
 
 
 def scc_bits(G: CubicGraph, dim_cap: int = 7) -> Tuple[int, ...]:
-    return tuple(c.bits for c in scc_exact(G, dim_cap=dim_cap).cycles)
+    return scc_exact(G, dim_cap=dim_cap).cycles
 
 
 def test_scc_prune_keeps_the_witness_on_corpus(corpus):

@@ -11,7 +11,6 @@ from factorcover.cores import build_core, classify_core, verify_core_theorems
 from factorcover.graphs import (
     MAX_EDGES,
     CubicGraph,
-    EdgeSet,
     GraphFormatError,
     GraphTooLargeError,
     NotCubicError,
@@ -19,7 +18,9 @@ from factorcover.graphs import (
     _cycle_labels,
     _girth,
     _hamiltonian_circuit,
+    _indices,
     _levels,
+    _mask,
     _two_coloring,
     bridges,
     cycle_space_basis,
@@ -54,24 +55,8 @@ def to_nx(G: CubicGraph) -> nx.MultiGraph:
 
 
 # ---------------------------------------------------------------------------
-# EdgeSet
+# Edge sets: int bitmasks over the edge indices
 # ---------------------------------------------------------------------------
-
-
-def test_edge_set_operations():
-    a = EdgeSet.from_indices(6, [0, 2, 4])
-    b = EdgeSet.from_indices(6, [2, 3])
-    assert list((a | b).indices()) == [0, 2, 3, 4]
-    assert list((a & b).indices()) == [2]
-    assert list((a - b).indices()) == [0, 4]
-    assert list((a ^ b).indices()) == [0, 3, 4]
-    assert len(a) == 3
-    assert EdgeSet.full(6) == EdgeSet.from_indices(6, range(6))
-
-
-def test_edge_set_mixed_capacity_rejected():
-    with pytest.raises(ValueError):
-        EdgeSet.from_indices(6, [0]) | EdgeSet.from_indices(7, [0])
 
 
 @st.composite
@@ -84,14 +69,21 @@ def index_sets(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(index_sets())
 def test_edge_set_algebra_matches_python_sets(case):
+    """_mask and _indices round-trip, a complement ANDed with the full mask
+    stays non-negative, and _mask rejects an index outside 0..m-1."""
     m, x, y, probe = case
-    a, b = EdgeSet.from_indices(m, x), EdgeSet.from_indices(m, y)
-    for got, want in ((a | b, x | y), (a & b, x & y), (a - b, x - y),
-                      (a ^ b, x ^ y)):
-        assert got.m == m and got.indices() == sorted(want)
-    assert len(a) == len(x) and list(a) == sorted(x)
-    assert (probe in a) == (probe in x)
-    assert a.isdisjoint(b) == x.isdisjoint(y)
+    a, b = _mask(m, x), _mask(m, y)
+    full = (1 << m) - 1
+    for got, want in ((a, x), (a | b, x | y), (a & b, x & y),
+                      (a & ~b, x - y), (a ^ b, x ^ y),
+                      (full & ~a, set(range(m)) - x)):
+        assert 0 <= got <= full and _indices(got) == sorted(want)
+    assert a.bit_count() == len(x)
+    if 0 <= probe < m:
+        assert _mask(m, [*x, probe]) == a | 1 << probe
+    else:
+        with pytest.raises(ValueError, match="out of range"):
+            _mask(m, [*x, probe])
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +215,10 @@ def test_bridges_against_networkx():
     text = ("10 15\n0 1\n0 2\n0 3\n1 2\n1 3\n2 4\n3 4\n"
             "5 6\n5 7\n5 8\n6 7\n6 8\n7 9\n8 9\n4 9\n")
     G = parse_edge_list(text)
-    assert list(bridges(G).indices()) == [14]
+    assert _indices(bridges(G)) == [14]
     assert not is_bridgeless(G)
     oracle = {frozenset(e) for e in nx.bridges(nx.Graph(to_nx(G)))}
-    assert oracle == {frozenset(G.edges[i]) for i in bridges(G).indices()}
+    assert oracle == {frozenset(G.edges[i]) for i in _indices(bridges(G))}
 
 
 def test_parallel_edges_are_never_bridges(theta):
@@ -292,7 +284,7 @@ def test_masked_queries_against_networkx(corpus):
     seen = {"subsets": 0, "forest": 0, "parallel": 0, "odd": 0,
             "bipartite": 0, "bridge": 0, "parallel_reached": 0}
     for G in graphs:
-        full = G.all_edges().bits
+        full = (1 << G.m) - 1
         masks = [0, full] + [
             sum(1 << f for f in range(G.m) if rng.random() < p)
             for p in (0.5, 0.7, 0.85, 0.95)
@@ -378,7 +370,7 @@ def girth_per_edge_oracle(G: CubicGraph, mask: int):
 def test_girth_matches_per_edge_oracle_on_corpus(corpus):
     assert len(corpus) == 590
     for name, G in corpus:
-        full = G.all_edges().bits
+        full = (1 << G.m) - 1
         assert _girth(G, full) == girth_per_edge_oracle(G, full), name
 
 
@@ -389,7 +381,7 @@ def test_girth_matches_per_edge_oracle_on_core_samples(corpus, corpus_pms):
         pms = corpus_pms[name]
         triples = list(itertools.combinations(range(len(pms)), 3))
         for i, j, l in rng.sample(triples, min(len(triples), 4)):
-            mask = build_core(G, pms[i], pms[j], pms[l]).edge_indices.bits
+            mask = build_core(G, pms[i], pms[j], pms[l]).edge_indices
             assert _girth(G, mask) == girth_per_edge_oracle(G, mask), (
                 name, (i, j, l))
             cores += 1
@@ -399,13 +391,13 @@ def test_girth_matches_per_edge_oracle_on_core_samples(corpus, corpus_pms):
 def test_girth_matches_per_edge_oracle_on_flower_snarks():
     for t in range(5, 15, 2):
         J = flower_snark(t)
-        full = J.all_edges().bits
+        full = (1 << J.m) - 1
         assert _girth(J, full) == girth_per_edge_oracle(J, full), t
         pms = enumerate_perfect_matchings(J)
         rng = random.Random(t)
         for _ in range(20):
             i, j, l = sorted(rng.sample(range(len(pms)), 3))
-            mask = build_core(J, pms[i], pms[j], pms[l]).edge_indices.bits
+            mask = build_core(J, pms[i], pms[j], pms[l]).edge_indices
             assert _girth(J, mask) == girth_per_edge_oracle(J, mask), (
                 t, (i, j, l))
 
@@ -415,7 +407,7 @@ def test_girth_matches_per_edge_oracle_on_random_multigraph_masks():
     seen = {"parallel": 0, "forest": 0, "circuit": 0}
     for trial in range(400):
         G = random_connected_cubic_multigraph(rng, rng.choice(range(2, 31, 2)))
-        masks = [G.all_edges().bits] + [
+        masks = [(1 << G.m) - 1] + [
             sum(1 << f for f in range(G.m) if rng.random() < p)
             for p in (0.3, 0.6, 0.8, 0.9)
         ]
@@ -514,14 +506,14 @@ def test_label_bridges_match_tarjan_on_corpus_and_cores(corpus, corpus_pms):
     rng = random.Random(1973)
     cores = 0
     for name, G in corpus:
-        assert_label_bridges(G, G.all_edges().bits, range(G.n), name)
-        assert bridges(G).indices() == tarjan_bridges_oracle(
-            G, G.all_edges().bits, range(G.n))[0], name
+        assert_label_bridges(G, (1 << G.m) - 1, range(G.n), name)
+        assert _indices(bridges(G)) == tarjan_bridges_oracle(
+            G, (1 << G.m) - 1, range(G.n))[0], name
         pms = corpus_pms[name]
         triples = list(itertools.combinations(range(len(pms)), 3))
         for i, j, l in triples[:1] + rng.sample(triples, min(len(triples), 4)):
             core = build_core(G, pms[i], pms[j], pms[l])
-            mask = core.edge_indices.bits
+            mask = core.edge_indices
             want = tarjan_bridges_oracle(G, mask, core.vertices)[0]
             assert_label_bridges(G, mask, core.vertices, (name, i, j, l))
             cls = classify_core(core)
@@ -538,13 +530,13 @@ def test_label_bridges_match_tarjan_on_corpus_and_cores(corpus, corpus_pms):
 def test_label_bridges_match_tarjan_on_flower_snarks():
     for t in range(5, 15, 2):
         J = flower_snark(t)
-        assert_label_bridges(J, J.all_edges().bits, range(J.n), t)
+        assert_label_bridges(J, (1 << J.m) - 1, range(J.n), t)
         pms = enumerate_perfect_matchings(J)
         rng = random.Random(t)
         for _ in range(20):
             i, j, l = sorted(rng.sample(range(len(pms)), 3))
             core = build_core(J, pms[i], pms[j], pms[l])
-            assert_label_bridges(J, core.edge_indices.bits, core.vertices,
+            assert_label_bridges(J, core.edge_indices, core.vertices,
                                  (t, i, j, l))
 
 
@@ -553,7 +545,7 @@ def test_label_bridges_match_tarjan_on_random_multigraph_masks():
     seen = {"parallel": 0, "forest": 0, "disconnected": 0, "bridge": 0}
     for trial in range(400):
         G = random_connected_cubic_multigraph(rng, rng.choice(range(2, 31, 2)))
-        masks = [G.all_edges().bits] + [
+        masks = [(1 << G.m) - 1] + [
             sum(1 << f for f in range(G.m) if rng.random() < p)
             for p in (0.3, 0.6, 0.8, 0.9)
         ]
@@ -575,7 +567,7 @@ def test_label_bridges_match_tarjan_on_random_multigraph_masks():
 
 
 def disconnects(G: CubicGraph, removed) -> bool:
-    kept = G.all_edges().bits
+    kept = (1 << G.m) - 1
     for f in removed:
         kept ^= 1 << f
     return len(_bfs(G, kept, (0,))[0]) < G.n
@@ -605,11 +597,11 @@ def test_cycle_labels_find_the_small_cuts(corpus):
         for _ in range(300)]
     seen = {"bridge": 0, "two_cut": 0}
     for name, G in graphs:
-        label = _cycle_labels(G, G.all_edges().bits, range(G.n))[3]
+        label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))[3]
         for a, b, c in G.incidence:
             assert label[a] ^ label[b] ^ label[c] == 0, name
         zero = [e for e in range(G.m) if not label[e]]
-        assert zero == tarjan_bridges_oracle(G, G.all_edges().bits,
+        assert zero == tarjan_bridges_oracle(G, (1 << G.m) - 1,
                                              range(G.n))[0], name
         for a, b in itertools.combinations(range(G.m), 2):
             if label[a] and label[b]:
@@ -676,7 +668,7 @@ def triple_scan_oracle(G: CubicGraph):
     """Exhaustive O(m^4) scan: the first edge triple, in lexicographic
     order, whose removal leaves a component of 2..n-2 vertices."""
     for a, b, c in itertools.combinations(range(G.m), 3):
-        kept = G.all_edges().bits ^ (1 << a | 1 << b | 1 << c)
+        kept = (1 << G.m) - 1 ^ (1 << a | 1 << b | 1 << c)
         comps = components(G, kept, range(G.n))
         if any(2 <= len(comp) <= G.n - 2 for comp in comps):
             return True, (a, b, c)
@@ -691,7 +683,7 @@ def tarjan_pair_oracle(G: CubicGraph):
     set of one vertex.  When it does not, {a, b} is a 2-edge cut and each
     c > b is checked by its components."""
     n, m = G.n, G.m
-    full = G.all_edges().bits
+    full = (1 << G.m) - 1
     stars = set(G.incidence)
     for a in range(m):
         for b in range(a + 1, m - 1):

@@ -710,10 +710,10 @@ def test_audit_rejects_forged_witness(petersen):
 
 @pytest.mark.parametrize("field,index,value", [
     ("fan_raspaud", ("factors", 0, 0), 15),  # edge index out of range
-    ("fan_raspaud", ("factors", 0, 0), -1),
     ("cores", (0, "factors", 0), 10_000),  # factor index out of range
     ("cores", (0, "factors", 0), -1),
     ("cores", (0, "factors", 1), 0),  # repeated factor
+    ("fan_raspaud", ("factors", 0, 0), -1),
 ])
 def test_audit_rejects_bad_indices(petersen, field, index, value):
     data = analyze(petersen, AnalyzeOptions(), id="petersen").to_dict()

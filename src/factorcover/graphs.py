@@ -574,11 +574,6 @@ def is_hypohamiltonian(G: CubicGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def theta_graph() -> CubicGraph:
-    """K_2^3: two vertices joined by three parallel edges."""
-    return CubicGraph(2, [(0, 1), (0, 1), (0, 1)])
-
-
 def flower_snark(t: int) -> CubicGraph:
     """The flower snark J_t (odd t >= 5): 4t vertices, 6t edges.
 

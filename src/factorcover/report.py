@@ -112,10 +112,13 @@ class AnalyzeOptions:
 class GraphReport:
     """All computed invariants, witnesses, and theorem checks for a graph.
 
-    Witness fields hold sorted edge-index arrays (cores additionally hold
-    factor indices into the deterministic matching enumeration).  checks
-    lists {name, passed, measured}; any failed check is a counterexample
-    candidate and appears in violations.
+    The fields are declared in report key order.  Each entry of
+    mu_witness, fan_raspaud, fulkerson, cores and covers is built by one
+    function below, which the audit calls again to rebuild the entry and
+    compare it whole; witnesses hold sorted edge-index arrays, and cores
+    and indexed factors also hold factor indices into the deterministic
+    matching enumeration.  checks lists {name, passed, measured}; any
+    failed check is a counterexample candidate and appears in violations.
     """
 
     id: str
@@ -126,49 +129,58 @@ class GraphReport:
     bipartite: Optional[bool] = None
     nontrivial_3_cut: Optional[bool] = None
     hamiltonian: Optional[bool] = None
-    hypohamiltonian: Optional[bool] = None
     mu: Dict[str, int] = field(default_factory=dict)
     mu_witness: Dict[str, dict] = field(default_factory=dict)
-    oddness: Optional[int] = None
     fan_raspaud: Optional[dict] = None
-    fulkerson: Optional[dict] = None
     cores: List[dict] = field(default_factory=list)
     covers: List[dict] = field(default_factory=list)
     checks: List[dict] = field(default_factory=list)
     violations: List[str] = field(default_factory=list)
     skipped: List[str] = field(default_factory=list)
     errors: Dict[str, str] = field(default_factory=dict)
+    # left out of the report while None
+    hypohamiltonian: Optional[bool] = None
+    oddness: Optional[int] = None
+    fulkerson: Optional[dict] = None
     timings_ms: Optional[Dict[str, float]] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "id": self.id,
-            "n": self.n,
-            "m": self.m,
-            "girth": self.girth,
-            "bridgeless": self.bridgeless,
-            "bipartite": self.bipartite,
-            "nontrivial_3_cut": self.nontrivial_3_cut,
-            "hamiltonian": self.hamiltonian,
-            "mu": self.mu,
-            "mu_witness": self.mu_witness,
-            "fan_raspaud": self.fan_raspaud,
-            "cores": self.cores,
-            "covers": self.covers,
-            "checks": self.checks,
-            "violations": self.violations,
-            "skipped": self.skipped,
-            "errors": self.errors,
-        }
-        if self.hypohamiltonian is not None:
-            out["hypohamiltonian"] = self.hypohamiltonian
-        if self.oddness is not None:
-            out["oddness"] = self.oddness
-        if self.fulkerson is not None or "fulkerson" in self.errors:
-            out["fulkerson"] = self.fulkerson
-        if self.timings_ms is not None:
-            out["timings_ms"] = self.timings_ms
-        return out
+        # __init__ sets the attributes in field order
+        return {key: value for key, value in vars(self).items()
+                if value is not None or key not in _OMITTED_WHEN_NONE}
+
+
+_OMITTED_WHEN_NONE = ("hypohamiltonian", "oddness", "fulkerson", "timings_ms")
+
+
+def _mu_dict(G: CubicGraph, factors: Sequence[int]) -> dict:
+    union = 0
+    for f in factors:
+        union |= f
+    return {"factors": [_indices(f) for f in factors],
+            "uncovered": _indices((1 << G.m) - 1 & ~union)}
+
+
+def _factors_dict(indices: Sequence[int], pms: Sequence[int]) -> dict:
+    return {"factor_indices": list(indices),
+            "factors": [_indices(pms[i]) for i in indices]}
+
+
+def _core_dict(factors: Sequence[int], core: Core,
+               cls: CoreClassification) -> dict:
+    return {
+        "factors": list(factors),
+        "k": core.k,
+        "M": _indices(core.M),
+        "U": _indices(core.U),
+        "T": _indices(core.T),
+        "components": [{"kind": c.kind, "vertices": list(c.vertices),
+                        "edges": _indices(c.edges)} for c in cls.components],
+        "cyclic": cls.is_cyclic,
+        "bipartite": cls.is_bipartite,
+        "bridgeless": cls.is_bridgeless,
+        "empty": cls.is_empty,
+    }
 
 
 def _cover_dict(kind: str, cover) -> dict:
@@ -181,11 +193,6 @@ def _cover_dict(kind: str, cover) -> dict:
         "count": cover.count,
         "valid": cover.valid,
     }
-
-
-def _component_dicts(cls: CoreClassification) -> List[dict]:
-    return [{"kind": c.kind, "vertices": list(c.vertices),
-             "edges": _indices(c.edges)} for c in cls.components]
 
 
 def analyze(
@@ -249,13 +256,9 @@ def analyze(
             def _mu(k=k):
                 value, witness = mu_k(G, k, pms)
                 report.mu[str(k)] = value
-                report.mu_witness[str(k)] = {
-                    "factors": [_indices(f) for f in witness.factors],
-                    "uncovered": _indices(witness.uncovered),
-                }
+                report.mu_witness[str(k)] = _mu_dict(G, witness.factors)
                 mu_witnesses[k] = witness
-            if not run(f"mu_{k}", _mu):
-                break
+            run(f"mu_{k}", _mu)
 
     if "oddness" in needs_pms:
         run("oddness", lambda: setattr(report, "oddness", oddness(G, pms)))
@@ -264,20 +267,14 @@ def analyze(
         def _fan_raspaud():
             found = fan_raspaud_indices(G, pms)
             if found is not None:
-                report.fan_raspaud = {
-                    "factor_indices": list(found),
-                    "factors": [_indices(pms[i]) for i in found],
-                }
+                report.fan_raspaud = _factors_dict(found, pms)
         run("fan_raspaud", _fan_raspaud)
 
     if "fulkerson" in needs_pms:
         def _fulkerson():
             witness = fulkerson_witness(G, pms)
             if witness is not None:
-                report.fulkerson = {
-                    "factor_indices": list(witness.factor_indices),
-                    "factors": [_indices(f) for f in witness.factors],
-                }
+                report.fulkerson = _factors_dict(witness.factor_indices, pms)
         run("fulkerson", _fulkerson)
 
     built_cores: List[Tuple[Core, CoreClassification]] = []
@@ -289,18 +286,7 @@ def analyze(
             core = build_core(G, *pms[:3])
             cls = classify_core(core)
             built_cores.append((core, cls))
-            report.cores.append({
-                "factors": [0, 1, 2],
-                "k": core.k,
-                "M": _indices(core.M),
-                "U": _indices(core.U),
-                "T": _indices(core.T),
-                "components": _component_dicts(cls),
-                "cyclic": cls.is_cyclic,
-                "bipartite": cls.is_bipartite,
-                "bridgeless": cls.is_bridgeless,
-                "empty": cls.is_empty,
-            })
+            report.cores.append(_core_dict((0, 1, 2), core, cls))
             for check in verify_core_theorems(core, cls):
                 report.checks.append(dict(check, name=f"core_{check['name']}"))
         run("core", _core)
@@ -356,57 +342,36 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
         return (name not in report.skipped and name not in report.errors
                 and "matchings" not in report.errors)
 
+    def check(name: str, passed: bool, measured: Dict[str, object]) -> None:
+        report.checks.append({"name": name, "passed": passed,
+                              "measured": measured})
+
     m = G.m
     # the mu3 bounds and the existence statements hold for bridgeless G
     bridgeless = (report.bridgeless if report.bridgeless is not None
                   else is_bridgeless(G))
     mu3 = report.mu.get("3")
     if mu3 is not None and bridgeless:
-        report.checks.append({
-            "name": "mu3_zero_or_ge_3",
-            "passed": mu3 == 0 or mu3 >= 3,
-            "measured": {"mu3": mu3},
-        })
-        report.checks.append({
-            "name": "mu3_le_8m_over_35",
-            "passed": 35 * mu3 <= 8 * m,
-            "measured": {"mu3": mu3, "m": m},
-        })
+        check("mu3_zero_or_ge_3", mu3 == 0 or mu3 >= 3, {"mu3": mu3})
+        check("mu3_le_8m_over_35", 35 * mu3 <= 8 * m, {"mu3": mu3, "m": m})
         if report.girth is not None and mu3 > 0:
-            report.checks.append({
-                "name": "girth_le_2mu3",
-                "passed": report.girth <= 2 * mu3,
-                "measured": {"girth": report.girth, "mu3": mu3},
-            })
+            check("girth_le_2mu3", report.girth <= 2 * mu3,
+                  {"girth": report.girth, "mu3": mu3})
     if bridgeless and ran("fan_raspaud"):
-        report.checks.append({
-            "name": "fan_raspaud_exists",
-            "passed": report.fan_raspaud is not None,
-            "measured": {},
-        })
+        check("fan_raspaud_exists", report.fan_raspaud is not None, {})
     fulkerson_ran = ran("fulkerson")
     if bridgeless and fulkerson_ran:
-        report.checks.append({
-            "name": "fulkerson_exists",
-            "passed": report.fulkerson is not None,
-            "measured": {},
-        })
+        check("fulkerson_exists", report.fulkerson is not None, {})
     if (fulkerson_ran and mu3 is not None and mu3 <= 4
             and report.nontrivial_3_cut is False):
-        report.checks.append({
-            "name": "fulkerson_when_no_3cut_and_mu3_le_4",
-            "passed": report.fulkerson is not None,
-            "measured": {"mu3": mu3},
-        })
+        check("fulkerson_when_no_3cut_and_mu3_le_4",
+              report.fulkerson is not None, {"mu3": mu3})
     # stated for graphs that are not 3-edge-colourable: oddness > 0
     if report.oddness and bridgeless:
         has_class2 = exists_4ec_with_class_of_size(G, 2)
-        report.checks.append({
-            "name": "oddness2_iff_4ec_class_of_2",
-            "passed": (report.oddness == 2) == has_class2,
-            "measured": {"oddness": report.oddness,
-                         "class_of_2": has_class2},
-        })
+        check("oddness2_iff_4ec_class_of_2",
+              (report.oddness == 2) == has_class2,
+              {"oddness": report.oddness, "class_of_2": has_class2})
 
 
 # ---------------------------------------------------------------------------
@@ -423,14 +388,18 @@ def audit_report(
 ) -> None:
     """Re-verify every witness in a serialized report against the graph.
 
-    Raises ReportAuditError on the first mismatch, and when a field it reads
-    is missing or of the wrong type.  pms may be passed to reuse an existing
-    enumeration; it is only computed when a witness refers to factor indices,
-    and then at most once.  cores may be passed to reuse the (core,
-    classification) pair behind each entry of data["cores"]; each pair must
-    be built from the matchings its entry's indices name, and every recorded
-    core field is compared with it.  Without cores, each core is rebuilt
-    and reclassified from pms.
+    Each entry of mu_witness, fan_raspaud, fulkerson, cores and covers is
+    rebuilt by the function that analyze() wrote it with, and must equal
+    the rebuilt entry key for key: a mu witness and a cover from their own
+    edge sets, the Fan-Raspaud and Fulkerson factors and a core from the
+    matchings their factor indices name.  Every cover is checked against
+    E(G).  Raises ReportAuditError on the first mismatch, and when a field
+    it reads is missing or of the wrong type.  pms may be passed to reuse
+    an existing enumeration; it is only computed when a witness refers to
+    factor indices, and then at most once.  cores may be passed to reuse
+    the (core, classification) pair behind each entry of data["cores"];
+    each pair must be built from the matchings its entry's indices name.
+    Without cores, each core is rebuilt and reclassified from pms.
     """
     if not isinstance(data, dict):
         raise ReportAuditError("report is not a JSON object")
@@ -455,12 +424,12 @@ def _audit_witnesses(
         except ValueError as exc:
             fail(str(exc))
 
-    def check_factors(arrays, what: str) -> List[int]:
-        sets = [as_set(a) for a in arrays]
-        for i, s in enumerate(sets):
-            if not is_perfect_matching(G, s):
-                fail(f"{what}: factor {i} is not a perfect matching")
-        return sets
+    def check_entry(rebuilt: dict, entry: dict, what: str) -> None:
+        if rebuilt != entry:
+            keys = sorted(key for key in rebuilt.keys() | entry.keys()
+                          if key not in rebuilt or key not in entry
+                          or rebuilt[key] != entry[key])
+            fail(f"{what}: {', '.join(keys)} differ from the rebuilt entry")
 
     def check_indices(indices, what: str) -> None:
         nonlocal pms
@@ -469,13 +438,11 @@ def _audit_witnesses(
         if any(not 0 <= i < len(pms) for i in indices):
             fail(f"{what}: factor index out of range 0..{len(pms) - 1}")
 
-    def check_indexed_factors(key: str) -> List[int]:
-        sets = check_factors(data[key]["factors"], key)
+    def indexed_factors(key: str) -> List[int]:
         indices = data[key]["factor_indices"]
         check_indices(indices, key)
-        if [pms[i] for i in indices] != sets:
-            fail(f"{key}: factors differ from the indexed matchings")
-        return sets
+        check_entry(_factors_dict(indices, pms), data[key], key)
+        return [pms[i] for i in indices]
 
     failed = [check["name"] for check in data["checks"]
               if not check["passed"]]
@@ -485,30 +452,26 @@ def _audit_witnesses(
 
     witnesses = data.get("mu_witness", {})
     for k, wit in witnesses.items():
-        sets = check_factors(wit["factors"], f"mu_{k}")
-        if len(sets) != int(k):
-            fail(f"mu_{k}: expected {k} factors")
-        union = 0
-        for s in sets:
-            union |= s
-        uncovered = (1 << G.m) - 1 & ~union
-        if _indices(uncovered) != wit["uncovered"]:
-            fail(f"mu_{k}: uncovered set mismatch")
-        if uncovered.bit_count() != data["mu"][k]:
+        factors = [as_set(a) for a in wit["factors"]]
+        if (len(factors) != int(k)
+                or not all(is_perfect_matching(G, f) for f in factors)):
+            fail(f"mu_{k}: not {k} perfect matchings")
+        rebuilt = _mu_dict(G, factors)
+        check_entry(rebuilt, wit, f"mu_{k}")
+        if len(rebuilt["uncovered"]) != data["mu"][k]:
             fail(f"mu_{k}: recorded value {data['mu'][k]} != "
-                 f"{uncovered.bit_count()}")
+                 f"{len(rebuilt['uncovered'])}")
     # every witness key has a value by now (data["mu"][k] above)
     if set(data.get("mu", {})) != set(witnesses):
         fail("mu: a recorded value has no witness")
 
-    if data.get("fan_raspaud"):
-        sets = check_indexed_factors("fan_raspaud")
-        if len(sets) != 3 or (sets[0] & sets[1] & sets[2]):
+    if data.get("fan_raspaud") is not None:
+        factors = indexed_factors("fan_raspaud")
+        if len(factors) != 3 or (factors[0] & factors[1] & factors[2]):
             fail("fan_raspaud: triple intersection is not empty")
 
-    if data.get("fulkerson"):
-        sets = check_indexed_factors("fulkerson")
-        if not verify_fulkerson(G, sets):
+    if data.get("fulkerson") is not None:
+        if not verify_fulkerson(G, indexed_factors("fulkerson")):
             fail("fulkerson: not every edge is covered exactly twice")
 
     entries = data.get("cores", [])
@@ -527,31 +490,12 @@ def _audit_witnesses(
             core, cls = cores[index]
             if core.factors != (pms[i], pms[j], pms[l]):
                 fail("core: factors differ from the indexed matchings")
-        if (_indices(core.M) != entry["M"]
-                or _indices(core.U) != entry["U"]
-                or _indices(core.T) != entry["T"]
-                or core.k != entry["k"]):
-            fail("core: M/U/T/k mismatch against its core")
-        if _component_dicts(cls) != entry["components"]:
-            fail("core: components mismatch against its classification")
-        flags = (cls.is_cyclic, cls.is_bipartite, cls.is_bridgeless,
-                 cls.is_empty)
-        recorded = (entry["cyclic"], entry["bipartite"], entry["bridgeless"],
-                    entry["empty"])
-        if flags != recorded:
-            fail("core: classification mismatch")
+        check_entry(_core_dict(entry["factors"], core, cls), entry, "core")
 
     for entry in data.get("covers", []):
-        cycles = [as_set(a) for a in entry["cycles"]]
-        target = as_set(entry["target"]) if "target" in entry else None
-        cover = verify_cover(G, cycles, target=target)
-        stats = (cover.length, cover.ced, cover.even, cover.count,
-                 cover.valid)
-        recorded = (entry["length"], entry["ced"], entry["even"],
-                    entry["count"], entry["valid"])
-        if stats != recorded:
-            fail(f"cover {entry['kind']}: stats mismatch "
-                 f"{stats} != {recorded}")
+        cover = verify_cover(G, [as_set(a) for a in entry["cycles"]])
+        check_entry(_cover_dict(entry["kind"], cover), entry,
+                    f"cover {entry['kind']}")
         if not cover.valid:
             fail(f"cover {entry['kind']}: recorded cover is invalid")
 

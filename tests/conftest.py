@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from factorcover.graphs import CubicGraph, _bfs, flower_snark, theta_graph
+from factorcover.graphs import CubicGraph, _bfs, flower_snark
 from factorcover.matching import enumerate_perfect_matchings
 from factorcover.report import parse_entry, read_corpus
 
@@ -20,6 +20,11 @@ K33_EDGES = [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
 
 PRISM_EDGES = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                (0, 3), (1, 4), (2, 5)]
+
+
+def theta_graph() -> CubicGraph:
+    """K_2^3: two vertices joined by three parallel edges."""
+    return CubicGraph(2, [(0, 1), (0, 1), (0, 1)])
 
 
 def prism_edges(t: int):

@@ -753,6 +753,7 @@ CORE_TAMPERINGS = {
     "bridgeless": lambda e: e.update(bridgeless=not e["bridgeless"]),
     "empty": lambda e: e.update(empty=not e["empty"]),
     "factor_indices": lambda e: e.update(factors=[0, 1, 3]),
+    "extra_key": lambda e: e.update(note=0),
 }
 
 
@@ -817,7 +818,8 @@ def test_audit_compares_violations_with_failed_checks(petersen, failed,
 
 # Tamperings that only the comparison of the recorded core components,
 # of the keys of mu and mu_witness, of the factor indices of fan_raspaud
-# and fulkerson, or of violations with the failed checks can catch.
+# and fulkerson, of violations with the failed checks, or of each cover
+# with E(G) can catch.
 AUDIT_GAPS = {
     "core_component_edge_dropped": (
         "cubic_n6_0",
@@ -844,18 +846,25 @@ AUDIT_GAPS = {
     "check_failed_without_violation": (
         "K_2^3",
         lambda r: r["checks"][0].update(passed=False)),
+    # the scc_exact cover replaced by its first circuit, a valid cover of
+    # the circuit alone, with a target key naming that circuit
+    "cover_of_a_subgraph": (
+        "cubic_n6_0",
+        lambda r: r["covers"][-1].update(
+            cycles=[[0, 1, 3, 4]], target=[0, 1, 3, 4],
+            length=4, ced=1, count=1)),
 }
 
 
 @pytest.fixture(scope="module")
 def gap_scan(tmp_path_factory):
-    """A verified scan of three bundled graphs, with the Fulkerson op."""
+    """A verified scan of three bundled graphs, with every op."""
     entries = dict(read_corpus(corpus_path(), "mgf"))
     corpus = tmp_path_factory.mktemp("gaps") / "three.mgf"
     corpus.write_text("\n\n".join(
         entries[name] for name in ("K_2^3", "cubic_n4_0", "cubic_n6_0")))
     out = corpus.with_suffix(".jsonl")
-    assert main(["scan", str(corpus), *FULKERSON_ARGS,
+    assert main(["scan", str(corpus), "--ops", ",".join(ALL_OPS),
                  "--out", str(out)]) == 0
     assert main(["verify", str(out), str(corpus)]) == 0
     return corpus, out.read_text().splitlines()
@@ -944,6 +953,24 @@ def test_default_ops_skip_expensive_fields(petersen):
     assert "fulkerson" not in data or data["fulkerson"] is None
     assert "oddness" not in data
     assert "scc" in data["skipped"] and "hypohamiltonian" in data["skipped"]
+
+
+def test_timings_name_each_run_as_the_last_key(petersen, mini_corpus,
+                                               tmp_path, capsys):
+    data = analyze(petersen, AnalyzeOptions(timings=True), id="p").to_dict()
+    assert list(data)[-1] == "timings_ms"
+    assert list(data["timings_ms"]) == [
+        "structure", "matchings", "mu_1", "mu_2", "mu_3", "mu_4",
+        "fan_raspaud", "core"]
+    assert all(isinstance(ms, float) and ms >= 0
+               for ms in data["timings_ms"].values())
+    assert "timings_ms" not in analyze(petersen, AnalyzeOptions(),
+                                       id="p").to_dict()
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", mini_corpus, "--timings", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(out), mini_corpus]) == 0
+    assert "verified 3 reports, 0 failures" in capsys.readouterr().out
 
 
 def test_bundled_corpus_is_readable():

@@ -33,7 +33,6 @@ from factorcover.graphs import (
     is_hypohamiltonian,
     parse_edge_list,
     parse_graph6,
-    theta_graph,
     to_mgf,
 )
 from factorcover.matching import enumerate_perfect_matchings

@@ -25,3 +25,10 @@ def test_every_traced_layer_resolves():
     for module, name in layers:
         home = importlib.import_module(f"factorcover.{module}")
         assert callable(getattr(home, name, None)), (module, name)
+
+
+def test_report_serialisation_point_resolves():
+    # Tracer.installed() also wraps GraphReport.to_dict as report.serialize
+    from factorcover.report import GraphReport
+
+    assert callable(getattr(GraphReport, "to_dict", None))

@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Time analyze() per field on the stress set: the flower snarks J9-J13
+and the prisms C16 x K2 .. C24 x K2, with the default ops.
+
+These graphs are larger than the benchmark's workloads (perfbench/), so
+the script runs outside it.  It prints one JSON line per graph: its name,
+n, m, the number of perfect matchings, the wall milliseconds of each
+field (AnalyzeOptions(timings=True)) and of the whole call, and a sha256
+of the report without its timings, so that two versions of the package
+can be checked to give the same reports.
+
+Usage: PYTHONPATH=src python scripts/stress.py [--repeat N]
+With --repeat, each graph is analysed N times and every timing is the
+smallest of the N.
+"""
+
+import argparse
+import hashlib
+import json
+import time
+
+from factorcover.graphs import CubicGraph, flower_snark
+from factorcover.matching import enumerate_perfect_matchings
+from factorcover.report import AnalyzeOptions, analyze
+
+
+def prism(t: int) -> CubicGraph:
+    """C_t x K_2: 2t vertices, 3t edges."""
+    edges = [(i, (i + 1) % t) for i in range(t)]
+    edges += [(t + i, t + (i + 1) % t) for i in range(t)]
+    edges += [(i, t + i) for i in range(t)]
+    return CubicGraph(2 * t, edges)
+
+
+def stress_set():
+    for t in (9, 11, 13):
+        yield f"J{t}", flower_snark(t)
+    for t in range(16, 25):
+        yield f"C{t}xK2", prism(t)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=1)
+    args = parser.parse_args()
+    options = AnalyzeOptions(timings=True)
+    for name, G in stress_set():
+        best = None
+        for _ in range(args.repeat):
+            t0 = time.perf_counter()
+            data = analyze(G, options, id=name).to_dict()
+            total = round((time.perf_counter() - t0) * 1000.0, 3)
+            timings = dict(data.pop("timings_ms"), total=total)
+            best = timings if best is None else {
+                key: min(value, best[key]) for key, value in timings.items()}
+        digest = hashlib.sha256(
+            json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+        print(json.dumps({
+            "graph": name, "n": G.n, "m": G.m,
+            "matchings": len(enumerate_perfect_matchings(G)),
+            "timings_ms": best, "report_sha256": digest,
+        }), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -10,9 +10,15 @@ factor-index order wins every tie.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .graphs import CubicGraph, _indices, _levels
+from .graphs import (
+    CubicGraph,
+    _indices,
+    _levels,
+    automorphisms,
+    edge_permutation,
+)
 from .matching import NoPerfectMatchingError
 
 
@@ -38,8 +44,65 @@ class FulkersonWitness:
     factors: Tuple[int, ...]
 
 
+def matching_orbits(G: CubicGraph, pms: Sequence[int]) -> List[int]:
+    """The orbits of the automorphisms(G) generators on pms: entry l is the
+    least index of the orbit of pms[l].
+
+    A generator is used only once edge_permutation confirms it preserves
+    every edge multiplicity and each image of a matching is in pms, so a
+    missed or rejected automorphism leaves orbits finer, never wrong.
+    """
+    m = G.m
+    chunks = (m + 7) // 8
+    where = {x: l for l, x in enumerate(pms)}
+    moves: List[List[int]] = []  # per generator, the index of each image
+    for sigma in automorphisms(G):
+        perm = edge_permutation(G, sigma)
+        if perm is None:
+            continue
+        # the image of each byte of a mask, by byte position
+        tables = []
+        for c in range(chunks):
+            table = [0] * 256
+            for b in range(1, 256):
+                low = b & -b
+                f = 8 * c + low.bit_length() - 1
+                table[b] = table[b ^ low] | (1 << perm[f] if f < m else 0)
+            tables.append(table)
+        images = []
+        for x in pms:
+            y = 0
+            for table, b in zip(tables, x.to_bytes(chunks, "little")):
+                y |= table[b]
+            images.append(where.get(y, -1))
+        if -1 not in images:
+            moves.append(images)
+    rep = [-1] * len(pms)
+    for l in range(len(pms)):
+        if rep[l] < 0:  # every smaller orbit is done: l is this one's least
+            rep[l] = l
+            stack = [l]
+            while stack:
+                x = stack.pop()
+                for images in moves:
+                    y = images[x]
+                    if rep[y] < 0:
+                        rep[y] = l
+                        stack.append(y)
+    return rep
+
+
+#: analyze() passes matching orbits to mu_k from this many matchings on.
+#: Finding them takes a few milliseconds plus a pass over pms per
+#: generator; J7 (128 matchings, the most in the bundled corpus) saves
+#: about as much in mu_2 and mu_3, J9 (512) and J11 (2048) several times
+#: more.
+ORBIT_MIN_MATCHINGS = 256
+
+
 def mu_k(
-    G: CubicGraph, k: int, pms: Sequence[int]
+    G: CubicGraph, k: int, pms: Sequence[int],
+    orbits: Optional[Callable[[], Sequence[int]]] = None,
 ) -> Tuple[int, CoverWitness]:
     """Exact mu_k via branch and bound over nondecreasing factor-index tuples
     of pms, the list from enumerate_perfect_matchings(G).
@@ -54,6 +117,25 @@ def mu_k(
     rebuilt when the best union grows.  Tuples are visited in lexicographic
     order and only a strictly larger union replaces the best one, so the
     witness is the lexicographically first optimal tuple.
+
+    orbits, a function returning matching_orbits(G, pms), lets the search
+    skip symmetric tuples.  An automorphism maps a tuple to one of the same
+    union.  So if the lexicographically first optimal tuple T starts with
+    l, no factor of T has an index below l in its orbit, or its image
+    would be an optimal tuple starting lower: l is its orbit's least index
+    (a representative), and every factor of T has a representative >= l.
+    The search runs factor 0's subtree exactly as without orbits; only if
+    that falls short of min(m, k*n/2) does it call orbits and then search
+    the subtree of every other representative r in turn, over the factors
+    whose representative is >= r.  Those tuples are visited in
+    lexicographic order and include T, so T is the first of them to reach
+    the optimum and, with only strict improvements kept, the witness: the
+    same one as without orbits.  The argument holds for the orbits of any
+    group of automorphisms, and matching_orbits uses a generator only
+    after checking it against G, so a missed automorphism costs time,
+    never the optimum or the witness.  Orbits cost an automorphism search
+    and a pass over pms per generator, so analyze() passes them only from
+    ORBIT_MIN_MATCHINGS matchings on, computed at most once per graph.
 
     Repetition is allowed (it never improves the union), so the search is
     total whenever G has at least one perfect matching and 1 <= k <= 6.
@@ -141,7 +223,25 @@ def mu_k(
                 for f in chosen:
                     cand &= followers(f)
 
-    rec(0, 0, everyone)
+    if orbits is None or k == 1:
+        rec(0, 0, everyone)
+    else:
+        chosen.append(0)  # the first subtree of rec(0, 0, everyone)
+        rec(0, pms[0], followers(0))
+        chosen.pop()
+        if best_pop < most:
+            orbit: Dict[int, int] = {}  # representative -> orbit, ascending
+            for l, r in enumerate(orbits()):
+                orbit[r] = orbit.get(r, 0) | 1 << l
+            # the factors whose representative is r or later
+            later = everyone & ~orbit.pop(0)
+            for r, members in orbit.items():
+                if best_pop == most or suffix_or[r].bit_count() <= best_pop:
+                    break
+                chosen.append(r)
+                rec(r, pms[r], later & followers(r))
+                chosen.pop()
+                later &= ~members
     assert best_tuple is not None
     union = 0
     for i in best_tuple:

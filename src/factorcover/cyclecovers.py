@@ -328,8 +328,12 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
         # reachable in exactly one order, so no dedup is needed; low
         # overshoot |v & covered| first, to find good incumbents early
         pivot = (uncovered & -uncovered).bit_length() - 1
-        ordered = sorted(by_edge[pivot],
-                         key=lambda v: (v & covered).bit_count() << m | v)
+        # by_edge[pivot] is in bits order, so stable buckets by overshoot
+        # order it by (overshoot, bits)
+        buckets: List[List[int]] = [[] for _ in range(m + 1)]
+        for v in by_edge[pivot]:
+            buckets[(v & covered).bit_count()].append(v)
+        ordered = [v for bucket in buckets for v in bucket]
         if slots > 2:
             for v in ordered:
                 choice.append(v)

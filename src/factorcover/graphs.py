@@ -570,6 +570,161 @@ def is_hypohamiltonian(G: CubicGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Automorphisms: colour refinement plus individualisation (McKay,
+# "Practical graph isomorphism", 1981).  A colouring lists a colour per
+# vertex; colours are ranks, so a colouring orders its cells.
+# ---------------------------------------------------------------------------
+
+
+def edge_permutation(
+    G: CubicGraph, sigma: Sequence[int]
+) -> Optional[List[int]]:
+    """The edge permutation induced by the vertex permutation sigma, or
+    None when sigma is not an automorphism of G.
+
+    The i-th edge in index order between u and v maps to the i-th edge
+    between sigma[u] and sigma[v], so the result exists exactly when sigma
+    is a permutation that preserves every edge multiplicity.
+    """
+    if sorted(sigma) != list(range(G.n)):
+        return None
+    classes: Dict[Tuple[int, int], List[int]] = {}
+    for f, (u, v) in enumerate(G.edges):
+        classes.setdefault((u, v) if u < v else (v, u), []).append(f)
+    perm = [0] * G.m
+    for (u, v), fs in classes.items():
+        a, b = sigma[u], sigma[v]
+        image = classes.get((a, b) if a < b else (b, a), ())
+        if len(image) != len(fs):
+            return None
+        for f, g in zip(fs, image):
+            perm[f] = g
+    return perm
+
+
+def _refine(
+    nbrs: Sequence[Tuple[int, int, int]], colour: List[int]
+) -> Tuple[List[int], tuple]:
+    """The coarsest equitable colouring finer than colour, and its
+    quotient: every vertex's colour and neighbour colours, sorted.
+
+    Each round splits a cell by the colours of its vertices' three
+    neighbours (with multiplicity) and ranks the new cells after their old
+    one, so the result and its quotient are isomorphism-invariant.
+    """
+    ranks = {c: i for i, c in enumerate(sorted(set(colour)))}
+    colour = [ranks[c] for c in colour]
+    count = len(ranks)
+    while True:
+        sigs = [(colour[v], tuple(sorted([colour[a], colour[b], colour[c]])))
+                for v, (a, b, c) in enumerate(nbrs)]
+        keys = sorted(set(sigs))
+        if len(keys) == count:
+            return colour, tuple(sorted(sigs))
+        rank = {sig: i for i, sig in enumerate(keys)}
+        colour = [rank[sig] for sig in sigs]
+        count = len(keys)
+
+
+def _individualise(colour: List[int], w: int) -> List[int]:
+    """colour with w split off just before the rest of its cell."""
+    cw = colour[w]
+    return [2 * c + (c == cw and v != w) for v, c in enumerate(colour)]
+
+
+def _target_cell(colour: List[int]) -> List[int]:
+    """The vertices of the first cell with more than one vertex."""
+    sizes = [0] * len(colour)
+    for c in colour:
+        sizes[c] += 1
+    target = next(c for c, size in enumerate(sizes) if size > 1)
+    return [v for v, c in enumerate(colour) if c == target]
+
+
+#: Search nodes automorphisms() may refine before it stops looking.
+AUT_NODE_CAP = 1024
+
+
+def automorphisms(G: CubicGraph) -> List[List[int]]:
+    """Vertex permutations that generate Aut(G), each checked by
+    edge_permutation.
+
+    The first path of the search tree individualises, at each level, the
+    least vertex v of the colouring's first non-singleton cell and refines.
+    Level by level from the deepest, every other vertex w of that cell not
+    already in the orbit of v (or of a w that failed) under the generators
+    found so far roots a subtree search for a leaf whose colouring maps the
+    first leaf onto itself; refinement quotients that differ from the first
+    path's prune it.  Such a generator fixes the vertices individualised
+    above its level, so the generators form a Schreier-Sims chain for the
+    whole group.  After AUT_NODE_CAP refined subtree nodes the search
+    stops and returns what it found: a generating set of a subgroup.
+    """
+    n = G.n
+    nbrs = [tuple(G.other_end(f, v) for f in G.incidence[v]) for v in range(n)]
+    colour, _ = _refine(nbrs, [0] * n)
+    path: List[Tuple[List[int], List[int]]] = []  # (colouring, target cell)
+    quotients: List[tuple] = []  # the refined quotient below each level
+    while len(set(colour)) < n:
+        cell = _target_cell(colour)
+        path.append((colour, cell))
+        colour, quotient = _refine(nbrs, _individualise(colour, cell[0]))
+        quotients.append(quotient)
+    first_leaf = colour
+    nodes = 0
+
+    def search(colour: List[int], depth: int) -> Optional[List[int]]:
+        """An automorphism reaching the first leaf from the node at depth
+        whose colouring, not yet refined, is colour."""
+        nonlocal nodes
+        nodes += 1
+        colour, quotient = _refine(nbrs, colour)
+        if quotient != quotients[depth - 1]:
+            return None
+        if depth == len(path):  # equal quotients: colour is discrete too
+            at = [0] * n
+            for u, c in enumerate(colour):
+                at[c] = u
+            sigma = [at[c] for c in first_leaf]
+            return sigma if edge_permutation(G, sigma) is not None else None
+        for w in _target_cell(colour):
+            if nodes >= AUT_NODE_CAP:
+                return None
+            found = search(_individualise(colour, w), depth + 1)
+            if found is not None:
+                return found
+        return None
+
+    orbit = list(range(n))  # union-find; each root is its orbit's least vertex
+
+    def find(v: int) -> int:
+        while orbit[v] != v:
+            orbit[v] = orbit[orbit[v]]
+            v = orbit[v]
+        return v
+
+    generators: List[List[int]] = []
+    for level in range(len(path) - 1, -1, -1):
+        colour, cell = path[level]
+        tried = [cell[0]]
+        for w in cell[1:]:
+            if nodes >= AUT_NODE_CAP:
+                return generators
+            if any(find(w) == find(x) for x in tried):
+                continue
+            sigma = search(_individualise(colour, w), level + 1)
+            if sigma is None:
+                tried.append(w)
+                continue
+            generators.append(sigma)
+            for v, x in enumerate(sigma):
+                a, b = find(v), find(x)
+                if a != b:
+                    orbit[max(a, b)] = min(a, b)
+    return generators
+
+
+# ---------------------------------------------------------------------------
 # Test families.
 # ---------------------------------------------------------------------------
 

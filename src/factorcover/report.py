@@ -9,6 +9,7 @@ that identical inputs yield byte-identical output.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import time
@@ -26,8 +27,10 @@ from .cores import (
     verify_core_theorems,
 )
 from .covers import (
+    ORBIT_MIN_MATCHINGS,
     fan_raspaud_indices,
     fulkerson_witness,
+    matching_orbits,
     mu_k,
     verify_fulkerson,
 )
@@ -252,9 +255,12 @@ def analyze(
 
     mu_witnesses: Dict[int, object] = {}
     if "mu" in needs_pms:
+        # computed at most once, by the first search that needs them
+        orbits = (functools.cache(lambda: matching_orbits(G, pms))
+                  if len(pms) >= ORBIT_MIN_MATCHINGS else None)
         for k in range(1, options.mu_upto + 1):
             def _mu(k=k):
-                value, witness = mu_k(G, k, pms)
+                value, witness = mu_k(G, k, pms, orbits=orbits)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = _mu_dict(G, witness.factors)
                 mu_witnesses[k] = witness

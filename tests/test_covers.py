@@ -1,14 +1,19 @@
 import itertools
 import random
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
+from factorcover import covers, report
 from factorcover.covers import (
+    ORBIT_MIN_MATCHINGS,
     NoPerfectMatchingError,
     fan_raspaud_indices,
     fulkerson_witness,
+    matching_orbits,
     mu_k,
     verify_fulkerson,
 )
@@ -16,6 +21,7 @@ from factorcover.graphs import (
     CubicGraph,
     _hamiltonian_circuit,
     _indices,
+    _levels,
     _mask,
     flower_snark,
 )
@@ -25,7 +31,9 @@ from factorcover.matching import (
     is_three_edge_colorable,
 )
 
-from conftest import random_connected_cubic_multigraph
+from factorcover.report import AnalyzeOptions, analyze
+
+from conftest import prism_edges, random_connected_cubic_multigraph
 
 
 def mu_oracle(G: CubicGraph, k: int) -> int:
@@ -122,8 +130,103 @@ def mu_unpruned_oracle(
     return m - best_pop, best_tuple
 
 
-def mu_value_and_indices(G, k, pms):
-    value, witness = mu_k(G, k, pms)
+def mu_lex_oracle(
+    G: CubicGraph, k: int, pms: Sequence[int]
+) -> Tuple[int, Tuple[int, ...]]:
+    """mu_k's search without orbits: the overlap-filtered lexicographic
+    branch and bound over every nondecreasing tuple, the incumbent
+    replaced only on a strict improvement."""
+    m = G.m
+    half = G.n // 2
+    p = len(pms)
+    everyone = (1 << p) - 1
+    most = min(m, k * half)  # no k factors cover more
+    suffix_or = [0] * (p + 1)
+    for i in range(p - 1, -1, -1):
+        suffix_or[i] = suffix_or[i + 1] | pms[i]
+    # by_edge[e] has bit l set when pms[l] contains edge e; built on first use
+    by_edge: List[int] = []
+    # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
+    near: Dict[int, int] = {}
+
+    best_pop = -1
+    best_tuple: Optional[Tuple[int, ...]] = None
+    chosen: List[int] = []
+
+    def followers(f: int) -> int:
+        """A superset of the factors that can follow f in a better tuple."""
+        c = k * half - best_pop - 1
+        # counting over the n/2 edges of pms[f] must cost less than trying
+        # the p - f factors from f on
+        if c >= half or p - f <= half * (c + 1):
+            return everyone
+        if f not in near:
+            if not by_edge:
+                by_edge.extend([0] * m)
+                for l, x in enumerate(pms):
+                    for e in _indices(x):
+                        by_edge[e] |= 1 << l
+            within = 0
+            for level in _levels(
+                everyone, [by_edge[e] for e in _indices(pms[f])], c
+            ):
+                within |= level
+            near[f] = within
+        return near[f]
+
+    def rec(start: int, union: int, cand: int) -> None:
+        """Extend chosen by the factors of cand, all of index >= start."""
+        nonlocal best_pop, best_tuple
+        remaining = k - len(chosen)
+        bound = min(
+            union.bit_count() + remaining * half,
+            (union | suffix_or[start]).bit_count(),
+        )
+        if bound <= best_pop:
+            return
+        if remaining == 1:
+            # score every leaf here; with no filter applied, cand holds every
+            # factor from start on and a plain scan walks it faster
+            if cand.bit_count() == p - start:
+                order: Sequence[int] = range(start, p)
+            else:
+                order = _indices(cand)
+            for l in order:
+                pop = (union | pms[l]).bit_count()
+                if pop > best_pop:
+                    best_pop, best_tuple = pop, (*chosen, l)
+                    near.clear()
+            return
+        while cand:
+            low = cand & -cand
+            l = low.bit_length() - 1
+            before = best_pop
+            chosen.append(l)
+            rec(l, union | pms[l], cand & followers(l))
+            chosen.pop()
+            if best_pop == most:
+                return
+            if (union | suffix_or[l + 1]).bit_count() <= best_pop:
+                break
+            cand ^= low
+            if best_pop != before:
+                for f in chosen:
+                    cand &= followers(f)
+
+    rec(0, 0, everyone)
+    return G.m - best_pop, best_tuple
+
+
+def mu_value_and_indices(G, k, pms, orbits=None, calls=None):
+    """mu_k's value and witness indices.  With orbits, mu_k takes its orbit
+    path, bypassing analyze's cost rule; calls, if given, then counts the
+    searches that asked for the orbits."""
+    def get():
+        if calls is not None:
+            calls.append(k)
+        return orbits
+
+    value, witness = mu_k(G, k, pms, orbits=None if orbits is None else get)
     return value, witness.factor_indices
 
 
@@ -144,11 +247,14 @@ def test_mu_filter_keeps_the_witness_on_flower_snarks():
                     == mu_unpruned_oracle(G, k, pms)), (t, k)
 
 
-@pytest.mark.parametrize("sizes,count,ks", [
+MULTIGRAPH_TABLES = pytest.mark.parametrize("sizes,count,ks", [
     (range(2, 13, 2), 200, range(1, 7)),
     # large enough for the filter to act on factors after the first
     (range(14, 25, 2), 300, range(2, 5)),
 ], ids=["n<=12", "n=14..24"])
+
+
+@MULTIGRAPH_TABLES
 def test_mu_filter_keeps_the_witness_on_multigraphs(sizes, count, ks):
     rng = random.Random(71)
     compared = 0
@@ -164,18 +270,144 @@ def test_mu_filter_keeps_the_witness_on_multigraphs(sizes, count, ks):
     assert compared >= count * 3 // 4, compared
 
 
+def test_mu_orbits_keep_the_witness_on_corpus(corpus, corpus_pms):
+    calls: List[int] = []
+    past_first = 0
+    for name, G in corpus:
+        pms = corpus_pms[name]
+        orbits = matching_orbits(G, pms)
+        for k in range(1, 7):
+            got = mu_value_and_indices(G, k, pms, orbits, calls)
+            assert got == mu_lex_oracle(G, k, pms), (name, k)
+            past_first += got[1][0] != 0
+    # factor 0's subtree falls short, and another representative's holds
+    # the witness
+    assert len(calls) > 100 and past_first > 100, (len(calls), past_first)
+
+
+def test_mu_orbits_keep_the_witness_on_flower_snarks():
+    for t in (5, 7, 9, 11):
+        G = flower_snark(t)
+        pms = enumerate_perfect_matchings(G)
+        orbits = matching_orbits(G, pms)
+        for k in range(1, 5):
+            assert (mu_value_and_indices(G, k, pms, orbits)
+                    == mu_lex_oracle(G, k, pms)), (t, k)
+
+
+def mobius_ladder(t: int) -> CubicGraph:
+    """The Moebius ladder on 2t vertices: a 2t-circuit plus its t
+    diagonals."""
+    return CubicGraph(2 * t, [(i, (i + 1) % (2 * t)) for i in range(2 * t)]
+                      + [(i, i + t) for i in range(t)])
+
+
+@pytest.mark.parametrize("t", range(4, 13))
+def test_mu_orbits_keep_the_witness_on_prisms_and_ladders(t):
+    for G in (CubicGraph(2 * t, prism_edges(t)), mobius_ladder(t)):
+        pms = enumerate_perfect_matchings(G)
+        orbits = matching_orbits(G, pms)
+        for k in range(1, 7):
+            assert (mu_value_and_indices(G, k, pms, orbits)
+                    == mu_lex_oracle(G, k, pms)), (G.edges, k)
+
+
+@MULTIGRAPH_TABLES
+def test_mu_orbits_keep_the_witness_on_multigraphs(sizes, count, ks):
+    """With orbits from the automorphism finder, and with none found."""
+    rng = random.Random(71)
+    calls: List[int] = []
+    past_first = 0
+    for _ in range(count):
+        G = random_connected_cubic_multigraph(rng, rng.choice(sizes))
+        pms = enumerate_perfect_matchings(G)
+        if not pms:
+            continue
+        for orbits in (matching_orbits(G, pms), list(range(len(pms)))):
+            for k in ks:
+                got = mu_value_and_indices(G, k, pms, orbits, calls)
+                assert got == mu_lex_oracle(G, k, pms), (G.edges, k)
+                past_first += got[1][0] != 0
+    assert len(calls) > 100 and past_first > 20, (len(calls), past_first)
+
+
+def nx_matching_orbit_count(G: CubicGraph, pms: Sequence[int]) -> int:
+    """The number of orbits of Aut(G) on pms, with every automorphism of
+    the simple graph G listed by networkx."""
+    H = nx.Graph(G.edges)
+    where = {x: l for l, x in enumerate(pms)}
+    index = {frozenset(e): f for f, e in enumerate(G.edges)}
+    orbit = nx.utils.UnionFind(range(len(pms)))
+    for sigma in GraphMatcher(H, H).isomorphisms_iter():
+        for l, x in enumerate(pms):
+            image = _mask(G.m, (index[frozenset((sigma[u], sigma[v]))]
+                                for u, v in (G.edges[f] for f in _indices(x))))
+            orbit.union(l, where[image])
+    return len(list(orbit.to_sets()))
+
+
+@pytest.mark.parametrize("name,count", [
+    ("K4", 1), ("Petersen", 1), ("J5", 4), ("J7", 9), ("J9", 23),
+    ("J11", 63),
+])
+def test_matching_orbit_counts(name, count, k4, petersen):
+    G = {"K4": k4, "Petersen": petersen}.get(name)
+    if G is None:
+        G = flower_snark(int(name[1:]))
+    pms = enumerate_perfect_matchings(G)
+    orbits = matching_orbits(G, pms)
+    assert all(orbits[l] <= l and orbits[orbits[l]] == orbits[l]
+               for l in range(len(pms)))
+    assert len(set(orbits)) == count
+    assert nx_matching_orbit_count(G, pms) == count
+
+
+def test_matching_orbits_skip_unchecked_generators(petersen, monkeypatch):
+    pms = enumerate_perfect_matchings(petersen)
+    # every generator found moves pms[0], so none maps pms[1:] onto itself
+    assert matching_orbits(petersen, pms) == [0] * 6
+    assert matching_orbits(petersen, pms[1:]) == list(range(5))
+    # a transposition of two adjacent vertices breaks the outer 5-circuit
+    monkeypatch.setattr(covers, "automorphisms", lambda G: [
+        [1, 0] + list(range(2, 10))])
+    assert matching_orbits(petersen, pms) == list(range(6))
+
+
+def test_orbit_cost_rule_keeps_the_corpus_off_the_orbit_path(
+        corpus, corpus_pms, monkeypatch):
+    assert max(map(len, corpus_pms.values())) < ORBIT_MIN_MATCHINGS
+
+    def refuse(G, pms):
+        raise AssertionError("matching_orbits ran")
+
+    monkeypatch.setattr(report, "matching_orbits", refuse)
+    options = AnalyzeOptions(ops=("mu",))
+    for name, G in corpus:
+        analyze(G, options, id=name)
+    # J9 has 512 matchings: mu_2 asks for the orbits, and mu_3 reuses them
+    calls: List[int] = []
+    monkeypatch.setattr(report, "matching_orbits",
+                        lambda G, pms: calls.append(1) or
+                        matching_orbits(G, pms))
+    analyze(flower_snark(9), options)
+    assert calls == [1]
+
+
 def test_mu_flower_snark_j11():
     """2048 perfect matchings; mu_3 is the largest search of the snark
     benchmark."""
     t0 = time.monotonic()
     G = flower_snark(11)
     pms = enumerate_perfect_matchings(G)
-    found = [mu_k(G, k, pms)[1] for k in range(1, 5)]
+    orbits = matching_orbits(G, pms)
+    assert len(set(orbits)) == 63
+    found = [mu_k(G, k, pms, orbits=lambda: orbits)[1] for k in range(1, 5)]
     assert [w.mu for w in found] == [44, 23, 3, 0]
     assert found[2].factor_indices == (0, 571, 1195)
     assert found[3].factor_indices == (0, 3, 1251, 1703)
-    # 145 804 triples scored; the unfiltered search scores about 18 million
-    assert found[2].scored < 160_000, found[2].scored
+    # 113 341 triples scored with orbits (145 804 without); the unfiltered
+    # search scores about 18 million
+    assert found[2].scored < 120_000, found[2].scored
     assert time.monotonic() - t0 < 10.0
 
 

@@ -5,8 +5,10 @@ from collections import deque
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 from hypothesis import assume, given, settings, strategies as st
 
+from factorcover import graphs
 from factorcover.cores import build_core, classify_core, verify_core_theorems
 from factorcover.graphs import (
     MAX_EDGES,
@@ -22,8 +24,10 @@ from factorcover.graphs import (
     _levels,
     _mask,
     _two_coloring,
+    automorphisms,
     bridges,
     cycle_space_basis,
+    edge_permutation,
     flower_snark,
     girth,
     has_nontrivial_3_edge_cut,
@@ -860,6 +864,88 @@ def test_hamiltonian_flower_snarks():
     assert not is_hamiltonian(flower_snark(11))
     assert is_hypohamiltonian(flower_snark(9))
     assert time.perf_counter() - t0 < 5.0
+
+
+# ---------------------------------------------------------------------------
+# automorphisms against networkx
+# ---------------------------------------------------------------------------
+
+
+def edge_multiset(G: CubicGraph, sigma):
+    return sorted(tuple(sorted((sigma[u], sigma[v]))) for u, v in G.edges)
+
+
+def vertex_orbits(n: int, generators):
+    orbit = nx.utils.UnionFind(range(n))
+    for sigma in generators:
+        for v, w in enumerate(sigma):
+            orbit.union(v, w)
+    return sorted(sorted(cell) for cell in orbit.to_sets())
+
+
+def nx_vertex_orbits(G: CubicGraph):
+    """Vertex orbits of the simple graph of G whose edges carry their
+    multiplicity, over every automorphism networkx lists."""
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    for u, v in G.edges:
+        mult = H.edges[u, v]["mult"] + 1 if H.has_edge(u, v) else 1
+        H.add_edge(u, v, mult=mult)
+    matcher = GraphMatcher(
+        H, H, edge_match=lambda a, b: a["mult"] == b["mult"])
+    return vertex_orbits(G.n, ([sigma[v] for v in range(G.n)]
+                               for sigma in matcher.isomorphisms_iter()))
+
+
+def check_automorphisms(G: CubicGraph) -> None:
+    generators = automorphisms(G)
+    for sigma in generators:
+        assert edge_multiset(G, sigma) == edge_multiset(G, range(G.n))
+        perm = edge_permutation(G, sigma)
+        assert sorted(perm) == list(range(G.m))
+        for f, g in enumerate(perm):
+            u, v = G.edges[f]
+            assert sorted(G.edges[g]) == sorted((sigma[u], sigma[v]))
+    assert vertex_orbits(G.n, generators) == nx_vertex_orbits(G), G.edges
+
+
+def test_automorphisms_against_networkx_on_corpus_sample(corpus, petersen, k4):
+    rng = random.Random(43)
+    for _, G in [("petersen", petersen), ("k4", k4)] + rng.sample(corpus, 60):
+        check_automorphisms(G)
+
+
+def test_automorphisms_against_networkx_on_multigraphs(theta):
+    rng = random.Random(47)
+    family = [theta, flower_snark(5), CubicGraph(16, prism_edges(8))]
+    family += [
+        random_connected_cubic_multigraph(rng, rng.choice(range(2, 17, 2)))
+        for _ in range(150)]
+    parallel = 0
+    for G in family:
+        check_automorphisms(G)
+        parallel += len(set(map(frozenset, G.edges))) < G.m
+    assert parallel > 50, parallel
+
+
+def test_edge_permutation_maps_parallel_edges_in_index_order():
+    # a double edge 0-1 and a double edge 2-3, joined by 0-2 and 1-3
+    G = CubicGraph(4, [(0, 1), (2, 3), (1, 0), (0, 2), (3, 2), (1, 3)])
+    assert edge_permutation(G, [2, 3, 0, 1]) == [1, 0, 4, 3, 2, 5]
+    assert edge_permutation(G, [1, 0, 3, 2]) == [0, 1, 2, 5, 4, 3]
+    assert edge_permutation(G, [0, 2, 1, 3]) is None  # moves a double edge
+    assert edge_permutation(G, [0, 0, 1, 2]) is None  # not a permutation
+
+
+def test_automorphisms_node_cap_returns_a_subgroup(petersen, monkeypatch):
+    J7 = flower_snark(7)
+    full = automorphisms(J7)
+    monkeypatch.setattr(graphs, "AUT_NODE_CAP", 0)
+    assert automorphisms(petersen) == []
+    monkeypatch.setattr(graphs, "AUT_NODE_CAP", 3)
+    capped = automorphisms(J7)
+    assert len(capped) < len(full)
+    assert all(edge_permutation(J7, sigma) for sigma in capped)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time analyze() per field on the stress set: the flower snarks J9-J13
-and the prisms C16 x K2 .. C24 x K2, with the default ops.
+"""Time analyze() per field on the stress set: the flower snarks J9-J13,
+the prisms C16 x K2 .. C24 x K2 and the Moebius ladders M32 .. M48, with
+the default ops.
 
 These graphs are larger than the benchmark's workloads (perfbench/), so
 the script runs outside it.  It prints one JSON line per graph: its name,
@@ -32,11 +33,20 @@ def prism(t: int) -> CubicGraph:
     return CubicGraph(2 * t, edges)
 
 
+def mobius_ladder(t: int) -> CubicGraph:
+    """M_2t: a 2t-circuit plus its t diagonals, 2t vertices, 3t edges."""
+    edges = [(i, (i + 1) % (2 * t)) for i in range(2 * t)]
+    edges += [(i, i + t) for i in range(t)]
+    return CubicGraph(2 * t, edges)
+
+
 def stress_set():
     for t in (9, 11, 13):
         yield f"J{t}", flower_snark(t)
     for t in range(16, 25):
         yield f"C{t}xK2", prism(t)
+    for t in range(16, 25):
+        yield f"M{2 * t}", mobius_ladder(t)
 
 
 def main() -> None:

@@ -9,6 +9,7 @@ factor-index order wins every tie.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -92,6 +93,57 @@ def matching_orbits(G: CubicGraph, pms: Sequence[int]) -> List[int]:
     return rep
 
 
+def matching_index(m: int, pms: Sequence[int]) -> List[int]:
+    """The per-edge index of pms: entry e has bit l set when pms[l] contains
+    edge e, for the m edges of their graph.
+
+    Built in one pass as a transpose: the binary rows of pms, last matching
+    first, are joined into one string, and the column of edge e, read with
+    a stride of m, is the binary numeral of entry e.
+    """
+    if not pms:
+        return [0] * m
+    rows = "".join([format(x, f"0{m}b") for x in reversed(pms)])
+    return [int(rows[m - 1 - e::m], 2) for e in range(m)]
+
+
+def _best_leaf(
+    union: int, cand: int, best_pop: int, m: int, by_edge: Sequence[int]
+) -> Optional[Tuple[int, int]]:
+    """(pop, l) for the first l in cand at which pop = |union | pms[l]| is
+    largest, or None when no pop exceeds best_pop; by_edge is
+    matching_index(m, pms).
+
+    With W the edges outside union, pms[l] reaches m - t edges when it
+    misses t edges of W, so only the factors missing at most
+    m - 1 - best_pop of them can improve, and a bit-sliced count of misses
+    over the rows of W sorts those by t.
+    """
+    holes = (1 << m) - 1 & ~union
+    top = min(m - 1 - best_pop, holes.bit_count())
+    if top < 0:
+        return None
+    misses = [~by_edge[e] for e in _indices(holes)]
+    for t, level in enumerate(_levels(cand, misses, top)):
+        if level:
+            return m - t, (level & -level).bit_length() - 1
+    return None
+
+
+#: mu_k scores a last factor by _best_leaf when that is cheaper than a scan
+#: of its candidates: when LEAF_SLICE_COST * w * (s + 1) + LEAF_SLICE_SETUP
+#: is below their number, with w edges left to cover and s misses allowed.
+#: Each of the w * (s + 1) big-int steps costs about LEAF_SLICE_COST
+#: scanned candidates, and the call about LEAF_SLICE_SETUP.  Swept over
+#: mu_1..mu_4 of J7-J13, the prisms and Moebius ladders on 24-40 vertices
+#: and the bundled corpus (CPU time, best of 7, 2-core Xeon): a step cost
+#: of 1 or 2 was fastest on J11 and J13 and 2 to 4 on the prisms and
+#: ladders; with no setup term J7's mu_4 (128 matchings) took 1.5 times as
+#: long as with scans, and with 64 it scans, as the corpus does.
+LEAF_SLICE_COST = 2
+LEAF_SLICE_SETUP = 64
+
+
 #: analyze() passes matching orbits to mu_k from this many matchings on.
 #: Finding them takes a few milliseconds plus a pass over pms per
 #: generator; J7 (128 matchings, the most in the bundled corpus) saves
@@ -103,6 +155,7 @@ ORBIT_MIN_MATCHINGS = 256
 def mu_k(
     G: CubicGraph, k: int, pms: Sequence[int],
     orbits: Optional[Callable[[], Sequence[int]]] = None,
+    index: Optional[Callable[[], Sequence[int]]] = None,
 ) -> Tuple[int, CoverWitness]:
     """Exact mu_k via branch and bound over nondecreasing factor-index tuples
     of pms, the list from enumerate_perfect_matchings(G).
@@ -117,6 +170,22 @@ def mu_k(
     rebuilt when the best union grows.  Tuples are visited in lexicographic
     order and only a strictly larger union replaces the best one, so the
     witness is the lexicographically first optimal tuple.
+
+    The last factor is scored in one step when that is cheaper.  With W
+    the w edges outside U, a factor M reaches |U | M| = m - |W - M|, so it
+    beats the best union only if it misses at most s = m - 1 - best edges
+    of W.  A bit-sliced count of misses over the index rows of W
+    (_best_leaf) sorts the candidates by miss count 0..s, and the least
+    index of the lowest nonempty level is the factor a scan in index order
+    keeps: the largest union, the first index reaching it.  So the witness
+    and the scored count do not change.  The count costs w * (s + 1)
+    big-int steps against one union per candidate, so it is used when
+    LEAF_SLICE_COST * w * (min(s, w) + 1) + LEAF_SLICE_SETUP is below the
+    number of candidates.  On the snarks mu_4 reaches best = m - 1 early,
+    and with s = 0 the count is w ANDs.
+
+    index, a function returning matching_index(G.m, pms), shares that
+    index across calls; without it, mu_k builds its own on first use.
 
     orbits, a function returning matching_orbits(G, pms), lets the search
     skip symmetric tuples.  An automorphism maps a tuple to one of the same
@@ -135,7 +204,9 @@ def mu_k(
     after checking it against G, so a missed automorphism costs time,
     never the optimum or the witness.  Orbits cost an automorphism search
     and a pass over pms per generator, so analyze() passes them only from
-    ORBIT_MIN_MATCHINGS matchings on, computed at most once per graph.
+    ORBIT_MIN_MATCHINGS matchings on, computed at most once per graph.  It
+    passes the index to every call, built at most once per graph and only
+    when a search asks for it.
 
     Repetition is allowed (it never improves the union), so the search is
     total whenever G has at least one perfect matching and 1 <= k <= 6.
@@ -152,8 +223,8 @@ def mu_k(
     suffix_or = [0] * (p + 1)
     for i in range(p - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | pms[i]
-    # by_edge[e] has bit l set when pms[l] contains edge e; built on first use
-    by_edge: List[int] = []
+    if index is None:
+        index = functools.cache(lambda: matching_index(m, pms))
     # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
     near: Dict[int, int] = {}
 
@@ -170,11 +241,7 @@ def mu_k(
         if c >= half or p - f <= half * (c + 1):
             return everyone
         if f not in near:
-            if not by_edge:
-                by_edge.extend([0] * m)
-                for l, x in enumerate(pms):
-                    for e in _indices(x):
-                        by_edge[e] |= 1 << l
+            by_edge = index()
             within = 0
             for level in _levels(
                 everyone, [by_edge[e] for e in _indices(pms[f])], c
@@ -194,9 +261,23 @@ def mu_k(
         if bound <= best_pop:
             return
         if remaining == 1:
-            # score every leaf here; with no filter applied, cand holds every
-            # factor from start on and a plain scan walks it faster
-            if cand.bit_count() == p - start:
+            # score every leaf here
+            size = cand.bit_count()
+            scored += size
+            # most leaves are smaller than the setup alone: test that first
+            if size > LEAF_SLICE_SETUP:
+                w = m - union.bit_count()
+                steps = w * (min(m - 1 - best_pop, w) + 1)
+                if LEAF_SLICE_COST * steps + LEAF_SLICE_SETUP < size:
+                    found = _best_leaf(union, cand, best_pop, m, index())
+                    if found is not None:
+                        best_pop, l = found
+                        best_tuple = (*chosen, l)
+                        near.clear()
+                    return
+            # with no filter applied, cand holds every factor from start on
+            # and a plain scan walks it faster
+            if size == p - start:
                 order: Sequence[int] = range(start, p)
             else:
                 order = _indices(cand)
@@ -205,7 +286,6 @@ def mu_k(
                 if pop > best_pop:
                     best_pop, best_tuple = pop, (*chosen, l)
                     near.clear()
-            scored += len(order)
             return
         while cand:
             low = cand & -cand

@@ -344,10 +344,11 @@ def _levels(
     """
     exactly = [full] + [0] * (len(masks) if top is None else top)
     for x in masks:
+        out = ~x
         # descending t reads level t - 1 before x has moved it up
         for t in range(len(exactly) - 1, 0, -1):
-            exactly[t] = exactly[t] & ~x | exactly[t - 1] & x
-        exactly[0] &= ~x
+            exactly[t] = exactly[t] & out | exactly[t - 1] & x
+        exactly[0] &= out
     return exactly
 
 

@@ -30,6 +30,7 @@ from .covers import (
     ORBIT_MIN_MATCHINGS,
     fan_raspaud_indices,
     fulkerson_witness,
+    matching_index,
     matching_orbits,
     mu_k,
     verify_fulkerson,
@@ -258,9 +259,10 @@ def analyze(
         # computed at most once, by the first search that needs them
         orbits = (functools.cache(lambda: matching_orbits(G, pms))
                   if len(pms) >= ORBIT_MIN_MATCHINGS else None)
+        index = functools.cache(lambda: matching_index(G.m, pms))
         for k in range(1, options.mu_upto + 1):
             def _mu(k=k):
-                value, witness = mu_k(G, k, pms, orbits=orbits)
+                value, witness = mu_k(G, k, pms, orbits=orbits, index=index)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = _mu_dict(G, witness.factors)
                 mu_witnesses[k] = witness

@@ -11,8 +11,10 @@ from factorcover import covers, report
 from factorcover.covers import (
     ORBIT_MIN_MATCHINGS,
     NoPerfectMatchingError,
+    _best_leaf,
     fan_raspaud_indices,
     fulkerson_witness,
+    matching_index,
     matching_orbits,
     mu_k,
     verify_fulkerson,
@@ -247,11 +249,13 @@ def test_mu_filter_keeps_the_witness_on_flower_snarks():
                     == mu_unpruned_oracle(G, k, pms)), (t, k)
 
 
-MULTIGRAPH_TABLES = pytest.mark.parametrize("sizes,count,ks", [
+MULTIGRAPH_TABLE_ROWS = [
     (range(2, 13, 2), 200, range(1, 7)),
     # large enough for the filter to act on factors after the first
     (range(14, 25, 2), 300, range(2, 5)),
-], ids=["n<=12", "n=14..24"])
+]
+MULTIGRAPH_TABLES = pytest.mark.parametrize(
+    "sizes,count,ks", MULTIGRAPH_TABLE_ROWS, ids=["n<=12", "n=14..24"])
 
 
 @MULTIGRAPH_TABLES
@@ -408,7 +412,120 @@ def test_mu_flower_snark_j11():
     # 113 341 triples scored with orbits (145 804 without); the unfiltered
     # search scores about 18 million
     assert found[2].scored < 120_000, found[2].scored
+    # the sliced last-factor scoring counts the same tuples as a scan
+    assert [w.scored for w in found[2:]] == [113_341, 1_007_170]
     assert time.monotonic() - t0 < 10.0
+
+
+def naive_matching_index(m: int, pms: Sequence[int]) -> List[int]:
+    by_edge = [0] * m
+    for l, x in enumerate(pms):
+        for e in _indices(x):
+            by_edge[e] |= 1 << l
+    return by_edge
+
+
+def multigraph_tables():
+    """The graphs of both MULTIGRAPH_TABLES tables that have a perfect
+    matching, with their matchings."""
+    for sizes, count, _ in MULTIGRAPH_TABLE_ROWS:
+        rng = random.Random(71)
+        for _ in range(count):
+            G = random_connected_cubic_multigraph(rng, rng.choice(sizes))
+            pms = enumerate_perfect_matchings(G)
+            if pms:
+                yield G, pms
+
+
+def test_matching_index_is_the_per_edge_definition(corpus, corpus_pms):
+    graphs = [(G, corpus_pms[name]) for name, G in corpus]
+    graphs += [(G, enumerate_perfect_matchings(G))
+               for G in map(flower_snark, (5, 7, 9, 11))]
+    parallel = 0
+    for G, pms in graphs + list(multigraph_tables()):
+        assert matching_index(G.m, pms) == naive_matching_index(G.m, pms)
+        parallel += len(set(G.edges)) < G.m
+    assert parallel > 100, parallel
+    assert matching_index(3, []) == [0, 0, 0]
+
+
+def leaf_scan(
+    union: int, cand: int, best_pop: int, pms: Sequence[int]
+) -> Optional[Tuple[int, int]]:
+    """mu_k's plain scan of a last factor: (pop, l) of the last strict
+    improvement over best_pop in index order, or None."""
+    found = None
+    for l in _indices(cand):
+        pop = (union | pms[l]).bit_count()
+        if pop > best_pop:
+            best_pop, found = pop, (pop, l)
+    return found
+
+
+def test_best_leaf_matches_a_plain_scan(corpus, corpus_pms):
+    rng = random.Random(83)
+    graphs = [(G, corpus_pms[name]) for name, G in rng.sample(corpus, 120)]
+    graphs += list(multigraph_tables())
+    ties = nones = 0
+    for G, pms in graphs:
+        m, p = G.m, len(pms)
+        by_edge = matching_index(m, pms)
+        for _ in range(6):
+            union = 0
+            for l in rng.sample(range(p), min(p, rng.randrange(4))):
+                union |= pms[l]
+            if rng.random() < 0.3:
+                union |= rng.getrandbits(m)
+            cand = rng.getrandbits(p)
+            best_pop = rng.randrange(-1, m + 1)
+            found = _best_leaf(union, cand, best_pop, m, by_edge)
+            assert found == leaf_scan(union, cand, best_pop, pms), (
+                G.edges, union, cand, best_pop)
+            if found is None:
+                nones += 1
+            elif sum((union | pms[l]).bit_count() == found[0]
+                     for l in _indices(cand)) > 1:
+                ties += 1  # the first of several best factors won
+    assert ties > 100 and nones > 100, (ties, nones)
+
+
+def test_sliced_leaf_runs_on_snarks_and_prisms_never_on_k4(k4, monkeypatch):
+    calls: List[int] = []
+
+    def counted(*args):
+        calls.append(1)
+        return best_leaf(*args)
+
+    best_leaf = covers._best_leaf
+    monkeypatch.setattr(covers, "_best_leaf", counted)
+    for G, ks, used in (
+        (k4, range(1, 7), False),
+        (CubicGraph(24, prism_edges(12)), range(4, 7), True),
+        (flower_snark(11), (4,), True),
+    ):
+        pms = enumerate_perfect_matchings(G)
+        for k in ks:
+            calls.clear()
+            mu_k(G, k, pms)
+            assert bool(calls) == used, (G.n, k, len(calls))
+
+
+def test_analyze_builds_the_matching_index_at_most_once_per_graph(
+        corpus, monkeypatch):
+    calls: List[int] = []
+    monkeypatch.setattr(report, "matching_index",
+                        lambda m, pms: calls.append(m) or
+                        matching_index(m, pms))
+    for ops in (("structure", "fan_raspaud", "core", "covers"), ("mu",)):
+        built = 0
+        for name, G in corpus[::5] + [("J9", flower_snark(9))]:
+            calls.clear()
+            analyze(G, AnalyzeOptions(ops=ops), id=name)
+            assert len(calls) <= (ops == ("mu",)), (name, ops, calls)
+            built += len(calls)
+        # J9's searches share one index
+        assert calls == ([54] if ops == ("mu",) else [])
+    assert built > 1, built
 
 
 def test_mu_basic_identities(corpus, corpus_pms):

@@ -17,6 +17,7 @@ from .graphs import (
     CubicGraph,
     _indices,
     _levels,
+    _transpose,
     automorphisms,
     edge_permutation,
 )
@@ -45,41 +46,36 @@ class FulkersonWitness:
     factors: Tuple[int, ...]
 
 
-def matching_orbits(G: CubicGraph, pms: Sequence[int]) -> List[int]:
+def matching_orbits(
+    G: CubicGraph, pms: Sequence[int], by_edge: Optional[Sequence[int]] = None
+) -> List[int]:
     """The orbits of the automorphisms(G) generators on pms: entry l is the
-    least index of the orbit of pms[l].
+    least index of the orbit of pms[l].  by_edge, if given, is the
+    per-edge index _transpose(G.m, pms).
 
     A generator is used only once edge_permutation confirms it preserves
     every edge multiplicity and each image of a matching is in pms, so a
     missed or rejected automorphism leaves orbits finer, never wrong.
     """
-    m = G.m
-    chunks = (m + 7) // 8
+    p = len(pms)
     where = {x: l for l, x in enumerate(pms)}
     moves: List[List[int]] = []  # per generator, the index of each image
     for sigma in automorphisms(G):
         perm = edge_permutation(G, sigma)
         if perm is None:
             continue
-        # the image of each byte of a mask, by byte position
-        tables = []
-        for c in range(chunks):
-            table = [0] * 256
-            for b in range(1, 256):
-                low = b & -b
-                f = 8 * c + low.bit_length() - 1
-                table[b] = table[b ^ low] | (1 << perm[f] if f < m else 0)
-            tables.append(table)
-        images = []
-        for x in pms:
-            y = 0
-            for table, b in zip(tables, x.to_bytes(chunks, "little")):
-                y |= table[b]
-            images.append(where.get(y, -1))
+        if by_edge is None:
+            by_edge = _transpose(G.m, pms)
+        # the index row of each edge becomes that of its image edge, so
+        # its transpose lists the images of the matchings
+        moved = [0] * G.m
+        for f, row in enumerate(by_edge):
+            moved[perm[f]] = row
+        images = [where.get(y, -1) for y in _transpose(p, moved)]
         if -1 not in images:
             moves.append(images)
-    rep = [-1] * len(pms)
-    for l in range(len(pms)):
+    rep = [-1] * p
+    for l in range(p):
         if rep[l] < 0:  # every smaller orbit is done: l is this one's least
             rep[l] = l
             stack = [l]
@@ -93,26 +89,12 @@ def matching_orbits(G: CubicGraph, pms: Sequence[int]) -> List[int]:
     return rep
 
 
-def matching_index(m: int, pms: Sequence[int]) -> List[int]:
-    """The per-edge index of pms: entry e has bit l set when pms[l] contains
-    edge e, for the m edges of their graph.
-
-    Built in one pass as a transpose: the binary rows of pms, last matching
-    first, are joined into one string, and the column of edge e, read with
-    a stride of m, is the binary numeral of entry e.
-    """
-    if not pms:
-        return [0] * m
-    rows = "".join([format(x, f"0{m}b") for x in reversed(pms)])
-    return [int(rows[m - 1 - e::m], 2) for e in range(m)]
-
-
 def _best_leaf(
     union: int, cand: int, best_pop: int, m: int, by_edge: Sequence[int]
 ) -> Optional[Tuple[int, int]]:
     """(pop, l) for the first l in cand at which pop = |union | pms[l]| is
     largest, or None when no pop exceeds best_pop; by_edge is
-    matching_index(m, pms).
+    _transpose(m, pms).
 
     With W the edges outside union, pms[l] reaches m - t edges when it
     misses t edges of W, so only the factors missing at most
@@ -177,36 +159,27 @@ def mu_k(
     of W.  A bit-sliced count of misses over the index rows of W
     (_best_leaf) sorts the candidates by miss count 0..s, and the least
     index of the lowest nonempty level is the factor a scan in index order
-    keeps: the largest union, the first index reaching it.  So the witness
-    and the scored count do not change.  The count costs w * (s + 1)
-    big-int steps against one union per candidate, so it is used when
-    LEAF_SLICE_COST * w * (min(s, w) + 1) + LEAF_SLICE_SETUP is below the
-    number of candidates.  On the snarks mu_4 reaches best = m - 1 early,
-    and with s = 0 the count is w ANDs.
+    keeps, so the witness and the scored count do not change.  It costs
+    w * (s + 1) big-int steps against one union per candidate, so it is
+    used when LEAF_SLICE_COST * w * (min(s, w) + 1) + LEAF_SLICE_SETUP is
+    below the number of candidates, and never at the root (k = 1), where
+    every factor covers n/2 edges and the scan keeps factor 0.
 
-    index, a function returning matching_index(G.m, pms), shares that
+    index, a function returning _transpose(G.m, pms), shares the per-edge
     index across calls; without it, mu_k builds its own on first use.
 
     orbits, a function returning matching_orbits(G, pms), lets the search
     skip symmetric tuples.  An automorphism maps a tuple to one of the same
-    union.  So if the lexicographically first optimal tuple T starts with
-    l, no factor of T has an index below l in its orbit, or its image
-    would be an optimal tuple starting lower: l is its orbit's least index
-    (a representative), and every factor of T has a representative >= l.
-    The search runs factor 0's subtree exactly as without orbits; only if
-    that falls short of min(m, k*n/2) does it call orbits and then search
-    the subtree of every other representative r in turn, over the factors
-    whose representative is >= r.  Those tuples are visited in
-    lexicographic order and include T, so T is the first of them to reach
-    the optimum and, with only strict improvements kept, the witness: the
-    same one as without orbits.  The argument holds for the orbits of any
-    group of automorphisms, and matching_orbits uses a generator only
-    after checking it against G, so a missed automorphism costs time,
-    never the optimum or the witness.  Orbits cost an automorphism search
-    and a pass over pms per generator, so analyze() passes them only from
-    ORBIT_MIN_MATCHINGS matchings on, computed at most once per graph.  It
-    passes the index to every call, built at most once per graph and only
-    when a search asks for it.
+    union, so the first optimal tuple starts with the least index of its
+    orbit (a representative) l, and no factor of it lies in the orbit of a
+    representative below l.  So once a first factor l is done, the root
+    drops l's whole orbit from the candidates; the least one left is the
+    next representative.  The tuples kept are visited in the same order
+    and include the first optimal one, so the witness does not change.
+    orbits is asked for once, only when factor 0's subtree falls short of
+    min(m, k*n/2); analyze() passes it from ORBIT_MIN_MATCHINGS matchings
+    on, and it holds for any group of automorphisms, so a missed one costs
+    time, never the optimum or the witness.
 
     Repetition is allowed (it never improves the union), so the search is
     total whenever G has at least one perfect matching and 1 <= k <= 6.
@@ -224,9 +197,11 @@ def mu_k(
     for i in range(p - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | pms[i]
     if index is None:
-        index = functools.cache(lambda: matching_index(m, pms))
+        index = functools.cache(lambda: _transpose(m, pms))
     # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
     near: Dict[int, int] = {}
+    # orbit[r]: the factors whose representative is r, filled on first use
+    orbit: Dict[int, int] = {}
 
     best_pop = -1
     best_tuple: Optional[Tuple[int, ...]] = None
@@ -265,7 +240,7 @@ def mu_k(
             size = cand.bit_count()
             scored += size
             # most leaves are smaller than the setup alone: test that first
-            if size > LEAF_SLICE_SETUP:
+            if chosen and size > LEAF_SLICE_SETUP:
                 w = m - union.bit_count()
                 steps = w * (min(m - 1 - best_pop, w) + 1)
                 if LEAF_SLICE_COST * steps + LEAF_SLICE_SETUP < size:
@@ -296,32 +271,20 @@ def mu_k(
             chosen.pop()
             if best_pop == most:
                 return
+            if not chosen and orbits is not None:
+                # the root: l is a representative; drop its whole orbit
+                if not orbit:
+                    for x, r in enumerate(orbits()):
+                        orbit[r] = orbit.get(r, 0) | 1 << x
+                low = orbit[l]
             if (union | suffix_or[l + 1]).bit_count() <= best_pop:
                 break
-            cand ^= low
+            cand &= ~low
             if best_pop != before:
                 for f in chosen:
                     cand &= followers(f)
 
-    if orbits is None or k == 1:
-        rec(0, 0, everyone)
-    else:
-        chosen.append(0)  # the first subtree of rec(0, 0, everyone)
-        rec(0, pms[0], followers(0))
-        chosen.pop()
-        if best_pop < most:
-            orbit: Dict[int, int] = {}  # representative -> orbit, ascending
-            for l, r in enumerate(orbits()):
-                orbit[r] = orbit.get(r, 0) | 1 << l
-            # the factors whose representative is r or later
-            later = everyone & ~orbit.pop(0)
-            for r, members in orbit.items():
-                if best_pop == most or suffix_or[r].bit_count() <= best_pop:
-                    break
-                chosen.append(r)
-                rec(r, pms[r], later & followers(r))
-                chosen.pop()
-                later &= ~members
+    rec(0, 0, everyone)
     assert best_tuple is not None
     union = 0
     for i in best_tuple:
@@ -348,10 +311,6 @@ def fan_raspaud_indices(
     for i in range(p):
         for j in range(i + 1, p):
             ij = pms[i] & pms[j]
-            if not ij:
-                for l in range(j + 1, p):
-                    return i, j, l
-                continue
             for l in range(j + 1, p):
                 if ij & pms[l] == 0:
                     return i, j, l

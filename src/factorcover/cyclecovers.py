@@ -19,6 +19,7 @@ from .graphs import (
     _bfs,
     _indices,
     _levels,
+    _transpose,
     _two_coloring,
     cycle_space_basis,
 )
@@ -296,13 +297,10 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
     if cover_all != full:  # some edge on no cycle (a bridge)
         raise CoverConstructionError("graph has no cycle cover")
     lengths = {v: v.bit_count() for v in members}
-    by_edge: List[List[int]] = [[] for _ in range(m)]
-    for v in members:
-        for i in range(m):
-            if (v >> i) & 1:
-                by_edge[i].append(v)
-    # the members through each edge by (length, bits); by_edge is in bits
-    # order and the sort is stable
+    # the members through each edge, in bits order
+    by_edge = [[members[j] for j in _indices(row)]
+               for row in _transpose(m, members)]
+    # the members through each edge by (length, bits): the sort is stable
     by_short = [sorted(vs, key=lengths.__getitem__) for vs in by_edge]
     root_bound = (4 * m + 2) // 3
     # longer than any cover by SCC_MAX_CYCLES cycles, so no cover is pruned

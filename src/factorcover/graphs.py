@@ -37,6 +37,20 @@ def _indices(bits: int) -> List[int]:
     return out
 
 
+def _transpose(width: int, rows: Sequence[int]) -> List[int]:
+    """The transpose of a bit matrix: entry j has bit i set when rows[i],
+    each below 2**width, has bit j.
+
+    The binary numerals of rows, last row first, are joined into one
+    string, and the column of bit j, read with a stride of width, is the
+    numeral of entry j.
+    """
+    if not rows:
+        return [0] * width
+    text = "".join([format(x, f"0{width}b") for x in reversed(rows)])
+    return [int(text[width - 1 - j::width], 2) for j in range(width)]
+
+
 def _mask(m: int, indices: Iterable[int]) -> int:
     """The edge bitmask of indices, each of which must lie in 0..m-1."""
     bits = 0
@@ -422,11 +436,7 @@ def cycle_space_basis(G: CubicGraph) -> List[int]:
     """Fundamental cycles (as edge bitmasks) w.r.t. a BFS spanning forest:
     the transpose of _cycle_labels."""
     label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))[3]
-    basis = [0] * max(label).bit_length()
-    for e, x in enumerate(label):
-        for j in _indices(x):
-            basis[j] |= 1 << e
-    return basis
+    return _transpose(max(label).bit_length(), label)
 
 
 def has_nontrivial_3_edge_cut(

@@ -30,7 +30,6 @@ from .covers import (
     ORBIT_MIN_MATCHINGS,
     fan_raspaud_indices,
     fulkerson_witness,
-    matching_index,
     matching_orbits,
     mu_k,
     verify_fulkerson,
@@ -53,6 +52,7 @@ from .graphs import (
     NotCubicError,
     _indices,
     _mask,
+    _transpose,
     girth,
     has_nontrivial_3_edge_cut,
     is_bipartite,
@@ -257,9 +257,9 @@ def analyze(
     mu_witnesses: Dict[int, object] = {}
     if "mu" in needs_pms:
         # computed at most once, by the first search that needs them
-        orbits = (functools.cache(lambda: matching_orbits(G, pms))
+        index = functools.cache(lambda: _transpose(G.m, pms))
+        orbits = (functools.cache(lambda: matching_orbits(G, pms, index()))
                   if len(pms) >= ORBIT_MIN_MATCHINGS else None)
-        index = functools.cache(lambda: matching_index(G.m, pms))
         for k in range(1, options.mu_upto + 1):
             def _mu(k=k):
                 value, witness = mu_k(G, k, pms, orbits=orbits, index=index)

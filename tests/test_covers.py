@@ -9,12 +9,13 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from factorcover import covers, report
 from factorcover.covers import (
+    LEAF_SLICE_COST,
+    LEAF_SLICE_SETUP,
     ORBIT_MIN_MATCHINGS,
     NoPerfectMatchingError,
     _best_leaf,
     fan_raspaud_indices,
     fulkerson_witness,
-    matching_index,
     matching_orbits,
     mu_k,
     verify_fulkerson,
@@ -25,6 +26,9 @@ from factorcover.graphs import (
     _indices,
     _levels,
     _mask,
+    _transpose,
+    automorphisms,
+    edge_permutation,
     flower_snark,
 )
 from factorcover.matching import (
@@ -377,11 +381,56 @@ def test_matching_orbits_skip_unchecked_generators(petersen, monkeypatch):
     assert matching_orbits(petersen, pms) == list(range(6))
 
 
+def matching_orbits_oracle(G: CubicGraph, pms: Sequence[int]) -> List[int]:
+    """matching_orbits with the image of each matching under each checked
+    generator built edge by edge."""
+    where = {x: l for l, x in enumerate(pms)}
+    rep = list(range(len(pms)))  # a forest whose roots are least indices
+
+    def root(l: int) -> int:
+        while rep[l] != l:
+            l = rep[l]
+        return l
+
+    for sigma in automorphisms(G):
+        perm = edge_permutation(G, sigma)
+        if perm is None:
+            continue
+        images = [where.get(_mask(G.m, (perm[f] for f in _indices(x))), -1)
+                  for x in pms]
+        if -1 in images:
+            continue
+        for l, y in enumerate(images):
+            a, b = root(l), root(y)
+            rep[max(a, b)] = min(a, b)
+    return [root(l) for l in range(len(pms))]
+
+
+def test_matching_orbit_images_are_the_per_matching_images(
+        corpus, corpus_pms):
+    graphs = [(G, corpus_pms[name]) for name, G in corpus]
+    graphs += [(flower_snark(t), None) for t in (5, 7, 9, 11)]
+    graphs += [(G, None) for t in range(4, 13)
+               for G in (CubicGraph(2 * t, prism_edges(t)), mobius_ladder(t))]
+    graphs += list(multigraph_tables())
+    coarse = parallel = 0
+    for G, pms in graphs:
+        if pms is None:
+            pms = enumerate_perfect_matchings(G)
+        want = matching_orbits_oracle(G, pms)
+        assert matching_orbits(G, pms) == want, G.edges
+        assert matching_orbits(G, pms, _transpose(G.m, pms)) == want
+        if len(set(want)) < len(pms):
+            coarse += 1
+            parallel += len(set(G.edges)) < G.m
+    assert coarse > 600 and parallel > 50, (coarse, parallel)
+
+
 def test_orbit_cost_rule_keeps_the_corpus_off_the_orbit_path(
         corpus, corpus_pms, monkeypatch):
     assert max(map(len, corpus_pms.values())) < ORBIT_MIN_MATCHINGS
 
-    def refuse(G, pms):
+    def refuse(G, pms, by_edge):
         raise AssertionError("matching_orbits ran")
 
     monkeypatch.setattr(report, "matching_orbits", refuse)
@@ -391,8 +440,8 @@ def test_orbit_cost_rule_keeps_the_corpus_off_the_orbit_path(
     # J9 has 512 matchings: mu_2 asks for the orbits, and mu_3 reuses them
     calls: List[int] = []
     monkeypatch.setattr(report, "matching_orbits",
-                        lambda G, pms: calls.append(1) or
-                        matching_orbits(G, pms))
+                        lambda G, pms, by_edge: calls.append(1) or
+                        matching_orbits(G, pms, by_edge))
     analyze(flower_snark(9), options)
     assert calls == [1]
 
@@ -443,10 +492,10 @@ def test_matching_index_is_the_per_edge_definition(corpus, corpus_pms):
                for G in map(flower_snark, (5, 7, 9, 11))]
     parallel = 0
     for G, pms in graphs + list(multigraph_tables()):
-        assert matching_index(G.m, pms) == naive_matching_index(G.m, pms)
+        assert _transpose(G.m, pms) == naive_matching_index(G.m, pms)
         parallel += len(set(G.edges)) < G.m
     assert parallel > 100, parallel
-    assert matching_index(3, []) == [0, 0, 0]
+    assert _transpose(3, []) == [0, 0, 0]
 
 
 def leaf_scan(
@@ -469,7 +518,7 @@ def test_best_leaf_matches_a_plain_scan(corpus, corpus_pms):
     ties = nones = 0
     for G, pms in graphs:
         m, p = G.m, len(pms)
-        by_edge = matching_index(m, pms)
+        by_edge = _transpose(m, pms)
         for _ in range(6):
             union = 0
             for l in rng.sample(range(p), min(p, rng.randrange(4))):
@@ -513,9 +562,9 @@ def test_sliced_leaf_runs_on_snarks_and_prisms_never_on_k4(k4, monkeypatch):
 def test_analyze_builds_the_matching_index_at_most_once_per_graph(
         corpus, monkeypatch):
     calls: List[int] = []
-    monkeypatch.setattr(report, "matching_index",
+    monkeypatch.setattr(report, "_transpose",
                         lambda m, pms: calls.append(m) or
-                        matching_index(m, pms))
+                        _transpose(m, pms))
     for ops in (("structure", "fan_raspaud", "core", "covers"), ("mu",)):
         built = 0
         for name, G in corpus[::5] + [("J9", flower_snark(9))]:
@@ -526,6 +575,30 @@ def test_analyze_builds_the_matching_index_at_most_once_per_graph(
         # J9's searches share one index
         assert calls == ([54] if ops == ("mu",) else [])
     assert built > 1, built
+
+
+def test_mu_1_builds_no_index(monkeypatch):
+    """Every perfect matching has n/2 edges, so mu_1's scan keeps factor 0
+    without the per-edge index, even with more matchings than the sliced
+    last factor's cost rule asks for."""
+    G = CubicGraph(40, prism_edges(20))
+    pms = enumerate_perfect_matchings(G)
+    p = len(pms)
+    assert p == 15_129
+    assert p > LEAF_SLICE_COST * G.m * (G.m + 1) + LEAF_SLICE_SETUP
+
+    def refuse():
+        raise AssertionError("the index was built")
+
+    value, witness = mu_k(G, 1, pms, index=refuse)
+    assert value == G.m - G.n // 2
+    assert witness.factor_indices == (0,) and witness.scored == p
+    calls: List[int] = []
+    monkeypatch.setattr(report, "_transpose",
+                        lambda m, pms: calls.append(m) or
+                        _transpose(m, pms))
+    got = analyze(G, AnalyzeOptions(ops=("mu",), mu_upto=1))
+    assert got.mu == {"1": value} and calls == []
 
 
 def test_mu_basic_identities(corpus, corpus_pms):

@@ -6,7 +6,7 @@ from collections import deque
 import networkx as nx
 import pytest
 from networkx.algorithms.isomorphism import GraphMatcher
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from factorcover import graphs
 from factorcover.cores import build_core, classify_core, verify_core_theorems
@@ -23,6 +23,7 @@ from factorcover.graphs import (
     _indices,
     _levels,
     _mask,
+    _transpose,
     _two_coloring,
     automorphisms,
     bridges,
@@ -440,6 +441,31 @@ def test_levels_against_per_edge_count(case, top):
         count = sum(x >> i & 1 for x in masks)
         for t, level in enumerate(exactly):
             assert level >> i & 1 == (full >> i & 1 and count == t)
+
+
+@st.composite
+def bit_matrices(draw):
+    width = draw(st.integers(0, MAX_EDGES))
+    return width, draw(st.lists(st.integers(0, (1 << width) - 1),
+                                max_size=40))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bit_matrices())
+@example((0, []))
+@example((0, [0, 0, 0]))
+@example((7, []))
+@example((5, [0, 0, 0, 0]))
+@example((MAX_EDGES, [1 << MAX_EDGES - 1, 0, (1 << MAX_EDGES) - 1]))
+@example((1, [1, 0, 1]))
+def test_transpose_against_per_bit_definition(case):
+    """Entry j of the transpose has bit i set when rows[i] has bit j, and
+    transposing twice gives the rows back."""
+    width, rows = case
+    flipped = _transpose(width, rows)
+    assert flipped == [sum((x >> j & 1) << i for i, x in enumerate(rows))
+                       for j in range(width)]
+    assert _transpose(len(rows), flipped) == rows
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .graphs import (
     _bfs,
     _indices,
     _levels,
-    _transpose,
     _two_coloring,
     cycle_space_basis,
 )
@@ -298,8 +297,10 @@ def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
         raise CoverConstructionError("graph has no cycle cover")
     lengths = {v: v.bit_count() for v in members}
     # the members through each edge, in bits order
-    by_edge = [[members[j] for j in _indices(row)]
-               for row in _transpose(m, members)]
+    by_edge: List[List[int]] = [[] for _ in range(m)]
+    for v in members:
+        for i in _indices(v):
+            by_edge[i].append(v)
     # the members through each edge by (length, bits): the sort is stable
     by_short = [sorted(vs, key=lengths.__getitem__) for vs in by_edge]
     root_bound = (4 * m + 2) // 3

@@ -34,29 +34,54 @@ def enumerate_perfect_matchings(
     """All perfect matchings, in lexicographic edge-index order.
 
     Branches on the lowest-indexed uncovered vertex and tries its incident
-    edges in index order.  Raises PMCapExceededError rather than returning a
-    silently truncated list.
+    edges in index order.  The matchings below a search node depend only on
+    covered, the set of vertices matched so far: the first visit to a state
+    appends them to out as one block, each one that visit's prefix old | a
+    tail on the uncovered vertices.  A later visit with prefix chosen
+    replays the block as x ^ (old ^ chosen) for each x in it, which is
+    tail | chosen, so the list and its order are those of the plain search.
+
+    A finished state is remembered only while the memo holds fewer than
+    4n + len(out) // 8 states.  An entry costs about five times a matching
+    in out, so the memo stays O(n + len(out)) and adds at most about two
+    thirds to the memory of the list, even where the states outnumber the
+    matchings (the prisms, labelled round each circuit).  The cap is checked
+    before each leaf and before each replayed block, so the list never
+    grows past cap: PMCapExceededError is raised exactly when there are
+    more than cap matchings, rather than returning a truncated list.
     """
-    n, edges, incidence = G.n, G.edges, G.incidence
+    n = G.n
     full = (1 << n) - 1
+    end_bits = [1 << a | 1 << b for a, b in G.edges]
+    # arms[v]: (the bits of v and its neighbour, the edge bit) per edge at v
+    arms = [[(end_bits[f], 1 << f) for f in inc] for inc in G.incidence]
     out: List[int] = []
+    done = {}  # state -> (its prefix, block start, block end)
 
     def rec(covered: int, chosen: int) -> None:
-        if covered == full:
-            if len(out) >= cap:
-                raise PMCapExceededError(
-                    f"more than {cap} perfect matchings"
-                )
-            out.append(chosen)
-            return
-        free = (~covered) & full
-        v = (free & -free).bit_length() - 1
-        for f in incidence[v]:
-            a, b = edges[f]
-            w = b if v == a else a
-            if covered & (1 << w):
+        v = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered
+        for ends, bit in arms[v]:
+            if covered & ends:
                 continue
-            rec(covered | (1 << v) | (1 << w), chosen | 1 << f)
+            nxt, pick = covered | ends, chosen | bit
+            if nxt == full:
+                if len(out) >= cap:
+                    raise PMCapExceededError(
+                        f"more than {cap} perfect matchings")
+                out.append(pick)
+                continue
+            block = done.get(nxt)
+            if block is None:
+                start = len(out)
+                rec(nxt, pick)
+                if len(done) < 4 * n + len(out) // 8:
+                    done[nxt] = pick, start, len(out)
+                continue
+            old, start, end = block
+            if len(out) + (end - start) > cap:
+                raise PMCapExceededError(f"more than {cap} perfect matchings")
+            d = old ^ pick
+            out.extend([x ^ d for x in out[start:end]])
 
     rec(0, 0)
     return out

@@ -35,6 +35,13 @@ def prism_edges(t: int):
     return edges
 
 
+def mobius_ladder(t: int) -> CubicGraph:
+    """The Moebius ladder on 2t vertices: a 2t-circuit plus its t
+    diagonals."""
+    return CubicGraph(2 * t, [(i, (i + 1) % (2 * t)) for i in range(2 * t)]
+                      + [(i, i + t) for i in range(t)])
+
+
 def components(G: CubicGraph, mask: int, roots):
     """Connected components of the subgraph with edge set mask that meet
     roots, as sorted vertex lists in the order of their least root."""

@@ -39,7 +39,11 @@ from factorcover.matching import (
 
 from factorcover.report import AnalyzeOptions, analyze
 
-from conftest import prism_edges, random_connected_cubic_multigraph
+from conftest import (
+    mobius_ladder,
+    prism_edges,
+    random_connected_cubic_multigraph,
+)
 
 
 def mu_oracle(G: CubicGraph, k: int) -> int:
@@ -301,13 +305,6 @@ def test_mu_orbits_keep_the_witness_on_flower_snarks():
         for k in range(1, 5):
             assert (mu_value_and_indices(G, k, pms, orbits)
                     == mu_lex_oracle(G, k, pms)), (t, k)
-
-
-def mobius_ladder(t: int) -> CubicGraph:
-    """The Moebius ladder on 2t vertices: a 2t-circuit plus its t
-    diagonals."""
-    return CubicGraph(2 * t, [(i, (i + 1) % (2 * t)) for i in range(2 * t)]
-                      + [(i, i + t) for i in range(t)])
 
 
 @pytest.mark.parametrize("t", range(4, 13))

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from factorcover.graphs import CubicGraph, _indices
+from factorcover.graphs import CubicGraph, _indices, flower_snark
 from factorcover.matching import (
+    DEFAULT_PM_CAP,
     PMCapExceededError,
     enumerate_perfect_matchings,
     exists_4ec_with_class_of_size,
@@ -12,6 +14,12 @@ from factorcover.matching import (
     is_three_edge_colorable,
     oddness,
     trace_circuits,
+)
+
+from conftest import (
+    mobius_ladder,
+    prism_edges,
+    random_connected_cubic_multigraph,
 )
 
 
@@ -76,6 +84,93 @@ def test_known_matching_counts(k4, k33, theta):
 def test_cap_is_enforced(petersen):
     with pytest.raises(PMCapExceededError):
         enumerate_perfect_matchings(petersen, cap=5)
+
+
+def enumerate_oracle(G: CubicGraph, cap: int = DEFAULT_PM_CAP):
+    """The plain backtracking enumeration, with no memo: branch on the
+    lowest uncovered vertex, try its edges in index order, and raise once
+    a matching past cap is found."""
+    n, edges, incidence = G.n, G.edges, G.incidence
+    full = (1 << n) - 1
+    out = []
+
+    def rec(covered: int, chosen: int) -> None:
+        if covered == full:
+            if len(out) >= cap:
+                raise PMCapExceededError(
+                    f"more than {cap} perfect matchings"
+                )
+            out.append(chosen)
+            return
+        free = (~covered) & full
+        v = (free & -free).bit_length() - 1
+        for f in incidence[v]:
+            a, b = edges[f]
+            w = b if v == a else a
+            if covered & (1 << w):
+                continue
+            rec(covered | (1 << v) | (1 << w), chosen | 1 << f)
+
+    rec(0, 0)
+    return out
+
+
+def check_against_oracle(G: CubicGraph) -> None:
+    """The same list in the same order as the oracle; the cap raises
+    exactly when there are more matchings than it allows."""
+    pms = enumerate_oracle(G)
+    assert enumerate_perfect_matchings(G) == pms
+    assert enumerate_perfect_matchings(G, cap=len(pms)) == pms
+    if pms:
+        with pytest.raises(PMCapExceededError):
+            enumerate_perfect_matchings(G, cap=len(pms) - 1)
+    if len(pms) >= 2:
+        with pytest.raises(PMCapExceededError):
+            enumerate_perfect_matchings(G, cap=1)
+
+
+def oracle_family():
+    rng = random.Random(61)
+    yield from ((f"J{t}", flower_snark(t)) for t in (5, 7, 9, 11, 13))
+    for i in range(20):
+        n = rng.choice(range(2, 17, 2))
+        yield f"multigraph {i}", random_connected_cubic_multigraph(rng, n)
+    for t in range(3, 17):
+        yield f"C{t}xK2", CubicGraph(2 * t, prism_edges(t))
+        yield f"M{2 * t}", mobius_ladder(t)
+
+
+def test_enumeration_and_cap_match_the_oracle(corpus, theta):
+    family = [("theta", theta)] + list(corpus) + list(oracle_family())
+    parallel = 0
+    for name, G in family:
+        try:
+            check_against_oracle(G)
+        except (AssertionError, pytest.fail.Exception) as error:
+            raise AssertionError(name) from error
+        parallel += len(set(map(frozenset, G.edges))) < G.m
+    assert parallel >= 10, parallel
+
+
+def test_every_cap_on_j9_raises_exactly_below_the_count():
+    # a cap that falls inside a block of replayed matchings (300 on J9)
+    # raises before the block is copied, like one that falls on a leaf
+    G = flower_snark(9)
+    pms = enumerate_oracle(G)
+    assert len(pms) == 512
+    for cap in range(0, 520):
+        if cap < 512:
+            with pytest.raises(PMCapExceededError):
+                enumerate_perfect_matchings(G, cap=cap)
+        else:
+            assert enumerate_perfect_matchings(G, cap=cap) == pms
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 8))
+def test_enumeration_matches_the_oracle_on_seeded_multigraphs(seed, half):
+    check_against_oracle(
+        random_connected_cubic_multigraph(random.Random(seed), 2 * half))
 
 
 def test_complement_two_factor(petersen):

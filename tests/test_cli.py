@@ -346,6 +346,22 @@ def test_all_ops_scan_digest(tmp_path):
         "506cd5337b3cb8dbe278220579a5b3301e4dddeaeecc4d418698542da24c5eaa")
 
 
+@pytest.mark.parametrize("t,digest", [
+    (9, "695ded049dba6c79bfdf80bfb8c92c286956eb6845c1503f431cf02b8eecae20"),
+    (11, "e878016fd13f65fd1bcec1d2e7f9e79d19c598ae7339d1f1e9529396d635d0c7"),
+])
+def test_flower_snark_scan_digest(tmp_path, t, digest):
+    """A default scan of J9 (512 matchings) or J11 (2048) gives fixed bytes.
+    They are the smallest graphs past ORBIT_MIN_MATCHINGS, so the digests
+    cover the searches that no corpus graph reaches; they change only with
+    an intentional schema or witness change."""
+    corpus = tmp_path / f"j{t}.mgf"
+    assert main(["gen", "flower", str(t), "--out", str(corpus)]) == 0
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(corpus), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_scan_rejects_duplicate_ids_exits_2(tmp_path, capsys):
     path = tmp_path / "dup.mgf"
     path.write_text(THETA_MGF.replace("# theta", "# a") + "\n"

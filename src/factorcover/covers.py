@@ -126,11 +126,12 @@ LEAF_SLICE_COST = 2
 LEAF_SLICE_SETUP = 64
 
 
-#: analyze() passes matching orbits to mu_k from this many matchings on.
-#: Finding them takes a few milliseconds plus a pass over pms per
-#: generator; J7 (128 matchings, the most in the bundled corpus) saves
-#: about as much in mu_2 and mu_3, J9 (512) and J11 (2048) several times
-#: more.
+#: analyze() passes matching orbits to mu_k from this many matchings on,
+#: and the mu_{k-1} witness as the seed of mu_k.  Finding the orbits takes
+#: a few milliseconds plus a pass over pms per generator; J7 (128
+#: matchings, the most in the bundled corpus) saves about as much in mu_2
+#: and mu_3, J9 (512) and J11 (2048) several times more.  The seed builds
+#: the per-edge index, which on the corpus costs more than it saves.
 ORBIT_MIN_MATCHINGS = 256
 
 
@@ -138,6 +139,7 @@ def mu_k(
     G: CubicGraph, k: int, pms: Sequence[int],
     orbits: Optional[Callable[[], Sequence[int]]] = None,
     index: Optional[Callable[[], Sequence[int]]] = None,
+    after: Optional[CoverWitness] = None,
 ) -> Tuple[int, CoverWitness]:
     """Exact mu_k via branch and bound over nondecreasing factor-index tuples
     of pms, the list from enumerate_perfect_matchings(G).
@@ -181,6 +183,19 @@ def mu_k(
     on, and it holds for any group of automorphisms, so a missed one costs
     time, never the optimum or the witness.
 
+    after, the witness of mu_k(G, k - 1, pms), seeds the best union: its
+    factors plus the first factor covering the most edges outside its
+    union (one _best_leaf over every factor) form a k-tuple, so its union
+    size S is at most the optimum (mu_k <= mu_{k-1} is this fact), and the
+    search starts with the best union at S - 1 and no best tuple.  While
+    the best union is below the optimum, no ancestor of the first optimal
+    tuple is pruned or filtered out, so that tuple is still the first one
+    scored at the optimum, and the witness does not change; the search
+    only skips tuples that cannot reach S.  The seed is the union of a
+    tuple the search itself scores (sorted, as repetition is allowed),
+    never a bound that the report checks.  analyze() passes after where
+    it passes orbits, since the seed builds the index.
+
     Repetition is allowed (it never improves the union), so the search is
     total whenever G has at least one perfect matching and 1 <= k <= 6.
     """
@@ -188,6 +203,11 @@ def mu_k(
         raise ValueError("k must be between 1 and 6")
     if not pms:
         raise NoPerfectMatchingError("graph has no perfect matching")
+    if after is not None and (
+        after.k != k - 1
+        or after.factors != tuple(pms[i] for i in after.factor_indices)
+    ):
+        raise ValueError("after must be a mu_{k-1} witness on pms")
     m = G.m
     half = G.n // 2
     p = len(pms)
@@ -204,6 +224,11 @@ def mu_k(
     orbit: Dict[int, int] = {}
 
     best_pop = -1
+    if after is not None:
+        # never None: every factor reaches at least |after.union|
+        seed = _best_leaf(after.union, everyone, after.union.bit_count() - 1,
+                          m, index())
+        best_pop = seed[0] - 1
     best_tuple: Optional[Tuple[int, ...]] = None
     chosen: List[int] = []
     scored = 0

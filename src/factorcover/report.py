@@ -258,11 +258,14 @@ def analyze(
     if "mu" in needs_pms:
         # computed at most once, by the first search that needs them
         index = functools.cache(lambda: _transpose(G.m, pms))
+        large = len(pms) >= ORBIT_MIN_MATCHINGS
         orbits = (functools.cache(lambda: matching_orbits(G, pms, index()))
-                  if len(pms) >= ORBIT_MIN_MATCHINGS else None)
+                  if large else None)
         for k in range(1, options.mu_upto + 1):
             def _mu(k=k):
-                value, witness = mu_k(G, k, pms, orbits=orbits, index=index)
+                value, witness = mu_k(
+                    G, k, pms, orbits=orbits, index=index,
+                    after=mu_witnesses.get(k - 1) if large else None)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = _mu_dict(G, witness.factors)
                 mu_witnesses[k] = witness

@@ -460,7 +460,123 @@ def test_mu_flower_snark_j11():
     assert found[2].scored < 120_000, found[2].scored
     # the sliced last-factor scoring counts the same tuples as a scan
     assert [w.scored for w in found[2:]] == [113_341, 1_007_170]
+    # seeded with the witness before, as analyze() does past
+    # ORBIT_MIN_MATCHINGS: the same witnesses from fewer tuples
+    seeded = seeded_chain(G, pms, 4, lambda: orbits)
+    assert [w.factor_indices for w in seeded] == [
+        w.factor_indices for w in found]
+    assert [w.scored for w in seeded[1:]] == [11, 1_485, 342_359]
     assert time.monotonic() - t0 < 10.0
+
+
+def seeded_chain(G, pms, upto, orbits=None) -> List[covers.CoverWitness]:
+    """mu_k's witnesses for k = 1..upto, each k >= 2 seeded with the
+    witness for k - 1."""
+    chain = [mu_k(G, 1, pms, orbits=orbits)[1]]
+    for k in range(2, upto + 1):
+        chain.append(mu_k(G, k, pms, orbits=orbits, after=chain[-1])[1])
+    return chain
+
+
+def seed_size(pms: Sequence[int], after) -> int:
+    """The union size of the seed that after gives the next mu_k search:
+    after's factors plus the factor that adds the most edges."""
+    return max((after.union | x).bit_count() for x in pms)
+
+
+def assert_seed_keeps_the_witness(G, pms, orbits=None) -> Tuple[int, int]:
+    """For k = 2..4, the seeded and the unseeded search give the witness of
+    mu_lex_oracle.  Returns how many seeds fell short of the optimum and on
+    how many k the seeded search scored fewer tuples."""
+    short = fewer = 0
+    chain = seeded_chain(G, pms, 4, orbits)
+    for k, after, seeded in zip(range(2, 5), chain, chain[1:]):
+        plain = mu_k(G, k, pms, orbits=orbits)[1]
+        want = mu_lex_oracle(G, k, pms)
+        assert (seeded.mu, seeded.factor_indices) == want, (G.edges, k)
+        assert (plain.mu, plain.factor_indices) == want, (G.edges, k)
+        short += seed_size(pms, after) < seeded.union.bit_count()
+        fewer += seeded.scored < plain.scored
+    return short, fewer
+
+
+def test_mu_seed_keeps_the_witness_on_corpus(corpus, corpus_pms):
+    short = fewer = 0
+    for name, G in corpus:
+        got = assert_seed_keeps_the_witness(G, corpus_pms[name])
+        short += got[0]
+        fewer += got[1]
+    # the seed misses the optimum 62 times of 1770, and saves tuples on
+    # 1720
+    assert short > 50 and fewer > 1500, (short, fewer)
+
+
+def test_mu_seed_keeps_the_witness_on_flower_snarks():
+    for t in (5, 7, 9, 11):
+        G = flower_snark(t)
+        pms = enumerate_perfect_matchings(G)
+        orbits = matching_orbits(G, pms)
+        assert_seed_keeps_the_witness(G, pms)
+        assert_seed_keeps_the_witness(G, pms, lambda: orbits)
+
+
+@MULTIGRAPH_TABLES
+def test_mu_seed_keeps_the_witness_on_multigraphs(sizes, count, ks):
+    rng = random.Random(71)
+    short = fewer = 0
+    for _ in range(count):
+        G = random_connected_cubic_multigraph(rng, rng.choice(sizes))
+        pms = enumerate_perfect_matchings(G)
+        if pms:
+            got = assert_seed_keeps_the_witness(G, pms)
+            short += got[0]
+            fewer += got[1]
+    assert short > 10 and fewer > 2 * count, (short, fewer)
+
+
+def test_mu_seed_on_the_moebius_ladder_m30():
+    """On M30 the first matching disjoint from pms[0] lies deep in the
+    list; the seed is optimal (mu_3 = 0), so the seeded mu_3 scores one
+    triple where the unseeded search scores 113 569."""
+    G = mobius_ladder(15)
+    pms = enumerate_perfect_matchings(G)
+    assert len(pms) == 1366
+    after = mu_k(G, 2, pms)[1]
+    plain = mu_k(G, 3, pms)[1]
+    seeded = mu_k(G, 3, pms, after=after)[1]
+    assert seeded.mu == plain.mu == 0
+    assert seeded.factor_indices == plain.factor_indices == (0, 378, 1365)
+    assert (plain.scored, seeded.scored) == (113_569, 1)
+
+
+def test_mu_seed_rejects_a_foreign_witness(k4, petersen):
+    pms = enumerate_perfect_matchings(petersen)
+    after = mu_k(petersen, 2, pms)[1]
+    for k in (1, 2, 4):
+        with pytest.raises(ValueError):
+            mu_k(petersen, k, pms, after=after)
+    # a witness on another list of matchings
+    with pytest.raises(ValueError):
+        mu_k(petersen, 3, pms[::-1], after=after)
+    assert mu_k(petersen, 3, pms, after=after)[0] == 3
+
+
+def test_analyze_seeds_mu_k_from_orbit_min_matchings_on(
+        corpus, monkeypatch):
+    seeds: List[Optional[int]] = []
+
+    def recorded(G, k, pms, orbits=None, index=None, after=None):
+        seeds.append(None if after is None else after.k)
+        return mu_k(G, k, pms, orbits=orbits, index=index, after=after)
+
+    monkeypatch.setattr(report, "mu_k", recorded)
+    options = AnalyzeOptions(ops=("mu",))
+    for name, G in corpus:
+        analyze(G, options, id=name)
+    assert seeds == [None] * 4 * len(corpus)
+    seeds.clear()
+    analyze(flower_snark(9), options)
+    assert seeds == [None, 1, 2, 3]
 
 
 def naive_matching_index(m: int, pms: Sequence[int]) -> List[int]:

@@ -478,12 +478,6 @@ def seeded_chain(G, pms, upto, orbits=None) -> List[covers.CoverWitness]:
     return chain
 
 
-def seed_size(pms: Sequence[int], after) -> int:
-    """The union size of the seed that after gives the next mu_k search:
-    after's factors plus the factor that adds the most edges."""
-    return max((after.union | x).bit_count() for x in pms)
-
-
 def assert_seed_keeps_the_witness(G, pms, orbits=None) -> Tuple[int, int]:
     """For k = 2..4, the seeded and the unseeded search give the witness of
     mu_lex_oracle.  Returns how many seeds fell short of the optimum and on
@@ -495,7 +489,9 @@ def assert_seed_keeps_the_witness(G, pms, orbits=None) -> Tuple[int, int]:
         want = mu_lex_oracle(G, k, pms)
         assert (seeded.mu, seeded.factor_indices) == want, (G.edges, k)
         assert (plain.mu, plain.factor_indices) == want, (G.edges, k)
-        short += seed_size(pms, after) < seeded.union.bit_count()
+        # the seed: after's factors plus the factor adding the most edges
+        seed = max((after.union | x).bit_count() for x in pms)
+        short += seed < seeded.union.bit_count()
         fewer += seeded.scored < plain.scored
     return short, fewer
 
@@ -522,6 +518,7 @@ def test_mu_seed_keeps_the_witness_on_flower_snarks():
 
 @MULTIGRAPH_TABLES
 def test_mu_seed_keeps_the_witness_on_multigraphs(sizes, count, ks):
+    """Both tables' graphs, each for k = 2..4 whatever its ks."""
     rng = random.Random(71)
     short = fewer = 0
     for _ in range(count):
@@ -549,7 +546,7 @@ def test_mu_seed_on_the_moebius_ladder_m30():
     assert (plain.scored, seeded.scored) == (113_569, 1)
 
 
-def test_mu_seed_rejects_a_foreign_witness(k4, petersen):
+def test_mu_seed_rejects_a_foreign_witness(petersen):
     pms = enumerate_perfect_matchings(petersen)
     after = mu_k(petersen, 2, pms)[1]
     for k in (1, 2, 4):

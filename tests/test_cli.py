@@ -362,6 +362,25 @@ def test_flower_snark_scan_digest(tmp_path, t, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("t,digest", [
+    (5, "48ac5914a0c12a2a6602fbd25d0a4b930fab1c509ae005be868e35507a28a1d7"),
+    (7, "4b41472efbf9f07b9f60867f1418bb42f313248719af3f1eecf6c2cc7c352e4c"),
+    (9, "505ada980749af0e09307e8e1795f9c108f5752db9da260f7969c42998647ed1"),
+])
+def test_flower_snark_all_ops_scan_digest(tmp_path, t, digest):
+    """Every op on J5, J7 or J9 gives fixed bytes.  Snarks are not
+    3-edge-colourable, so these digests cover covers, fulkerson, oddness
+    and hypohamiltonian where the corpus all-ops pin (n <= 12) has only
+    Petersen and one other such graph; they change only with an
+    intentional schema or witness change."""
+    corpus = tmp_path / f"j{t}.mgf"
+    assert main(["gen", "flower", str(t), "--out", str(corpus)]) == 0
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(corpus), "--ops", ",".join(ALL_OPS),
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_scan_rejects_duplicate_ids_exits_2(tmp_path, capsys):
     path = tmp_path / "dup.mgf"
     path.write_text(THETA_MGF.replace("# theta", "# a") + "\n"

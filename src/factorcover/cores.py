@@ -10,10 +10,10 @@ intersection) are theorems, so violations raise CoreInvariantError.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .covers import fan_raspaud_indices
 from .graphs import (
     CubicGraph,
     _cycle_labels,
@@ -261,12 +261,18 @@ def _classify_subdivision(
 
 def find_core(G: CubicGraph, pms: Sequence[int]) -> Optional[Core]:
     """First cyclic core over the triples of pms (the list from
-    enumerate_perfect_matchings(G)) in lexicographic index order, or None."""
-    for i, j, l in itertools.combinations(range(len(pms)), 3):
-        core = build_core(G, pms[i], pms[j], pms[l])
-        if classify_core(core).is_cyclic:
-            return core
-    return None
+    enumerate_perfect_matchings(G)) in lexicographic index order, or None.
+
+    A core vertex has core degree 3 exactly when it ends an edge of the
+    triple intersection T (build_core asserts this), so every component
+    is a circuit, and the core is cyclic, exactly when T is empty: the
+    first cyclic core is the core of the first Fan-Raspaud triple.
+    """
+    found = fan_raspaud_indices(G, pms)
+    if found is None:
+        return None
+    i, j, l = found
+    return build_core(G, pms[i], pms[j], pms[l])
 
 
 def verify_core_theorems(

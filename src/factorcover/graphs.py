@@ -24,7 +24,8 @@ class NotCubicError(ValueError):
 
 
 class GraphTooLargeError(ValueError):
-    """More than MAX_EDGES edges; exhaustive search is infeasible anyway."""
+    """More than MAX_EDGES edges, or more vertices than a cubic graph with
+    MAX_EDGES edges has; exhaustive search is infeasible anyway."""
 
 
 def _indices(bits: int) -> List[int]:
@@ -81,6 +82,10 @@ class CubicGraph:
             raise GraphTooLargeError(
                 f"{len(edges)} edges exceeds capacity {MAX_EDGES}"
             )
+        # a cubic graph has 3n/2 edges; checked before the per-vertex lists
+        if 3 * n > 2 * MAX_EDGES:
+            raise GraphTooLargeError(
+                f"{n} vertices exceeds capacity {2 * MAX_EDGES // 3}")
         incidence: List[List[int]] = [[] for _ in range(n)]
         for i, (u, v) in enumerate(edges):
             if not (0 <= u < n and 0 <= v < n):

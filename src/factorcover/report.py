@@ -84,6 +84,11 @@ ALL_OPS = (
     "scc",
     "hypohamiltonian",
 )
+# the ops that read the perfect matching list, in ALL_OPS order
+_PM_OPS = ("mu", "oddness", "fan_raspaud", "fulkerson", "core", "covers")
+# the kinds of report cover entries, in the order analyze writes them
+_COVER_KINDS = ("canonical", "core_extension", "four_cover", "five_cdc",
+               "scc_exact")
 
 
 class ReportAuditError(AssertionError):
@@ -246,8 +251,7 @@ def analyze(
             pms = enumerate_perfect_matchings(G, cap=options.pm_cap)
         return pms
 
-    needs_pms = ops & {"mu", "oddness", "fan_raspaud", "fulkerson", "core",
-                       "covers"}
+    needs_pms = ops & set(_PM_OPS)
     if needs_pms and not run("matchings", factor_list):
         needs_pms = set()
     if needs_pms and not pms:
@@ -345,13 +349,18 @@ def analyze(
     return report
 
 
+def _ran(op: str, skipped: Sequence[str], errors: Dict[str, str]) -> bool:
+    """Did op run without an error, by a report's skipped and errors?  An
+    op of _PM_OPS whose matchings were never enumerated did not run."""
+    return (op not in skipped and op not in errors
+            and not (op in _PM_OPS and "matchings" in errors))
+
+
 def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
     """Instance checks of the bound and conjecture statements that the
     computed fields make decidable for this graph."""
-    def ran(name: str) -> bool:
-        # a field whose matchings were never enumerated did not run either
-        return (name not in report.skipped and name not in report.errors
-                and "matchings" not in report.errors)
+    def ran(op: str) -> bool:
+        return _ran(op, report.skipped, report.errors)
 
     def check(name: str, passed: bool, measured: Dict[str, object]) -> None:
         report.checks.append({"name": name, "passed": passed,
@@ -509,6 +518,37 @@ def _audit_witnesses(
                     f"cover {entry['kind']}")
         if not cover.valid:
             fail(f"cover {entry['kind']}: recorded cover is invalid")
+
+    kinds = [entry["kind"] for entry in data.get("covers", [])]
+    if kinds != [kind for kind in _COVER_KINDS if kind in kinds]:
+        fail(f"covers: kinds {kinds} are not distinct kinds in the order "
+             f"{', '.join(_COVER_KINDS)}")
+    for kind, implied in _implied_cover_kinds(data).items():
+        if implied is not None and implied != (kind in kinds):
+            fail(f"covers: {kind} is {'missing' if implied else 'present'}"
+                 ", against the report's own fields")
+
+
+def _implied_cover_kinds(data: dict) -> Dict[str, Optional[bool]]:
+    """Whether a report's own fields require (True) or rule out (False)
+    each cover kind, or None when they leave it open.
+
+    mu_3 = 0 exactly when G is 3-edge-colourable (canonical), and G has a
+    cyclic core exactly when it has a Fan-Raspaud triple (core_extension;
+    see find_core).
+    """
+    skipped, errors, mu = data["skipped"], data["errors"], data.get("mu", {})
+    covers = _ran("covers", skipped, errors)
+    left_open = None if covers else False
+    return {
+        "canonical": covers and mu["3"] == 0 if "3" in mu else left_open,
+        "core_extension": (covers and data["fan_raspaud"] is not None
+                           if _ran("fan_raspaud", skipped, errors)
+                           else left_open),
+        "four_cover": covers and mu.get("4") == 0,
+        "five_cdc": covers and mu.get("4") == 0,
+        "scc_exact": _ran("scc", skipped, errors),
+    }
 
 
 # ---------------------------------------------------------------------------

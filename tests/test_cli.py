@@ -428,6 +428,19 @@ def test_scan_records_oversize_graph_and_continues(tmp_path):
     assert summary["graphs"] == 1 and summary["parse_errors"] == 1
 
 
+def test_scan_records_a_huge_vertex_count_and_continues(tmp_path):
+    path = tmp_path / "huge.mgf"
+    path.write_text("# huge\n1000000 3\n0 1\n1 2\n2 0\n\n" + MINI_MGF)
+    out = tmp_path / "out.jsonl"
+    assert main(["scan", str(path), "--out", str(out)]) == 0
+    lines = read_jsonl(out)
+    assert lines[0] == {"id": "huge", "error": "GraphTooLargeError: "
+                        "1000000 vertices exceeds capacity 128"}
+    assert [line["id"] for line in lines[1:-1]] == ["K4", "K33", "prism"]
+    summary = lines[-1]["summary"]
+    assert summary["graphs"] == 3 and summary["parse_errors"] == 1
+
+
 def test_scan_streams_reports_before_a_crash(tmp_path, monkeypatch):
     two = tmp_path / "two.mgf"
     two.write_text("\n\n".join(MINI_MGF.split("\n\n")[:2]))
@@ -853,8 +866,9 @@ def test_audit_compares_violations_with_failed_checks(petersen, failed,
 
 # Tamperings that only the comparison of the recorded core components,
 # of the keys of mu and mu_witness, of the factor indices of fan_raspaud
-# and fulkerson, of violations with the failed checks, or of each cover
-# with E(G) can catch.
+# and fulkerson, of violations with the failed checks, of each cover
+# with E(G), or of the cover kinds with those the report's own fields
+# imply can catch.
 AUDIT_GAPS = {
     "core_component_edge_dropped": (
         "cubic_n6_0",
@@ -888,6 +902,12 @@ AUDIT_GAPS = {
         lambda r: r["covers"][-1].update(
             cycles=[[0, 1, 3, 4]], target=[0, 1, 3, 4],
             length=4, ced=1, count=1)),
+    # K4: the scc_exact cover dropped and the canonical one, of the same
+    # length 8, relabelled scc_exact
+    "cover_kind_relabelled": (
+        "cubic_n4_0",
+        lambda r: (r["covers"].pop(),
+                   r["covers"][0].update(kind="scc_exact"))),
 }
 
 

@@ -1,20 +1,23 @@
 import dataclasses
 import itertools
 import random
+from typing import Optional, Sequence
 
 import pytest
 
+from factorcover import cores
 from factorcover.cores import (
+    Core,
     FactorError,
     build_core,
     classify_core,
     find_core,
     verify_core_theorems,
 )
-from factorcover.graphs import _indices, girth
+from factorcover.graphs import CubicGraph, _indices, flower_snark, girth
 from factorcover.matching import enumerate_perfect_matchings, trace_circuits
 
-from conftest import components
+from conftest import components, random_connected_cubic_multigraph
 
 
 def sample_triples(pms, count, seed):
@@ -158,30 +161,80 @@ def test_find_core_predicates(petersen, k4, j5):
     assert core is not None and classify_core(core).is_cyclic
 
 
+def find_core_oracle(G: CubicGraph, pms: Sequence[int]) -> Optional[Core]:
+    """The former body of find_core: build and classify every index
+    triple in lexicographic order until a core is cyclic."""
+    for i, j, l in itertools.combinations(range(len(pms)), 3):
+        core = build_core(G, pms[i], pms[j], pms[l])
+        if classify_core(core).is_cyclic:
+            return core
+    return None
+
+
+def assert_find_core_matches_oracle(G: CubicGraph, pms, what) -> bool:
+    """find_core(G, pms) equals the oracle's core, None included;
+    returns whether a cyclic core was found."""
+    want = find_core_oracle(G, pms)
+    assert find_core(G, pms) == want, what
+    return want is not None
+
+
 def test_find_core_is_first_cyclic_triple(corpus, corpus_pms):
-    """On every corpus graph with n <= 10, find_core returns the core of
-    the first index triple (lexicographic) whose core is cyclic, or None
-    when there is none."""
-    checked = later = 0
+    """On every corpus graph, find_core returns the core of the first
+    index triple (lexicographic) whose core is cyclic, or None when there
+    is none, as find_core_oracle does; that core is often not the core of
+    the first three matchings."""
+    found = later = 0
     for name, G in corpus:
-        if G.n > 10:
-            continue
         pms = corpus_pms[name]
-        expected = None
-        for i, j, l in itertools.combinations(range(len(pms)), 3):
-            core = build_core(G, pms[i], pms[j], pms[l])
-            if classify_core(core).is_cyclic:
-                expected = (pms[i], pms[j], pms[l])
-                break
-        core = find_core(G, pms)
-        if expected is None:
-            assert core is None, name
+        if assert_find_core_matches_oracle(G, pms, name):
+            found += 1
+            later += find_core(G, pms).factors != tuple(pms[:3])
+    assert found >= 580 and later > 0, (found, later)
+
+
+@pytest.mark.parametrize("t", [5, 7, 9, 11])
+def test_find_core_matches_oracle_on_flower_snarks(t):
+    G = flower_snark(t)
+    assert assert_find_core_matches_oracle(
+        G, enumerate_perfect_matchings(G), t)
+
+
+def test_find_core_matches_oracle_on_random_multigraphs():
+    """Seeded cubic multigraphs, 23 of them without a Fan-Raspaud
+    triple."""
+    rng = random.Random(22)
+    found = none = 0
+    for _ in range(200):
+        G = random_connected_cubic_multigraph(rng, rng.choice((4, 6, 8, 10)))
+        pms = enumerate_perfect_matchings(G)
+        if assert_find_core_matches_oracle(G, pms, G.edges):
+            found += 1
         else:
-            assert core is not None and core.factors == expected, name
-            later += expected != tuple(pms[:3])
-        checked += 1
-    # the sample includes graphs whose first triple's core is not cyclic
-    assert checked >= 20 and later > 0, (checked, later)
+            none += 1
+    assert found > 100 and none > 0, (found, none)
+
+
+def test_find_core_builds_one_core_and_classifies_none(corpus, corpus_pms,
+                                                       monkeypatch):
+    """find_core reads the first Fan-Raspaud triple: at most one
+    build_core call and no classify_core call per find_core call."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cores, "build_core",
+                        counted("build", cores.build_core))
+    monkeypatch.setattr(cores, "classify_core",
+                        counted("classify", cores.classify_core))
+    for name, G in corpus:
+        calls.clear()
+        core = find_core(G, corpus_pms[name])
+        assert calls == ([] if core is None else ["build"]), name
 
 
 def test_girth_bound_instances(corpus, corpus_pms):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import time
+import tracemalloc
 from collections import deque
 
 import networkx as nx
@@ -132,6 +133,19 @@ def test_mgf_parse_failure_is_not_cubic_failure():
         parse_edge_list("1 3\n0 0\n0 0\n0 0\n")  # loops
 
 
+def test_vertex_count_is_bounded_before_allocation():
+    """A header naming a million vertices fails before one list per vertex
+    is built: a cubic graph within MAX_EDGES has at most 128 vertices."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphTooLargeError, match="1000000 vertices"):
+            parse_edge_list("1000000 3\n0 1\n1 2\n2 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
 def test_empty_graph_is_a_format_error():
     for parse in (lambda: parse_edge_list("# empty\n0 0\n"),
                   lambda: parse_graph6("?"),
@@ -185,8 +199,8 @@ def graph6_sized(draw):
 @given(st.one_of(st.text(st.characters(blacklist_categories=("Cc", "Cs"))),
                  st.text(GRAPH6_CHARS), graph6_sized()))
 def test_graph6_parses_or_raises_a_graph_error(line):
-    # GraphTooLargeError needs a line of over a thousand characters that
-    # encodes more than MAX_EDGES edges; it is the parser's third error
+    # GraphTooLargeError needs more than 128 vertices, so a line of over a
+    # thousand characters; it is the parser's third error
     try:
         G = parse_graph6(line)
     except (GraphFormatError, NotCubicError, GraphTooLargeError):

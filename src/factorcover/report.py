@@ -86,9 +86,6 @@ ALL_OPS = (
 )
 # the ops that read the perfect matching list, in ALL_OPS order
 _PM_OPS = ("mu", "oddness", "fan_raspaud", "fulkerson", "core", "covers")
-# the kinds of report cover entries, in the order analyze writes them
-_COVER_KINDS = ("canonical", "core_extension", "four_cover", "five_cdc",
-               "scc_exact")
 
 
 class ReportAuditError(AssertionError):
@@ -520,10 +517,11 @@ def _audit_witnesses(
             fail(f"cover {entry['kind']}: recorded cover is invalid")
 
     kinds = [entry["kind"] for entry in data.get("covers", [])]
-    if kinds != [kind for kind in _COVER_KINDS if kind in kinds]:
+    rule = _implied_cover_kinds(data)
+    if kinds != [kind for kind in rule if kind in kinds]:
         fail(f"covers: kinds {kinds} are not distinct kinds in the order "
-             f"{', '.join(_COVER_KINDS)}")
-    for kind, implied in _implied_cover_kinds(data).items():
+             f"{', '.join(rule)}")
+    for kind, implied in rule.items():
         if implied is not None and implied != (kind in kinds):
             fail(f"covers: {kind} is {'missing' if implied else 'present'}"
                  ", against the report's own fields")
@@ -531,7 +529,8 @@ def _audit_witnesses(
 
 def _implied_cover_kinds(data: dict) -> Dict[str, Optional[bool]]:
     """Whether a report's own fields require (True) or rule out (False)
-    each cover kind, or None when they leave it open.
+    each cover kind, or None when they leave it open; the kinds are in
+    the order analyze writes them.
 
     mu_3 = 0 exactly when G is 3-edge-colourable (canonical), and G has a
     cyclic core exactly when it has a Fan-Raspaud triple (core_extension;

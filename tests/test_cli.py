@@ -908,6 +908,15 @@ AUDIT_GAPS = {
         "cubic_n4_0",
         lambda r: (r["covers"].pop(),
                    r["covers"][0].update(kind="scc_exact"))),
+    "cover_scc_exact_dropped": (
+        "cubic_n4_0",
+        lambda r: r["covers"].pop()),
+    "cover_kinds_reordered": (
+        "cubic_n4_0",
+        lambda r: r["covers"].reverse()),
+    "cover_kind_repeated": (
+        "cubic_n4_0",
+        lambda r: r["covers"].append(copy.deepcopy(r["covers"][0]))),
 }
 
 

@@ -10,7 +10,7 @@ from factorcover import cli as cli_module
 from factorcover import report as report_module
 from factorcover.cli import main
 from factorcover.cores import build_core, classify_core
-from factorcover.graphs import parse_edge_list, to_mgf
+from factorcover.graphs import CubicGraph, parse_edge_list, to_mgf
 from factorcover.report import (
     ALL_OPS,
     DEFAULT_OPS,
@@ -23,7 +23,7 @@ from factorcover.report import (
     scan,
 )
 
-from conftest import corpus_path, prism_edges
+from conftest import PETERSEN_EDGES, corpus_path, prism_edges
 
 MINI_MGF = """\
 # K4
@@ -1035,6 +1035,44 @@ def test_timings_name_each_run_as_the_last_key(petersen, mini_corpus,
     capsys.readouterr()
     assert main(["verify", str(out), mini_corpus]) == 0
     assert "verified 3 reports, 0 failures" in capsys.readouterr().out
+
+
+# vertex 0 joined by bridges to three copies of K4 with one edge
+# subdivided: without vertex 0 three odd components are left, so the
+# graph has no perfect matching, and with its bridges no cycle cover
+NO_PM_MGF = "# no_pm\n16 24\n" + "".join(
+    f"{u} {v}\n" for o in (1, 6, 11)
+    for u, v in ((0, o + 4), (o, o + 4), (o + 4, o + 1), (o, o + 2),
+                 (o, o + 3), (o + 1, o + 2), (o + 1, o + 3), (o + 2, o + 3)))
+
+
+@pytest.mark.parametrize("mgf,args,errors,timed,fields", [
+    (NO_PM_MGF, ["--ops", ",".join(ALL_OPS)],
+     {"matchings": "no_perfect_matching", "scc": "no_cycle_cover"},
+     ["structure", "hypohamiltonian", "matchings", "scc"],
+     {"checks": [], "covers": [], "mu": {}}),
+    (TWO_K4_MGF, [], {"nontrivial_3_cut": "disconnected"},
+     ["structure", "matchings", "mu_1", "mu_2", "mu_3", "mu_4",
+      "fan_raspaud", "core"],
+     {"nontrivial_3_cut": None}),
+    ("# petersen\n" + to_mgf(CubicGraph(10, PETERSEN_EDGES)),
+     ["--ops", "scc", "--scc-dim-cap", "5"], {"scc": "dim_cap_exceeded"},
+     ["scc"], {"covers": []}),
+], ids=["no_perfect_matching", "disconnected", "dim_cap_exceeded"])
+def test_scan_records_each_error_path(tmp_path, capsys, mgf, args, errors,
+                                      timed, fields):
+    corpus = tmp_path / "one.mgf"
+    corpus.write_text(mgf)
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(corpus), *args, "--timings",
+                 "--out", str(out)]) == 0
+    data, _ = read_jsonl(out)
+    assert data["errors"] == errors
+    assert list(data["timings_ms"]) == timed
+    assert {key: data[key] for key in fields} == fields
+    capsys.readouterr()
+    assert main(["verify", str(out), str(corpus)]) == 0
+    assert "verified 1 reports, 0 failures" in capsys.readouterr().out
 
 
 def test_bundled_corpus_is_readable():

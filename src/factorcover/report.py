@@ -9,6 +9,7 @@ that identical inputs yield byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import re
@@ -201,31 +202,35 @@ def _cover_dict(kind: str, cover) -> dict:
     }
 
 
+@contextlib.contextmanager
+def _step(timings: Dict[str, float], errors: Dict[str, str], name: str):
+    """One op of analyze(): time its block into timings[name], and record
+    a pm_cap or scc_dim_cap overrun in errors[name] instead of raising."""
+    t0 = time.monotonic()
+    try:
+        yield
+    except PMCapExceededError:
+        errors[name] = "pm_cap_exceeded"
+    except DimensionCapExceededError:
+        errors[name] = "dim_cap_exceeded"
+    finally:
+        timings[name] = round((time.monotonic() - t0) * 1000.0, 3)
+
+
 def analyze(
     G: CubicGraph, options: AnalyzeOptions = AnalyzeOptions(), id: str = "g0"
 ) -> GraphReport:
-    """Compute every requested field of the report; never raises for
-    the pm_cap and scc_dim_cap limits, which are recorded in errors."""
+    """Compute every requested field of the report in one pass of timed
+    steps, one per op; never raises for the pm_cap and scc_dim_cap
+    limits, which are recorded in errors."""
     ops = set(options.ops)
     report = GraphReport(id=id, n=G.n, m=G.m)
     report.skipped = [op for op in ALL_OPS if op not in ops]
     timings: Dict[str, float] = {}
-
-    def run(name: str, fn) -> bool:
-        t0 = time.monotonic()
-        try:
-            fn()
-            return True
-        except PMCapExceededError:
-            report.errors[name] = "pm_cap_exceeded"
-        except DimensionCapExceededError:
-            report.errors[name] = "dim_cap_exceeded"
-        finally:
-            timings[name] = round((time.monotonic() - t0) * 1000.0, 3)
-        return False
+    step = functools.partial(_step, timings, report.errors)
 
     if "structure" in ops:
-        def _structure():
+        with step("structure"):
             report.girth = girth(G)
             report.bridgeless = is_bridgeless(G)
             report.bipartite = is_bipartite(G)[0]
@@ -234,26 +239,19 @@ def analyze(
             except ValueError:
                 report.errors["nontrivial_3_cut"] = "disconnected"
             report.hamiltonian = is_hamiltonian(G)
-        run("structure", _structure)
 
     if "hypohamiltonian" in ops:
-        run("hypohamiltonian",
-            lambda: setattr(report, "hypohamiltonian", is_hypohamiltonian(G)))
+        with step("hypohamiltonian"):
+            report.hypohamiltonian = is_hypohamiltonian(G)
 
     pms: Optional[List[int]] = None
-
-    def factor_list() -> List[int]:
-        nonlocal pms
-        if pms is None:
+    if ops & set(_PM_OPS):
+        with step("matchings"):
             pms = enumerate_perfect_matchings(G, cap=options.pm_cap)
-        return pms
-
-    needs_pms = ops & set(_PM_OPS)
-    if needs_pms and not run("matchings", factor_list):
-        needs_pms = set()
-    if needs_pms and not pms:
-        report.errors["matchings"] = "no_perfect_matching"
-        needs_pms = set()
+        if pms == []:
+            report.errors["matchings"] = "no_perfect_matching"
+    # the ops that read the matchings run only when there is one
+    needs_pms = ops & set(_PM_OPS) if pms else set()
 
     mu_witnesses: Dict[int, object] = {}
     if "mu" in needs_pms:
@@ -263,48 +261,46 @@ def analyze(
         orbits = (functools.cache(lambda: matching_orbits(G, pms, index()))
                   if large else None)
         for k in range(1, options.mu_upto + 1):
-            def _mu(k=k):
+            with step(f"mu_{k}"):
                 value, witness = mu_k(
                     G, k, pms, orbits=orbits, index=index,
                     after=mu_witnesses.get(k - 1) if large else None)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = _mu_dict(G, witness.factors)
                 mu_witnesses[k] = witness
-            run(f"mu_{k}", _mu)
 
     if "oddness" in needs_pms:
-        run("oddness", lambda: setattr(report, "oddness", oddness(G, pms)))
+        with step("oddness"):
+            report.oddness = oddness(G, pms)
 
     if "fan_raspaud" in needs_pms:
-        def _fan_raspaud():
+        with step("fan_raspaud"):
             found = fan_raspaud_indices(G, pms)
             if found is not None:
                 report.fan_raspaud = _factors_dict(found, pms)
-        run("fan_raspaud", _fan_raspaud)
 
     if "fulkerson" in needs_pms:
-        def _fulkerson():
+        with step("fulkerson"):
             witness = fulkerson_witness(G, pms)
             if witness is not None:
                 report.fulkerson = _factors_dict(witness.factor_indices, pms)
-        run("fulkerson", _fulkerson)
 
     built_cores: List[Tuple[Core, CoreClassification]] = []
     if "core" in needs_pms:
-        def _core():
+        with step("core"):
             if len(pms) < 3:
                 report.errors["core"] = "fewer_than_three_matchings"
-                return
-            core = build_core(G, *pms[:3])
-            cls = classify_core(core)
-            built_cores.append((core, cls))
-            report.cores.append(_core_dict((0, 1, 2), core, cls))
-            for check in verify_core_theorems(core, cls):
-                report.checks.append(dict(check, name=f"core_{check['name']}"))
-        run("core", _core)
+            else:
+                core = build_core(G, *pms[:3])
+                cls = classify_core(core)
+                built_cores.append((core, cls))
+                report.cores.append(_core_dict((0, 1, 2), core, cls))
+                for check in verify_core_theorems(core, cls):
+                    report.checks.append(
+                        dict(check, name=f"core_{check['name']}"))
 
     if "covers" in needs_pms:
-        def _covers():
+        with step("covers"):
             colorable, coloring = is_three_edge_colorable(G)
             if colorable:
                 report.covers.append(
@@ -324,18 +320,16 @@ def analyze(
                 report.covers.append(
                     _cover_dict("five_cdc", five_cdc(G, *witness.factors))
                 )
-        run("covers", _covers)
 
     if "scc" in ops:
         # no check may compare scc with 4m/3: scc_exact prunes with it
-        def _scc():
+        with step("scc"):
             try:
                 cover = scc_exact(G, dim_cap=options.scc_dim_cap)
             except CoverConstructionError:  # G has a bridge
                 report.errors["scc"] = "no_cycle_cover"
-                return
-            report.covers.append(_cover_dict("scc_exact", cover))
-        run("scc", _scc)
+            else:
+                report.covers.append(_cover_dict("scc_exact", cover))
 
     _theorem_checks(G, report)
     report.violations = [c["name"] for c in report.checks if not c["passed"]]
@@ -356,14 +350,11 @@ def _ran(op: str, skipped: Sequence[str], errors: Dict[str, str]) -> bool:
 def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
     """Instance checks of the bound and conjecture statements that the
     computed fields make decidable for this graph."""
-    def ran(op: str) -> bool:
-        return _ran(op, report.skipped, report.errors)
-
     def check(name: str, passed: bool, measured: Dict[str, object]) -> None:
         report.checks.append({"name": name, "passed": passed,
                               "measured": measured})
 
-    m = G.m
+    m, skipped, errors = G.m, report.skipped, report.errors
     # the mu3 bounds and the existence statements hold for bridgeless G
     bridgeless = (report.bridgeless if report.bridgeless is not None
                   else is_bridgeless(G))
@@ -374,9 +365,9 @@ def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
         if report.girth is not None and mu3 > 0:
             check("girth_le_2mu3", report.girth <= 2 * mu3,
                   {"girth": report.girth, "mu3": mu3})
-    if bridgeless and ran("fan_raspaud"):
+    if bridgeless and _ran("fan_raspaud", skipped, errors):
         check("fan_raspaud_exists", report.fan_raspaud is not None, {})
-    fulkerson_ran = ran("fulkerson")
+    fulkerson_ran = _ran("fulkerson", skipped, errors)
     if bridgeless and fulkerson_ran:
         check("fulkerson_exists", report.fulkerson is not None, {})
     if (fulkerson_ran and mu3 is not None and mu3 <= 4

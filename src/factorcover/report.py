@@ -87,6 +87,16 @@ ALL_OPS = (
 )
 # the ops that read the perfect matching list, in ALL_OPS order
 _PM_OPS = ("mu", "oddness", "fan_raspaud", "fulkerson", "core", "covers")
+# the report keys that each of these ops fills whenever it runs; they are
+# null or empty when it does not
+_OP_KEYS = {
+    "structure": ("girth", "bridgeless", "bipartite", "nontrivial_3_cut",
+                  "hamiltonian"),
+    "hypohamiltonian": ("hypohamiltonian",),
+    "mu": ("mu", "mu_witness"),
+    "oddness": ("oddness",),
+    "core": ("cores",),
+}
 
 
 class ReportAuditError(AssertionError):
@@ -457,6 +467,21 @@ def _audit_witnesses(
     if failed != data["violations"]:
         fail(f"violations {data['violations']} differ from the failed "
              f"checks {failed}")
+
+    skipped, errors = data["skipped"], data["errors"]
+    for op, keys in _OP_KEYS.items():
+        ran = _ran(op, skipped, errors)
+        for key in keys:
+            value = data.get(key) if key in _OMITTED_WHEN_NONE else data[key]
+            if key == "nontrivial_3_cut" and key in errors:
+                continue  # a disconnected graph
+            if (value not in (None, {}, [])) != ran:
+                fail(f"{key}: {'missing' if ran else 'present'} though "
+                     f"{op} {'ran' if ran else 'did not run'}")
+    if list(data["mu"]) != [str(k) for k in range(1, len(data["mu"]) + 1)]:
+        fail(f"mu: keys {list(data['mu'])} are not 1..K")
+    if len(data["cores"]) > 1:
+        fail(f"cores: {len(data['cores'])} entries, not at most one")
 
     witnesses = data.get("mu_witness", {})
     for k, wit in witnesses.items():

@@ -867,8 +867,10 @@ def test_audit_compares_violations_with_failed_checks(petersen, failed,
 # Tamperings that only the comparison of the recorded core components,
 # of the keys of mu and mu_witness, of the factor indices of fan_raspaud
 # and fulkerson, of violations with the failed checks, of each cover
-# with E(G), or of the cover kinds with those the report's own fields
-# imply can catch.
+# with E(G), of the cover kinds with those the report's own fields
+# imply, or of the fields present with the ops that ran can catch.  K4
+# is MINI_MGF's, scanned with the default ops; the other graphs are
+# bundled ones, scanned with every op.
 AUDIT_GAPS = {
     "core_component_edge_dropped": (
         "cubic_n6_0",
@@ -917,27 +919,46 @@ AUDIT_GAPS = {
     "cover_kind_repeated": (
         "cubic_n4_0",
         lambda r: r["covers"].append(copy.deepcopy(r["covers"][0]))),
+    "structure_fields_nulled": (
+        "K4",
+        lambda r: r.update(girth=None, hamiltonian=None)),
+    "mu_emptied": (
+        "K4",
+        lambda r: r.update(mu={}, mu_witness={})),
+    "cores_emptied": (
+        "K4",
+        lambda r: r.update(cores=[])),
+    "mu_2_dropped_with_witness": (
+        "K4",
+        lambda r: (r["mu"].pop("2"), r["mu_witness"].pop("2"))),
 }
 
 
 @pytest.fixture(scope="module")
 def gap_scan(tmp_path_factory):
-    """A verified scan of three bundled graphs, with every op."""
+    """Verified scans of three bundled graphs with every op and of
+    MINI_MGF's three graphs with the default ops, by report id."""
     entries = dict(read_corpus(corpus_path(), "mgf"))
-    corpus = tmp_path_factory.mktemp("gaps") / "three.mgf"
-    corpus.write_text("\n\n".join(
-        entries[name] for name in ("K_2^3", "cubic_n4_0", "cubic_n6_0")))
-    out = corpus.with_suffix(".jsonl")
-    assert main(["scan", str(corpus), "--ops", ",".join(ALL_OPS),
-                 "--out", str(out)]) == 0
-    assert main(["verify", str(out), str(corpus)]) == 0
-    return corpus, out.read_text().splitlines()
+    bundled = "\n\n".join(
+        entries[name] for name in ("K_2^3", "cubic_n4_0", "cubic_n6_0"))
+    scans = {}
+    for text, args in ((bundled, ["--ops", ",".join(ALL_OPS)]),
+                       (MINI_MGF, [])):
+        corpus = tmp_path_factory.mktemp("gaps") / "three.mgf"
+        corpus.write_text(text)
+        out = corpus.with_suffix(".jsonl")
+        assert main(["scan", str(corpus), *args, "--out", str(out)]) == 0
+        assert main(["verify", str(out), str(corpus)]) == 0
+        lines = out.read_text().splitlines()
+        for line in lines[:-1]:
+            scans[json.loads(line)["id"]] = corpus, lines
+    return scans
 
 
 @pytest.mark.parametrize("gap", sorted(AUDIT_GAPS))
 def test_verify_closes_audit_gap(gap_scan, gap, tmp_path, capsys):
-    corpus, lines = gap_scan
     name, tamper = AUDIT_GAPS[gap]
+    corpus, lines = gap_scan[name]
     reports = [json.loads(line) for line in lines]
     tamper(next(r for r in reports if r.get("id") == name))
     tampered = tmp_path / "tampered.jsonl"

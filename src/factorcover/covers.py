@@ -194,7 +194,9 @@ def mu_k(
     only skips tuples that cannot reach S.  The seed is the union of a
     tuple the search itself scores (sorted, as repetition is allowed),
     never a bound that the report checks.  analyze() passes after where
-    it passes orbits, since the seed builds the index.
+    it passes orbits, since the seed builds the index, and only from
+    k = 3: mu_1's witness is (0,), and factor 0's subtree is the first
+    one the unseeded search scores.
 
     Repetition is allowed (it never improves the union), so the search is
     total whenever G has at least one perfect matching and 1 <= k <= 6.

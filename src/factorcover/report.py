@@ -271,10 +271,11 @@ def analyze(
         orbits = (functools.cache(lambda: matching_orbits(G, pms, index()))
                   if large else None)
         for k in range(1, options.mu_upto + 1):
+            # mu_1's witness is (0,), whose subtree mu_2 scores first anyway
+            after = mu_witnesses.get(k - 1) if large and k >= 3 else None
             with step(f"mu_{k}"):
-                value, witness = mu_k(
-                    G, k, pms, orbits=orbits, index=index,
-                    after=mu_witnesses.get(k - 1) if large else None)
+                value, witness = mu_k(G, k, pms, orbits=orbits, index=index,
+                                      after=after)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = _mu_dict(G, witness.factors)
                 mu_witnesses[k] = witness

@@ -27,24 +27,9 @@ import json
 import sys
 import time
 
-from factorcover.graphs import CubicGraph, flower_snark
+from factorcover.graphs import flower_snark, mobius_ladder, prism
 from factorcover.matching import enumerate_perfect_matchings
 from factorcover.report import AnalyzeOptions, analyze
-
-
-def prism(t: int) -> CubicGraph:
-    """C_t x K_2: 2t vertices, 3t edges."""
-    edges = [(i, (i + 1) % t) for i in range(t)]
-    edges += [(t + i, t + (i + 1) % t) for i in range(t)]
-    edges += [(i, t + i) for i in range(t)]
-    return CubicGraph(2 * t, edges)
-
-
-def mobius_ladder(t: int) -> CubicGraph:
-    """M_2t: a 2t-circuit plus its t diagonals, 2t vertices, 3t edges."""
-    edges = [(i, (i + 1) % (2 * t)) for i in range(2 * t)]
-    edges += [(i, i + t) for i in range(t)]
-    return CubicGraph(2 * t, edges)
 
 
 def stress_set():

@@ -62,6 +62,11 @@ def _mask(m: int, indices: Iterable[int]) -> int:
     return bits
 
 
+def _check_edge_count(m: int) -> None:
+    if m > MAX_EDGES:
+        raise GraphTooLargeError(f"{m} edges exceeds capacity {MAX_EDGES}")
+
+
 class CubicGraph:
     """Loop-free 3-regular multigraph with stable edge indices.
 
@@ -78,10 +83,7 @@ class CubicGraph:
         if n < 1:
             raise GraphFormatError(f"graph has {n} vertices")
         edges = tuple((int(u), int(v)) for u, v in edges)
-        if len(edges) > MAX_EDGES:
-            raise GraphTooLargeError(
-                f"{len(edges)} edges exceeds capacity {MAX_EDGES}"
-            )
+        _check_edge_count(len(edges))
         # a cubic graph has 3n/2 edges; checked before the per-vertex lists
         if 3 * n > 2 * MAX_EDGES:
             raise GraphTooLargeError(
@@ -741,7 +743,8 @@ def automorphisms(G: CubicGraph) -> List[List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Test families.
+# Test families.  Each rejects a member past MAX_EDGES before it builds an
+# edge, so a huge parameter costs nothing.
 # ---------------------------------------------------------------------------
 
 
@@ -753,6 +756,7 @@ def flower_snark(t: int) -> CubicGraph:
     """
     if t < 5 or t % 2 == 0:
         raise ValueError("flower snark requires odd t >= 5")
+    _check_edge_count(6 * t)
     edges = []
     for i in range(t):
         h, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
@@ -767,3 +771,22 @@ def flower_snark(t: int) -> CubicGraph:
     edges.append((4 * (t - 1) + 2, 3))  # c_{t-1} - d_0: the twist
     edges.append((4 * (t - 1) + 3, 2))  # d_{t-1} - c_0
     return CubicGraph(4 * t, edges)
+
+
+def prism(t: int) -> CubicGraph:
+    """The prism C_t x K_2: 2t vertices, 3t edges; the two t-circuits,
+    then the rungs."""
+    _check_edge_count(3 * t)
+    edges = [(i, (i + 1) % t) for i in range(t)]
+    edges += [(t + i, t + (i + 1) % t) for i in range(t)]
+    edges += [(i, t + i) for i in range(t)]
+    return CubicGraph(2 * t, edges)
+
+
+def mobius_ladder(t: int) -> CubicGraph:
+    """The Moebius ladder M_2t: a 2t-circuit, then its t diagonals; 2t
+    vertices, 3t edges."""
+    _check_edge_count(3 * t)
+    edges = [(i, (i + 1) % (2 * t)) for i in range(2 * t)]
+    edges += [(i, i + t) for i in range(t)]
+    return CubicGraph(2 * t, edges)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from factorcover import graphs
 from factorcover.graphs import CubicGraph, _bfs, flower_snark
 from factorcover.matching import enumerate_perfect_matchings
 from factorcover.report import parse_entry, read_corpus
@@ -18,28 +19,9 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K33_EDGES = [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
              (2, 3), (2, 4), (2, 5)]
 
-PRISM_EDGES = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-               (0, 3), (1, 4), (2, 5)]
-
-
 def theta_graph() -> CubicGraph:
     """K_2^3: two vertices joined by three parallel edges."""
     return CubicGraph(2, [(0, 1), (0, 1), (0, 1)])
-
-
-def prism_edges(t: int):
-    """The prism C_t x K_2: 2t vertices, 3t edges."""
-    edges = [(i, (i + 1) % t) for i in range(t)]
-    edges += [(t + i, t + (i + 1) % t) for i in range(t)]
-    edges += [(i, t + i) for i in range(t)]
-    return edges
-
-
-def mobius_ladder(t: int) -> CubicGraph:
-    """The Moebius ladder on 2t vertices: a 2t-circuit plus its t
-    diagonals."""
-    return CubicGraph(2 * t, [(i, (i + 1) % (2 * t)) for i in range(2 * t)]
-                      + [(i, i + t) for i in range(t)])
 
 
 def components(G: CubicGraph, mask: int, roots):
@@ -94,7 +76,7 @@ def k33() -> CubicGraph:
 
 @pytest.fixture(scope="session")
 def prism() -> CubicGraph:
-    return CubicGraph(6, PRISM_EDGES)
+    return graphs.prism(3)
 
 
 @pytest.fixture(scope="session")

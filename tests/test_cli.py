@@ -2,6 +2,7 @@ import copy
 import functools
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +11,7 @@ from factorcover import cli as cli_module
 from factorcover import report as report_module
 from factorcover.cli import main
 from factorcover.cores import build_core, classify_core
-from factorcover.graphs import CubicGraph, parse_edge_list, to_mgf
+from factorcover.graphs import CubicGraph, parse_edge_list, prism, to_mgf
 from factorcover.report import (
     ALL_OPS,
     DEFAULT_OPS,
@@ -23,7 +24,7 @@ from factorcover.report import (
     scan,
 )
 
-from conftest import PETERSEN_EDGES, corpus_path, prism_edges
+from conftest import PETERSEN_EDGES, corpus_path
 
 MINI_MGF = """\
 # K4
@@ -416,8 +417,10 @@ def test_unnamed_mgf_blocks_keep_their_numbering(tmp_path):
 def test_scan_records_oversize_graph_and_continues(tmp_path):
     path = tmp_path / "oversize.mgf"
     k4 = MINI_MGF.split("\n\n")[0]
-    prism = "130 195\n" + "".join(f"{u} {v}\n" for u, v in prism_edges(65))
-    path.write_text(k4 + "\n\n# prism65\n" + prism)
+    # C64 x K2 and K_2^3 side by side: 130 vertices, 195 edges
+    block = "130 195\n" + "".join(
+        f"{u} {v}\n" for u, v in prism(64).edges) + "128 129\n" * 3
+    path.write_text(k4 + "\n\n# prism65\n" + block)
     out = tmp_path / "out.jsonl"
     assert main(["scan", str(path), "--out", str(out)]) == 0
     lines = read_jsonl(out)
@@ -543,6 +546,19 @@ def test_gen_over_capacity_leaves_no_file(tmp_path, capsys):
     assert not out.exists()
     assert main(["gen", "flower", "31", "--out", str(out)]) == 0
     assert parse_edge_list(out.read_text()).m == 186
+
+
+def test_gen_far_over_capacity_builds_nothing(tmp_path, capsys):
+    out = tmp_path / "j.mgf"
+    tracemalloc.start()
+    try:
+        assert main(["gen", "flower", "100001", "--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "600006 edges exceeds capacity 192" in capsys.readouterr().err
+    assert not out.exists()
+    assert peak < 1 << 20, peak
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from factorcover.graphs import (
     automorphisms,
     edge_permutation,
     flower_snark,
+    mobius_ladder,
+    prism,
 )
 from factorcover.matching import (
     enumerate_perfect_matchings,
@@ -39,11 +41,7 @@ from factorcover.matching import (
 
 from factorcover.report import AnalyzeOptions, analyze
 
-from conftest import (
-    mobius_ladder,
-    prism_edges,
-    random_connected_cubic_multigraph,
-)
+from conftest import random_connected_cubic_multigraph
 
 
 def mu_oracle(G: CubicGraph, k: int) -> int:
@@ -309,7 +307,7 @@ def test_mu_orbits_keep_the_witness_on_flower_snarks():
 
 @pytest.mark.parametrize("t", range(4, 13))
 def test_mu_orbits_keep_the_witness_on_prisms_and_ladders(t):
-    for G in (CubicGraph(2 * t, prism_edges(t)), mobius_ladder(t)):
+    for G in (prism(t), mobius_ladder(t)):
         pms = enumerate_perfect_matchings(G)
         orbits = matching_orbits(G, pms)
         for k in range(1, 7):
@@ -408,7 +406,7 @@ def test_matching_orbit_images_are_the_per_matching_images(
     graphs = [(G, corpus_pms[name]) for name, G in corpus]
     graphs += [(flower_snark(t), None) for t in (5, 7, 9, 11)]
     graphs += [(G, None) for t in range(4, 13)
-               for G in (CubicGraph(2 * t, prism_edges(t)), mobius_ladder(t))]
+               for G in (prism(t), mobius_ladder(t))]
     graphs += list(multigraph_tables())
     coarse = parallel = 0
     for G, pms in graphs:
@@ -659,7 +657,7 @@ def test_sliced_leaf_runs_on_snarks_and_prisms_never_on_k4(k4, monkeypatch):
     monkeypatch.setattr(covers, "_best_leaf", counted)
     for G, ks, used in (
         (k4, range(1, 7), False),
-        (CubicGraph(24, prism_edges(12)), range(4, 7), True),
+        (prism(12), range(4, 7), True),
         (flower_snark(11), (4,), True),
     ):
         pms = enumerate_perfect_matchings(G)
@@ -691,7 +689,7 @@ def test_mu_1_builds_no_index(monkeypatch):
     """Every perfect matching has n/2 edges, so mu_1's scan keeps factor 0
     without the per-edge index, even with more matchings than the sliced
     last factor's cost rule asks for."""
-    G = CubicGraph(40, prism_edges(20))
+    G = prism(20)
     pms = enumerate_perfect_matchings(G)
     p = len(pms)
     assert p == 15_129

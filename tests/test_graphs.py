@@ -37,8 +37,10 @@ from factorcover.graphs import (
     is_bridgeless,
     is_hamiltonian,
     is_hypohamiltonian,
+    mobius_ladder,
     parse_edge_list,
     parse_graph6,
+    prism,
     to_mgf,
 )
 from factorcover.matching import enumerate_perfect_matchings
@@ -47,7 +49,6 @@ from conftest import (
     K4_EDGES,
     PETERSEN_EDGES,
     components,
-    prism_edges,
     random_connected_cubic_multigraph,
 )
 
@@ -144,6 +145,29 @@ def test_vertex_count_is_bounded_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
+
+
+@pytest.mark.parametrize("family", [flower_snark, prism, mobius_ladder])
+def test_family_past_the_edge_cap_fails_before_building(family):
+    """t = 100,001 names 300,003 edges or more; the member is rejected
+    before one of them is built."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphTooLargeError, match="exceeds capacity 192"):
+            family(100_001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_families_reach_the_edge_cap():
+    """J31, C64 x K2 and M128 are the largest members within MAX_EDGES."""
+    largest = (flower_snark(31), prism(64), mobius_ladder(64))
+    assert [G.m for G in largest] == [186, MAX_EDGES, MAX_EDGES]
+    for family, t in ((flower_snark, 33), (prism, 65), (mobius_ladder, 65)):
+        with pytest.raises(GraphTooLargeError):
+            family(t)
 
 
 def test_empty_graph_is_a_format_error():
@@ -702,7 +726,7 @@ def test_3_edge_cut_rejects_disconnected_input():
 
 def test_3_edge_cut_at_edge_capacity():
     # the prism C_64 x K_2 is cyclically 4-edge-connected
-    G = CubicGraph(128, prism_edges(64))
+    G = prism(64)
     assert G.m == MAX_EDGES
     assert has_nontrivial_3_edge_cut(G) == (False, None)
 
@@ -748,7 +772,7 @@ def test_3_edge_cut_matches_tarjan_pair_oracle(corpus):
     assert len(corpus) == 590
     graphs = list(corpus)
     graphs += [(f"J{t}", flower_snark(t)) for t in (5, 7, 9, 11, 13)]
-    graphs.append(("C64xK2", CubicGraph(128, prism_edges(64))))
+    graphs.append(("C64xK2", prism(64)))
     assert graphs[-1][1].m == MAX_EDGES
     for name, G in graphs:
         assert has_nontrivial_3_edge_cut(G) == tarjan_pair_oracle(G), name
@@ -957,7 +981,7 @@ def test_automorphisms_against_networkx_on_corpus_sample(corpus, petersen, k4):
 
 def test_automorphisms_against_networkx_on_multigraphs(theta):
     rng = random.Random(47)
-    family = [theta, flower_snark(5), CubicGraph(16, prism_edges(8))]
+    family = [theta, flower_snark(5), prism(8)]
     family += [
         random_connected_cubic_multigraph(rng, rng.choice(range(2, 17, 2)))
         for _ in range(150)]

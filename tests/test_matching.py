@@ -4,7 +4,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from factorcover.graphs import CubicGraph, _indices, flower_snark
+from factorcover.graphs import (
+    CubicGraph,
+    _indices,
+    flower_snark,
+    mobius_ladder,
+    prism,
+)
 from factorcover.matching import (
     DEFAULT_PM_CAP,
     PMCapExceededError,
@@ -16,11 +22,7 @@ from factorcover.matching import (
     trace_circuits,
 )
 
-from conftest import (
-    mobius_ladder,
-    prism_edges,
-    random_connected_cubic_multigraph,
-)
+from conftest import random_connected_cubic_multigraph
 
 
 def pm_oracle(G: CubicGraph):
@@ -136,7 +138,7 @@ def oracle_family():
         n = rng.choice(range(2, 17, 2))
         yield f"multigraph {i}", random_connected_cubic_multigraph(rng, n)
     for t in range(3, 17):
-        yield f"C{t}xK2", CubicGraph(2 * t, prism_edges(t))
+        yield f"C{t}xK2", prism(t)
         yield f"M{2 * t}", mobius_ladder(t)
 
 

@@ -87,8 +87,8 @@ ALL_OPS = (
 )
 # the ops that read the perfect matching list, in ALL_OPS order
 _PM_OPS = ("mu", "oddness", "fan_raspaud", "fulkerson", "core", "covers")
-# the report keys that each of these ops fills whenever it runs; they are
-# null or empty when it does not
+# the report keys that an op fills whenever it runs (_ran) and leaves
+# null or empty when it does not; the audit checks both
 _OP_KEYS = {
     "structure": ("girth", "bridgeless", "bipartite", "nontrivial_3_cut",
                   "hamiltonian"),

@@ -412,7 +412,8 @@ def audit_report(
     the rebuilt entry key for key: a mu witness and a cover from their own
     edge sets, the Fan-Raspaud and Fulkerson factors and a core from the
     matchings their factor indices name.  Every cover is checked against
-    E(G).  Raises ReportAuditError on the first mismatch, and when a field
+    E(G), and the keys each op fills must hold a value exactly when the
+    op ran (_OP_KEYS).  Raises ReportAuditError on the first mismatch, and when a field
     it reads is missing or of the wrong type.  pms may be passed to reuse
     an existing enumeration; it is only computed when a witness refers to
     factor indices, and then at most once.  cores may be passed to reuse
@@ -484,7 +485,7 @@ def _audit_witnesses(
     if len(data["cores"]) > 1:
         fail(f"cores: {len(data['cores'])} entries, not at most one")
 
-    witnesses = data.get("mu_witness", {})
+    witnesses = data["mu_witness"]
     for k, wit in witnesses.items():
         factors = [as_set(a) for a in wit["factors"]]
         if (len(factors) != int(k)
@@ -496,7 +497,7 @@ def _audit_witnesses(
             fail(f"mu_{k}: recorded value {data['mu'][k]} != "
                  f"{len(rebuilt['uncovered'])}")
     # every witness key has a value by now (data["mu"][k] above)
-    if set(data.get("mu", {})) != set(witnesses):
+    if set(data["mu"]) != set(witnesses):
         fail("mu: a recorded value has no witness")
 
     if data.get("fan_raspaud") is not None:
@@ -508,7 +509,7 @@ def _audit_witnesses(
         if not verify_fulkerson(G, indexed_factors("fulkerson")):
             fail("fulkerson: not every edge is covered exactly twice")
 
-    entries = data.get("cores", [])
+    entries = data["cores"]
     if cores is not None and len(cores) != len(entries):
         fail(f"cores: {len(entries)} entries for {len(cores)} built cores")
     for index, entry in enumerate(entries):
@@ -553,7 +554,7 @@ def _implied_cover_kinds(data: dict) -> Dict[str, Optional[bool]]:
     cyclic core exactly when it has a Fan-Raspaud triple (core_extension;
     see find_core).
     """
-    skipped, errors, mu = data["skipped"], data["errors"], data.get("mu", {})
+    skipped, errors, mu = data["skipped"], data["errors"], data["mu"]
     covers = _ran("covers", skipped, errors)
     left_open = None if covers else False
     return {

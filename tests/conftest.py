@@ -19,6 +19,7 @@ K4_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 K33_EDGES = [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5),
              (2, 3), (2, 4), (2, 5)]
 
+
 def theta_graph() -> CubicGraph:
     """K_2^3: two vertices joined by three parallel edges."""
     return CubicGraph(2, [(0, 1), (0, 1), (0, 1)])

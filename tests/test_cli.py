@@ -420,12 +420,12 @@ def test_scan_records_oversize_graph_and_continues(tmp_path):
     # C64 x K2 and K_2^3 side by side: 130 vertices, 195 edges
     block = "130 195\n" + "".join(
         f"{u} {v}\n" for u, v in prism(64).edges) + "128 129\n" * 3
-    path.write_text(k4 + "\n\n# prism65\n" + block)
+    path.write_text(k4 + "\n\n# oversize\n" + block)
     out = tmp_path / "out.jsonl"
     assert main(["scan", str(path), "--out", str(out)]) == 0
     lines = read_jsonl(out)
     assert lines[0]["id"] == "K4" and lines[0]["mu"]["3"] == 0
-    assert lines[1]["id"] == "prism65"
+    assert lines[1]["id"] == "oversize"
     assert lines[1]["error"].startswith("GraphTooLargeError")
     summary = lines[-1]["summary"]
     assert summary["graphs"] == 1 and summary["parse_errors"] == 1

@@ -89,6 +89,35 @@ def matching_orbits(
     return rep
 
 
+def _in_at_most(cand: int, rows: Sequence[int], c: int) -> int:
+    """The candidates of cand counted in at most c of rows."""
+    within = 0
+    for level in _levels(cand, rows, c):
+        within |= level
+    return within
+
+
+def _degree_filter(
+    G: CubicGraph, union: int, cand: int, best_pop: int, by_edge: Sequence[int]
+) -> int:
+    """The factors M of cand that can be followed by one last factor L with
+    |union | M | L| > best_pop; by_edge is _transpose(G.m, pms).
+
+    Let D be the vertices with exactly one edge g_v in union.  If M holds
+    g_v, L covers at most one of v's two other edges, and an uncovered edge
+    has two ends, so the union misses at least ceil(d/2) edges, with d the
+    number of v in D with g_v in M.  It can miss at most
+    s = m - 1 - best_pop, so the factors in more than 2s of the rows of
+    the g_v are dropped.
+    """
+    rows = []
+    for star in G.stars:
+        g = star & union
+        if g and g & (g - 1) == 0:
+            rows.append(by_edge[g.bit_length() - 1])
+    return _in_at_most(cand, rows, 2 * (G.m - 1 - best_pop))
+
+
 def _best_leaf(
     union: int, cand: int, best_pop: int, m: int, by_edge: Sequence[int]
 ) -> Optional[Tuple[int, int]]:
@@ -124,6 +153,20 @@ def _best_leaf(
 #: long as with scans, and with 64 it scans, as the corpus does.
 LEAF_SLICE_COST = 2
 LEAF_SLICE_SETUP = 64
+
+
+#: mu_k narrows the candidates for the second-to-last factor by
+#: _degree_filter when DEGREE_FILTER_COST * n * (s + 1) is below their
+#: number, with s misses allowed: the pass visits the n vertices and counts
+#: at most n rows over 2s + 1 levels.  Swept over 1, 2, 3, 5 and 8 on mu_4
+#: and mu_5 of J9-J13, C20xK2 and M40, seeded and not (CPU time, best of 5,
+#: 2-core Xeon): the seeded searches took the same time at every cost, and
+#: the unseeded ones too within noise, except J9's mu_4, fastest at 3 and 5
+#: (2.6-2.8 ms against 5.7 ms at 1 and 8).  At 3 no graph of the bundled
+#: corpus takes the pass: at its nodes for k = 4..6 the candidates number
+#: at most 2.25 * n * (s + 1).  The prisms and ladders on 24 vertices and
+#: the densest multigraphs on 14-24 vertices reach 3.3 and 3.8, and do.
+DEGREE_FILTER_COST = 3
 
 
 #: analyze() passes matching orbits to mu_k from this many matchings on,
@@ -166,6 +209,18 @@ def mu_k(
     used when LEAF_SLICE_COST * w * (min(s, w) + 1) + LEAF_SLICE_SETUP is
     below the number of candidates, and never at the root (k = 1), where
     every factor covers n/2 edges and the scan keeps factor 0.
+
+    The second-to-last factor M is filtered by vertex degrees once at least
+    two factors are chosen (k >= 4).  With D the vertices that have exactly
+    one edge g_v in U, M can lead to a better union only if it holds at
+    most 2s of the g_v (_degree_filter): the last factor covers only one
+    of the two open edges at each such v.  That is a bit-sliced count over
+    the index rows of the g_v, run again when the best union grows, and
+    used when DEGREE_FILTER_COST * n * (s + 1) is below the number of
+    candidates.  With one chosen factor (k = 3) every vertex is in D and
+    the filter is the overlap filter again.  It drops only factors that
+    cannot beat the best union, so the witness does not change; only
+    fewer tuples are scored.
 
     index, a function returning _transpose(G.m, pms), shares the per-edge
     index across calls; without it, mu_k builds its own on first use.
@@ -210,8 +265,8 @@ def mu_k(
         or after.factors != tuple(pms[i] for i in after.factor_indices)
     ):
         raise ValueError("after must be a mu_{k-1} witness on pms")
-    m = G.m
-    half = G.n // 2
+    m, n = G.m, G.n
+    half = n // 2
     p = len(pms)
     everyone = (1 << p) - 1
     most = min(m, k * half)  # no k factors cover more
@@ -244,13 +299,17 @@ def mu_k(
             return everyone
         if f not in near:
             by_edge = index()
-            within = 0
-            for level in _levels(
-                everyone, [by_edge[e] for e in _indices(pms[f])], c
-            ):
-                within |= level
-            near[f] = within
+            near[f] = _in_at_most(
+                everyone, [by_edge[e] for e in _indices(pms[f])], c)
         return near[f]
+
+    def second_to_last(union: int, cand: int) -> int:
+        """cand less the factors _degree_filter drops, when that pays."""
+        s = m - 1 - best_pop
+        # no factor holds more than n of the g_v: 2s >= n drops none
+        if 2 * s < n and DEGREE_FILTER_COST * n * (s + 1) < cand.bit_count():
+            return _degree_filter(G, union, cand, best_pop, index())
+        return cand
 
     def rec(start: int, union: int, cand: int) -> None:
         """Extend chosen by the factors of cand, all of index >= start."""
@@ -289,6 +348,9 @@ def mu_k(
                     best_pop, best_tuple = pop, (*chosen, l)
                     near.clear()
             return
+        narrow = remaining == 2 and len(chosen) >= 2
+        if narrow:
+            cand = second_to_last(union, cand)
         while cand:
             low = cand & -cand
             l = low.bit_length() - 1
@@ -310,6 +372,8 @@ def mu_k(
             if best_pop != before:
                 for f in chosen:
                     cand &= followers(f)
+                if narrow:
+                    cand = second_to_last(union, cand)
 
     rec(0, 0, everyone)
     assert best_tuple is not None

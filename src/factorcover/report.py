@@ -9,7 +9,6 @@ that identical inputs yield byte-identical output.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import re
@@ -212,19 +211,33 @@ def _cover_dict(kind: str, cover) -> dict:
     }
 
 
-@contextlib.contextmanager
-def _step(timings: Dict[str, float], errors: Dict[str, str], name: str):
+class _Step:
     """One op of analyze(): time its block into timings[name], and record
     a pm_cap or scc_dim_cap overrun in errors[name] instead of raising."""
-    t0 = time.monotonic()
-    try:
-        yield
-    except PMCapExceededError:
-        errors[name] = "pm_cap_exceeded"
-    except DimensionCapExceededError:
-        errors[name] = "dim_cap_exceeded"
-    finally:
-        timings[name] = round((time.monotonic() - t0) * 1000.0, 3)
+
+    __slots__ = ("timings", "errors", "name", "t0")
+
+    def __init__(self, timings: Dict[str, float], errors: Dict[str, str],
+                 name: str):
+        self.timings = timings
+        self.errors = errors
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.t0 = time.monotonic()
+
+    def __exit__(self, kind, value, traceback) -> bool:
+        self.timings[self.name] = round(
+            (time.monotonic() - self.t0) * 1000.0, 3)
+        if kind is None:
+            return False
+        if issubclass(kind, PMCapExceededError):
+            self.errors[self.name] = "pm_cap_exceeded"
+        elif issubclass(kind, DimensionCapExceededError):
+            self.errors[self.name] = "dim_cap_exceeded"
+        else:
+            return False
+        return True
 
 
 def analyze(
@@ -237,7 +250,7 @@ def analyze(
     report = GraphReport(id=id, n=G.n, m=G.m)
     report.skipped = [op for op in ALL_OPS if op not in ops]
     timings: Dict[str, float] = {}
-    step = functools.partial(_step, timings, report.errors)
+    step = functools.partial(_Step, timings, report.errors)
 
     if "structure" in ops:
         with step("structure"):

@@ -456,14 +456,15 @@ def test_mu_flower_snark_j11():
     # 113 341 triples scored with orbits (145 804 without); the unfiltered
     # search scores about 18 million
     assert found[2].scored < 120_000, found[2].scored
-    # the sliced last-factor scoring counts the same tuples as a scan
-    assert [w.scored for w in found[2:]] == [113_341, 1_007_170]
+    # the sliced last-factor scoring counts the same tuples as a scan; the
+    # degree filter takes mu_4 from 1 007 170 to 170 250
+    assert [w.scored for w in found[2:]] == [113_341, 170_250]
     # seeded with the witness before, as analyze() does past
     # ORBIT_MIN_MATCHINGS: the same witnesses from fewer tuples
     seeded = seeded_chain(G, pms, 4, lambda: orbits)
     assert [w.factor_indices for w in seeded] == [
         w.factor_indices for w in found]
-    assert [w.scored for w in seeded[1:]] == [11, 1_485, 342_359]
+    assert [w.scored for w in seeded[1:]] == [11, 1_485, 23]
     assert time.monotonic() - t0 < 10.0
 
 
@@ -542,6 +543,10 @@ def test_mu_seed_on_the_moebius_ladder_m30():
     assert seeded.mu == plain.mu == 0
     assert seeded.factor_indices == plain.factor_indices == (0, 378, 1365)
     assert (plain.scored, seeded.scored) == (113_569, 1)
+    # the seeded mu_4 scores 2 4-tuples (988 without the degree filter)
+    four = mu_k(G, 4, pms, after=seeded)[1]
+    assert four.factor_indices == (0, 0, 378, 1365)
+    assert four.scored == 2
 
 
 def test_mu_seed_rejects_a_foreign_witness(petersen):
@@ -707,6 +712,107 @@ def test_mu_1_builds_no_index(monkeypatch):
                         _transpose(m, pms))
     got = analyze(G, AnalyzeOptions(ops=("mu",), mu_upto=1))
     assert got.mu == {"1": value} and calls == []
+
+
+def test_degree_filter_keeps_every_factor_a_last_factor_lifts(
+        corpus, corpus_pms):
+    """Over unions of 2..4 factors and sizes of the best union, the filter
+    keeps each candidate M for which some last factor L, of any index,
+    gives |U | M | L| > best."""
+    rng = random.Random(29)
+    graphs = [(G, corpus_pms[name]) for name, G in corpus if G.n <= 12]
+    graphs += [(G, enumerate_perfect_matchings(G))
+               for G in map(flower_snark, (5, 7))]
+    graphs += list(multigraph_tables())
+    tight = dropped = 0
+    for G, pms in graphs:
+        m, p = G.m, len(pms)
+        by_edge = _transpose(m, pms)
+        for _ in range(2):
+            union = 0
+            for l in rng.choices(range(p), k=rng.randint(2, 4)):
+                union |= pms[l]
+            reach = [max((union | x | y).bit_count() for y in pms)
+                     for x in pms]
+            top = max(reach)
+            for best_pop in (rng.randrange(-1, m),
+                             rng.randrange(max(top - 3, -1), m)):
+                cand = rng.getrandbits(p)
+                kept = covers._degree_filter(G, union, cand, best_pop,
+                                             by_edge)
+                assert kept & ~cand == 0
+                for l in _indices(cand):
+                    if reach[l] > best_pop:
+                        assert kept >> l & 1, (G.edges, union, best_pop, l)
+                        tight += reach[l] == best_pop + 1
+                dropped += (cand & ~kept).bit_count()
+    assert tight > 1000 and dropped > 1000, (tight, dropped)
+
+
+def test_mu_5_and_6_keep_the_witness_on_flower_snarks():
+    for t in (5, 7, 9, 11):
+        G = flower_snark(t)
+        pms = enumerate_perfect_matchings(G)
+        orbits = matching_orbits(G, pms)
+        chain = seeded_chain(G, pms, 6, lambda: orbits)
+        for k in (5, 6):
+            want = mu_lex_oracle(G, k, pms)
+            assert mu_value_and_indices(G, k, pms) == want, (t, k)
+            assert mu_value_and_indices(G, k, pms, orbits) == want, (t, k)
+            assert (chain[k - 1].mu, chain[k - 1].factor_indices) == want
+
+
+def test_degree_filter_runs_past_two_factors_never_on_the_corpus(
+        k4, corpus, corpus_pms, monkeypatch):
+    calls: List[int] = []
+    drops: List[int] = []
+
+    def counted(G, union, cand, best_pop, by_edge):
+        kept = degree_filter(G, union, cand, best_pop, by_edge)
+        calls.append(G.n)
+        drops.append((cand & ~kept).bit_count())
+        return kept
+
+    def refuse():
+        raise AssertionError("the index was built")
+
+    degree_filter = covers._degree_filter
+    monkeypatch.setattr(covers, "_degree_filter", counted)
+    # K4 and the corpus never take the filter, and from k = 4 on, where it
+    # could run, build no index
+    for name, G in [("K4", k4)] + corpus:
+        pms = corpus_pms.get(name) or enumerate_perfect_matchings(G)
+        for k in range(1, 7):
+            mu_k(G, k, pms, index=refuse if k >= 4 else None)
+    assert calls == []
+    # J11's mu_4, seeded or not
+    G = flower_snark(11)
+    pms = enumerate_perfect_matchings(G)
+    for after in (None, seeded_chain(G, pms, 3)[-1]):
+        calls.clear()
+        mu_k(G, 4, pms, after=after)
+        assert calls and sum(drops) > 0
+    # the oracle comparisons on the prisms and ladders (8-24 vertices) and
+    # on the multigraphs of 14-24 vertices
+    calls.clear()
+    drops.clear()
+    for t in range(4, 13):
+        for G in (prism(t), mobius_ladder(t)):
+            pms = enumerate_perfect_matchings(G)
+            orbits = matching_orbits(G, pms)
+            for k in range(1, 7):
+                mu_value_and_indices(G, k, pms, orbits)
+    assert calls and sum(drops) > 100, (calls, drops)
+    calls.clear()
+    drops.clear()
+    sizes, count, ks = MULTIGRAPH_TABLE_ROWS[1]
+    rng = random.Random(71)
+    for _ in range(count):
+        G = random_connected_cubic_multigraph(rng, rng.choice(sizes))
+        pms = enumerate_perfect_matchings(G)
+        for k in ks if pms else ():
+            mu_value_and_indices(G, k, pms)
+    assert calls and sum(drops) > 50, (calls, drops)
 
 
 def test_mu_basic_identities(corpus, corpus_pms):

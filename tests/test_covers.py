@@ -790,6 +790,7 @@ def test_degree_filter_runs_past_two_factors_never_on_the_corpus(
     pms = enumerate_perfect_matchings(G)
     for after in (None, seeded_chain(G, pms, 3)[-1]):
         calls.clear()
+        drops.clear()
         mu_k(G, 4, pms, after=after)
         assert calls and sum(drops) > 0
     # the oracle comparisons on the prisms and ladders (8-24 vertices) and

@@ -10,11 +10,14 @@ factor-index order wins every tie.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
     CubicGraph,
+    _exceeding,
     _indices,
     _levels,
     _transpose,
@@ -91,10 +94,14 @@ def matching_orbits(
 
 def _in_at_most(cand: int, rows: Sequence[int], c: int) -> int:
     """The candidates of cand counted in at most c of rows."""
-    within = 0
-    for level in _levels(cand, rows, c):
-        within |= level
-    return within
+    return cand ^ (cand & _exceeding(rows, c)[c])
+
+
+def _suffix_ors(pms: Sequence[int]) -> List[int]:
+    """s[i] is the union of pms[i:], for i = 0..len(pms)."""
+    s = list(itertools.accumulate(reversed(pms), operator.or_, initial=0))
+    s.reverse()
+    return s
 
 
 def _degree_filter(
@@ -134,7 +141,7 @@ def _best_leaf(
     top = min(m - 1 - best_pop, holes.bit_count())
     if top < 0:
         return None
-    misses = [~by_edge[e] for e in _indices(holes)]
+    misses = [cand ^ (cand & by_edge[e]) for e in _indices(holes)]
     for t, level in enumerate(_levels(cand, misses, top)):
         if level:
             return m - t, (level & -level).bit_length() - 1
@@ -270,9 +277,7 @@ def mu_k(
     p = len(pms)
     everyone = (1 << p) - 1
     most = min(m, k * half)  # no k factors cover more
-    suffix_or = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | pms[i]
+    suffix_or = _suffix_ors(pms)
     if index is None:
         index = functools.cache(lambda: _transpose(m, pms))
     # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
@@ -368,7 +373,7 @@ def mu_k(
                 low = orbit[l]
             if (union | suffix_or[l + 1]).bit_count() <= best_pop:
                 break
-            cand &= ~low
+            cand ^= low  # a bit of cand, or at the root an orbit in it
             if best_pop != before:
                 for f in chosen:
                     cand &= followers(f)
@@ -420,9 +425,7 @@ def fulkerson_witness(
     """
     p = len(pms)
     full = (1 << G.m) - 1
-    suffix_or = [0] * (p + 1)
-    for i in range(p - 1, -1, -1):
-        suffix_or[i] = suffix_or[i + 1] | pms[i]
+    suffix_or = _suffix_ors(pms)
     chosen: List[int] = []
 
     def rec(start: int, once: int, twice: int) -> Optional[Tuple[int, ...]]:

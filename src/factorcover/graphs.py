@@ -354,22 +354,37 @@ def _bfs(
     return order, parent_edge, depth
 
 
+def _exceeding(masks: Iterable[int], top: int) -> List[int]:
+    """Saturating bit-sliced counter: over[t], for t = 0..top, is the set of
+    bits lying in more than t of masks.
+
+    Each mask costs top ANDs and top + 1 ORs.  The masks should be
+    nonnegative: CPython runs & and | with a negative operand through
+    two's-complement copies, at about twice the cost.
+    """
+    over = [0] * (top + 1)
+    for x in masks:
+        # descending t reads over[t - 1] before x has moved it up
+        for t in range(top, 0, -1):
+            over[t] |= over[t - 1] & x
+        over[0] |= x
+    return over
+
+
 def _levels(
     full: int, masks: Sequence[int], top: Optional[int] = None
 ) -> List[int]:
     """Bit-sliced multiplicity count: exactly[t], for t = 0..len(masks), is
-    the set of edges of full lying in exactly t of masks.
+    the set of bits of full lying in exactly t of masks.
 
     With top given, only the levels t = 0..top are kept; a bit lying in
     more than top of masks is in none of them.
     """
-    exactly = [full] + [0] * (len(masks) if top is None else top)
-    for x in masks:
-        out = ~x
-        # descending t reads level t - 1 before x has moved it up
-        for t in range(len(exactly) - 1, 0, -1):
-            exactly[t] = exactly[t] & out | exactly[t - 1] & x
-        exactly[0] &= out
+    exactly = []
+    rest = full
+    for over in _exceeding(masks, len(masks) if top is None else top):
+        exactly.append(rest ^ (rest & over))
+        rest &= over
     return exactly
 
 

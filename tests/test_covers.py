@@ -14,6 +14,7 @@ from factorcover.covers import (
     ORBIT_MIN_MATCHINGS,
     NoPerfectMatchingError,
     _best_leaf,
+    _in_at_most,
     fan_raspaud_indices,
     fulkerson_witness,
     matching_orbits,
@@ -649,6 +650,56 @@ def test_best_leaf_matches_a_plain_scan(corpus, corpus_pms):
                      for l in _indices(cand)) > 1:
                 ties += 1  # the first of several best factors won
     assert ties > 100 and nones > 100, (ties, nones)
+
+
+def test_in_at_most_against_a_per_candidate_count(corpus, corpus_pms):
+    rng = random.Random(29)
+    graphs = [(G, corpus_pms[name]) for name, G in rng.sample(corpus, 60)]
+    graphs += [(G, enumerate_perfect_matchings(G))
+               for G in map(flower_snark, (5, 7, 9))]
+    for G, pms in graphs:
+        p = len(pms)
+        by_edge = _transpose(G.m, pms)
+        for _ in range(4):
+            rows = rng.sample(by_edge, rng.randrange(G.m + 1))
+            cand = rng.getrandbits(p)
+            counts = [sum(row >> l & 1 for row in rows) for l in range(p)]
+            for c in {0, 1, len(rows) // 2, len(rows), len(rows) + 2}:
+                want = sum(1 << l for l in _indices(cand) if counts[l] <= c)
+                assert _in_at_most(cand, rows, c) == want, (G.edges, c)
+
+
+def test_mu_k_counts_only_nonnegative_masks(corpus, corpus_pms, monkeypatch):
+    """Every mask that mu_k's filters and sliced leaf count is nonnegative.
+    CPython runs & and | with a negative operand through two's-complement
+    copies, so a ~row would give the same sets on a slower path."""
+    counted: List[int] = []
+    exceeding = covers._exceeding
+
+    def guarded(masks, top):
+        masks = list(masks)
+        assert all(x >= 0 for x in masks), top
+        counted.append(top)
+        return exceeding(masks, top)
+
+    monkeypatch.setattr("factorcover.graphs._exceeding", guarded)
+    monkeypatch.setattr(covers, "_exceeding", guarded)
+    for G in (flower_snark(9), flower_snark(11)):
+        pms = enumerate_perfect_matchings(G)
+        for orbits in (None, lambda: matching_orbits(G, pms)):
+            counted.clear()
+            seeded = seeded_chain(G, pms, 4, orbits)
+            plain = [mu_k(G, k, pms, orbits=orbits)[1] for k in range(1, 5)]
+            assert ([w.factor_indices for w in seeded]
+                    == [w.factor_indices for w in plain]), G.n
+            assert counted, G.n
+    counted.clear()
+    for name, G in random.Random(53).sample(corpus, 50):
+        pms = corpus_pms[name]
+        seeded_chain(G, pms, 4)
+        for k in range(1, 5):
+            mu_k(G, k, pms, orbits=lambda: matching_orbits(G, pms))
+    assert counted
 
 
 def test_sliced_leaf_runs_on_snarks_and_prisms_never_on_k4(k4, monkeypatch):

@@ -19,6 +19,7 @@ from factorcover.graphs import (
     NotCubicError,
     _bfs,
     _cycle_labels,
+    _exceeding,
     _girth,
     _hamiltonian_circuit,
     _indices,
@@ -476,6 +477,68 @@ def test_levels_against_per_edge_count(case, top):
         count = sum(x >> i & 1 for x in masks)
         for t, level in enumerate(exactly):
             assert level >> i & 1 == (full >> i & 1 and count == t)
+
+
+def per_bit_counts(width, masks):
+    """counts[i]: how many of masks hold bit i."""
+    counts = [0] * width
+    for x in masks:
+        for i in _indices(x):
+            counts[i] += 1
+    return counts
+
+
+def bits_where(counts, keep):
+    """The int with bit i set where keep(counts[i])."""
+    return int("0" + "".join("1" if keep(c) else "0"
+                             for c in reversed(counts)), 2)
+
+
+@st.composite
+def wide_masks(draw):
+    """Up to 40 masks of a width up to 4,096 bits (p-scale), and a top from
+    0 to past the number of masks."""
+    width = draw(st.integers(0, 4096))
+    masks = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+    return width, masks, draw(st.integers(0, len(masks) + 3))
+
+
+WIDE = (1 << 4096) - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(wide_masks())
+@example((0, [], 0))
+@example((9, [], 3))
+@example((64, [0, 0, 0], 0))
+@example((64, [0, 0, 0], 5))
+@example((3, [5, 3, 6], 0))
+@example((4096, [WIDE] * 40, 0))
+@example((4096, [WIDE, 1 << 4095, WIDE ^ 1], 43))
+def test_exceeding_against_per_bit_count(case):
+    width, masks, top = case
+    over = _exceeding(masks, top)
+    assert len(over) == top + 1
+    counts = per_bit_counts(width, masks)
+    for t, level in enumerate(over):
+        assert level == bits_where(counts, lambda c: c > t), t
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(wide_masks(), st.integers(0, (1 << 4096) - 1))
+@example((2048, [(1 << 2048) - 1, 0, 1 << 2047], 7), (1 << 2048) - 1)
+@example((4096, [WIDE ^ 5, WIDE >> 1, 6], 4), WIDE)
+@example((4096, [WIDE] * 3, 40), WIDE >> 100)
+@example((4096, [], 2), WIDE)
+def test_levels_on_wide_masks(case, full):
+    """_levels at the widths of a per-edge index (p bits), with top above
+    the number of masks; full may reach past the masks' width."""
+    width, masks, top = case
+    exactly = _levels(full, masks, top)
+    assert len(exactly) == top + 1
+    counts = per_bit_counts(max(width, full.bit_length()), masks)
+    for t, level in enumerate(exactly):
+        assert level == full & bits_where(counts, lambda c: c == t), t
 
 
 @st.composite

@@ -59,22 +59,32 @@ def matching_orbits(
     A generator is used only once edge_permutation confirms it preserves
     every edge multiplicity and each image of a matching is in pms, so a
     missed or rejected automorphism leaves orbits finer, never wrong.
+
+    Each index row is written once as a p-digit binary numeral, so in the
+    rows joined edge by edge, the characters p - 1 - l, 2p - 1 - l, ...
+    spell matching l, and a string names a matching without int().
     """
     p = len(pms)
-    where = {x: l for l, x in enumerate(pms)}
+    rows: List[str] = []
+    where: Dict[str, int] = {}
     moves: List[List[int]] = []  # per generator, the index of each image
     for sigma in automorphisms(G):
         perm = edge_permutation(G, sigma)
         if perm is None:
             continue
-        if by_edge is None:
-            by_edge = _transpose(G.m, pms)
-        # the index row of each edge becomes that of its image edge, so
-        # its transpose lists the images of the matchings
-        moved = [0] * G.m
-        for f, row in enumerate(by_edge):
+        if not rows:
+            if by_edge is None:
+                by_edge = _transpose(G.m, pms)
+            rows = [format(row, f"0{p}b") for row in by_edge]
+            text = "".join(rows)
+            where = {text[p - 1 - l::p]: l for l in range(p)}
+        # the row of each edge goes to its image edge, so the joined rows
+        # spell the images of the matchings
+        moved = [""] * G.m
+        for f, row in enumerate(rows):
             moved[perm[f]] = row
-        images = [where.get(y, -1) for y in _transpose(p, moved)]
+        text = "".join(moved)
+        images = [where.get(text[p - 1 - l::p], -1) for l in range(p)]
         if -1 not in images:
             moves.append(images)
     rep = [-1] * p
@@ -178,11 +188,20 @@ DEGREE_FILTER_COST = 3
 
 #: analyze() passes matching orbits to mu_k from this many matchings on,
 #: and the mu_{k-1} witness as the seed of mu_k.  Finding the orbits takes
-#: a few milliseconds plus a pass over pms per generator; J7 (128
-#: matchings, the most in the bundled corpus) saves about as much in mu_2
-#: and mu_3, J9 (512) and J11 (2048) several times more.  The seed builds
-#: the per-edge index, which on the corpus costs more than it saves.
-ORBIT_MIN_MATCHINGS = 256
+#: about a millisecond plus a pass over pms per generator; the seed builds
+#: the per-edge index.  analyze() with the ops mu, fan_raspaud and core,
+#: in CPU ms (best of 15, 2-core Xeon) at a threshold of 256/128/64/32:
+#:   J5 (32 matchings)       0.84 0.82 0.81 1.17
+#:   J7 (128)                4.04 2.25 2.24 2.26
+#:   C9xK2 (76)              0.49 0.48 0.43 0.43
+#:   C10xK2 (125)            0.65 0.64 0.55 0.54
+#:   C11xK2 (199)            1.00 0.78 0.78 0.78
+#:   M18 (78)                0.72 0.72 0.43 0.43
+#:   M20 (123)               0.69 0.69 0.56 0.56
+#:   M22 (201)               2.12 0.78 0.78 0.78
+#: J7 has the most matchings in the bundled corpus, and it is the only
+#: corpus graph with more than 32.
+ORBIT_MIN_MATCHINGS = 64
 
 
 def mu_k(
@@ -241,9 +260,10 @@ def mu_k(
     next representative.  The tuples kept are visited in the same order
     and include the first optimal one, so the witness does not change.
     orbits is asked for once, only when factor 0's subtree falls short of
-    min(m, k*n/2); analyze() passes it from ORBIT_MIN_MATCHINGS matchings
-    on, and it holds for any group of automorphisms, so a missed one costs
-    time, never the optimum or the witness.
+    min(m, k*n/2); analyze() passes it from ORBIT_MIN_MATCHINGS (64)
+    matchings on, which in the bundled corpus only J7 (128) reaches.  It
+    holds for any group of automorphisms, so a missed one costs time,
+    never the optimum or the witness.
 
     after, the witness of mu_k(G, k - 1, pms), seeds the best union: its
     factors plus the first factor covering the most edges outside its

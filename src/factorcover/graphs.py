@@ -643,14 +643,19 @@ def _refine(
 
     Each round splits a cell by the colours of its vertices' three
     neighbours (with multiplicity) and ranks the new cells after their old
-    one, so the result and its quotient are isomorphism-invariant.
+    one, so the result and its quotient are isomorphism-invariant.  A
+    vertex's signature is one int, colour[v] << 2n + 2 plus 4**a + 4**b +
+    4**c over its neighbour colours a, b, c < n: three powers of 4 never
+    carry into the next, so the sum spells the neighbour multiset.
     """
     ranks = {c: i for i, c in enumerate(sorted(set(colour)))}
     colour = [ranks[c] for c in colour]
     count = len(ranks)
+    shift = 2 * len(colour) + 2
     while True:
-        sigs = [(colour[v], tuple(sorted([colour[a], colour[b], colour[c]])))
-                for v, (a, b, c) in enumerate(nbrs)]
+        pw = [1 << 2 * c for c in range(count)]
+        sigs = [colour[v] << shift | pw[colour[a]] + pw[colour[b]]
+                + pw[colour[c]] for v, (a, b, c) in enumerate(nbrs)]
         keys = sorted(set(sigs))
         if len(keys) == count:
             return colour, tuple(sorted(sigs))

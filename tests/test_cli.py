@@ -353,8 +353,9 @@ def test_all_ops_scan_digest(tmp_path):
 ])
 def test_flower_snark_scan_digest(tmp_path, t, digest):
     """A default scan of J9 (512 matchings) or J11 (2048) gives fixed bytes.
-    They are the smallest graphs past ORBIT_MIN_MATCHINGS, so the digests
-    cover the searches that no corpus graph reaches; they change only with
+    They are the flower snarks past J7, the one corpus graph past
+    ORBIT_MIN_MATCHINGS, so the digests cover the orbit and seed paths on
+    longer matching lists than the corpus reaches; they change only with
     an intentional schema or witness change."""
     corpus = tmp_path / f"j{t}.mgf"
     assert main(["gen", "flower", str(t), "--out", str(corpus)]) == 0

@@ -422,9 +422,32 @@ def test_matching_orbit_images_are_the_per_matching_images(
     assert coarse > 600 and parallel > 50, (coarse, parallel)
 
 
-def test_orbit_cost_rule_keeps_the_corpus_off_the_orbit_path(
+def test_matching_orbits_on_wide_keys_and_rejected_generators():
+    # J13: 8,192 matchings, each image named by a 78-digit string
+    G = flower_snark(13)
+    pms = enumerate_perfect_matchings(G)
+    want = matching_orbits_oracle(G, pms)
+    assert matching_orbits(G, pms) == want
+    assert len(set(want)) == 190
+    # without J9's matching 0, two of the three generators map a matching
+    # onto it, outside the list, and only the third is used
+    G = flower_snark(9)
+    pms = enumerate_perfect_matchings(G)[1:]
+    inside = set(pms)
+    perms = [edge_permutation(G, sigma) for sigma in automorphisms(G)]
+    rejected = [any(_mask(G.m, (perm[f] for f in _indices(x))) not in inside
+                    for x in pms) for perm in perms]
+    assert rejected == [True, True, False]
+    want = matching_orbits_oracle(G, pms)
+    assert matching_orbits(G, pms) == want
+    assert len(set(want)) == 271
+
+
+def test_orbit_cost_rule_puts_only_j7_of_the_corpus_on_the_orbit_path(
         corpus, corpus_pms, monkeypatch):
-    assert max(map(len, corpus_pms.values())) < ORBIT_MIN_MATCHINGS
+    large = [name for name, pms in corpus_pms.items()
+             if len(pms) >= ORBIT_MIN_MATCHINGS]
+    assert large == ["flower_snark_J7"]
 
     def refuse(G, pms, by_edge):
         raise AssertionError("matching_orbits ran")
@@ -432,14 +455,18 @@ def test_orbit_cost_rule_keeps_the_corpus_off_the_orbit_path(
     monkeypatch.setattr(report, "matching_orbits", refuse)
     options = AnalyzeOptions(ops=("mu",))
     for name, G in corpus:
-        analyze(G, options, id=name)
-    # J9 has 512 matchings: mu_2 asks for the orbits, and mu_3 reuses them
+        if name not in large:
+            analyze(G, options, id=name)
+    # J7 has 128 matchings and J9 512: mu_2 asks for the orbits, and mu_3
+    # reuses them
     calls: List[int] = []
     monkeypatch.setattr(report, "matching_orbits",
                         lambda G, pms, by_edge: calls.append(1) or
                         matching_orbits(G, pms, by_edge))
-    analyze(flower_snark(9), options)
-    assert calls == [1]
+    for G in (dict(corpus)["flower_snark_J7"], flower_snark(9)):
+        calls.clear()
+        analyze(G, options)
+        assert calls == [1]
 
 
 def test_mu_flower_snark_j11():
@@ -563,7 +590,7 @@ def test_mu_seed_rejects_a_foreign_witness(petersen):
 
 
 def test_analyze_seeds_mu_k_from_orbit_min_matchings_on(
-        corpus, monkeypatch):
+        corpus, corpus_pms, monkeypatch):
     seeds: List[Optional[int]] = []
 
     def recorded(G, k, pms, orbits=None, index=None, after=None):
@@ -572,12 +599,16 @@ def test_analyze_seeds_mu_k_from_orbit_min_matchings_on(
 
     monkeypatch.setattr(report, "mu_k", recorded)
     options = AnalyzeOptions(ops=("mu",))
-    for name, G in corpus:
+    small = [(name, G) for name, G in corpus
+             if len(corpus_pms[name]) < ORBIT_MIN_MATCHINGS]
+    assert len(small) == len(corpus) - 1
+    for name, G in small:
         analyze(G, options, id=name)
-    assert seeds == [None] * 4 * len(corpus)
-    seeds.clear()
-    analyze(flower_snark(9), options)
-    assert seeds == [None, None, 2, 3]
+    assert seeds == [None] * 4 * len(small)
+    for G in (dict(corpus)["flower_snark_J7"], flower_snark(9)):
+        seeds.clear()
+        analyze(G, options)
+        assert seeds == [None, None, 2, 3]
 
 
 def naive_matching_index(m: int, pms: Sequence[int]) -> List[int]:

@@ -1052,6 +1052,77 @@ def test_automorphisms_against_networkx_on_multigraphs(theta):
     assert parallel > 50, parallel
 
 
+def neighbours(G: CubicGraph):
+    return [tuple(G.other_end(f, v) for f in G.incidence[v])
+            for v in range(G.n)]
+
+
+def refine_by_tuples(nbrs, colour):
+    """_refine with each signature the tuple of a vertex's colour and its
+    sorted neighbour colours."""
+    ranks = {c: i for i, c in enumerate(sorted(set(colour)))}
+    colour = [ranks[c] for c in colour]
+    while True:
+        sigs = [(colour[v], tuple(sorted(colour[u] for u in nbrs[v])))
+                for v in range(len(nbrs))]
+        keys = sorted(set(sigs))
+        if len(keys) == len(set(colour)):
+            return colour
+        rank = {sig: i for i, sig in enumerate(keys)}
+        colour = [rank[sig] for sig in sigs]
+
+
+def cells(colour):
+    found = {}
+    for v, c in enumerate(colour):
+        found.setdefault(c, []).append(v)
+    return sorted(found.values())
+
+
+@st.composite
+def relabelled_multigraphs(draw):
+    """A connected cubic multigraph, a starting colouring and a vertex
+    relabelling."""
+    n = 2 * draw(st.integers(1, 20))
+    G = random_connected_cubic_multigraph(
+        random.Random(draw(st.integers(0, 2**32))), n)
+    colour = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return G, colour, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relabelled_multigraphs())
+def test_refine_commutes_with_relabelling(case):
+    G, colour, pi = case
+    H = CubicGraph(G.n, [(pi[u], pi[v]) for u, v in G.edges])
+    moved = [0] * G.n
+    for v, c in enumerate(colour):
+        moved[pi[v]] = c
+    got, quotient = graphs._refine(neighbours(G), colour)
+    got_h, quotient_h = graphs._refine(neighbours(H), moved)
+    assert all(got_h[pi[v]] == c for v, c in enumerate(got))
+    assert quotient_h == quotient
+
+
+def test_refine_cells_equal_the_tuple_signature_cells(corpus, theta):
+    rng = random.Random(53)
+    family = [theta, flower_snark(5), flower_snark(9), prism(8)]
+    family += [G for _, G in rng.sample(corpus, 60)]
+    family += [random_connected_cubic_multigraph(
+        rng, rng.choice(range(2, 41, 2))) for _ in range(100)]
+    split = 0
+    for G in family:
+        nbrs = neighbours(G)
+        starts = [[0] * G.n, [rng.randrange(3) for _ in range(G.n)]]
+        starts += [[int(v == w) for v in range(G.n)]
+                   for w in rng.sample(range(G.n), min(3, G.n))]
+        for colour in starts:
+            got = cells(graphs._refine(nbrs, colour)[0])
+            assert got == cells(refine_by_tuples(nbrs, colour)), G.edges
+            split += 1 < len(got) < G.n
+    assert split > 150, split
+
+
 def test_edge_permutation_maps_parallel_edges_in_index_order():
     # a double edge 0-1 and a double edge 2-3, joined by 0-2 and 1-3
     G = CubicGraph(4, [(0, 1), (2, 3), (1, 0), (0, 2), (3, 2), (1, 3)])

@@ -191,14 +191,14 @@ DEGREE_FILTER_COST = 3
 #: about a millisecond plus a pass over pms per generator; the seed builds
 #: the per-edge index.  analyze() with the ops mu, fan_raspaud and core,
 #: in CPU ms (best of 15, 2-core Xeon) at a threshold of 256/128/64/32:
-#:   J5 (32 matchings)       0.84 0.82 0.81 1.17
-#:   J7 (128)                4.04 2.25 2.24 2.26
+#:   J5 (32 matchings)       0.83 0.82 0.80 1.18
+#:   J7 (128)                4.00 2.25 2.26 2.26
 #:   C9xK2 (76)              0.49 0.48 0.43 0.43
-#:   C10xK2 (125)            0.65 0.64 0.55 0.54
+#:   C10xK2 (125)            0.65 0.65 0.55 0.55
 #:   C11xK2 (199)            1.00 0.78 0.78 0.78
-#:   M18 (78)                0.72 0.72 0.43 0.43
-#:   M20 (123)               0.69 0.69 0.56 0.56
-#:   M22 (201)               2.12 0.78 0.78 0.78
+#:   M18 (78)                0.72 0.71 0.43 0.43
+#:   M20 (123)               0.70 0.69 0.56 0.56
+#:   M22 (201)               2.12 0.78 0.77 0.77
 #: J7 has the most matchings in the bundled corpus, and it is the only
 #: corpus graph with more than 32.
 ORBIT_MIN_MATCHINGS = 64

@@ -1121,6 +1121,14 @@ def test_refine_cells_equal_the_tuple_signature_cells(corpus, theta):
             assert got == cells(refine_by_tuples(nbrs, colour)), G.edges
             split += 1 < len(got) < G.n
     assert split > 150, split
+    # vertices 0 and 2 share colour 2 and see the colours {1, 3, 3} and
+    # {0, 0, 4}: as sums of powers of 2 instead of 4, both would be 18 and
+    # the cell would not split
+    G = CubicGraph(8, [(0, 7), (6, 7), (6, 3), (4, 2), (4, 5), (6, 1),
+                       (5, 3), (3, 7), (2, 5), (0, 1), (2, 4), (1, 0)])
+    nbrs, colour = neighbours(G), [2, 3, 2, 4, 0, 4, 4, 1]
+    assert cells(graphs._refine(nbrs, colour)[0]) == [[v] for v in range(8)]
+    assert cells(refine_by_tuples(nbrs, colour)) == [[v] for v in range(8)]
 
 
 def test_edge_permutation_maps_parallel_edges_in_index_order():

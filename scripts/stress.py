@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time analyze() per field on the stress set: the flower snarks J9-J13,
 the prisms C16 x K2 .. C24 x K2 and C32 x K2, and the Moebius ladders
-M32 .. M48, with the default ops.
+M32 .. M48, with the default ops, then J15 and J17 with the ops mu,
+fan_raspaud and core (those of the benchmark's snark_mu workload).
 
 These graphs are larger than the benchmark's workloads (perfbench/), so
 the script runs outside it.  It prints one JSON line per graph: its name,
@@ -11,34 +12,72 @@ milliseconds of each field (AnalyzeOptions(timings=True)) and of the
 whole call, and a sha256 of the report without its timings, so that two
 versions of the package can be checked to give the same reports.
 
+Each graph is analysed in a fresh interpreter of its own, started only
+once the one before has exited, so that no field's time depends on the
+graphs analysed before it.
+
 Usage: PYTHONPATH=src python scripts/stress.py [--repeat N]
            [--save FILE | --check FILE]
-With --repeat, each graph is analysed N times and every timing is the
-smallest of the N.  --save writes the digests to FILE as one JSON object
-(graph name -> report_sha256); --check compares them with such a file,
-names each graph that differs on stderr and exits 1 on any difference.
-scripts/stress_digests.json holds the digests of the reports the package
-gives today.
+With --repeat, each graph is analysed N times in its interpreter and
+every timing is the smallest of the N.  --save writes the digests to
+FILE as one JSON object (graph name -> report_sha256); --check compares
+them with such a file, names each graph that differs on stderr and exits
+1 on any difference.  scripts/stress_digests.json holds the digests of
+the reports the package gives today.
 """
 
 import argparse
 import hashlib
 import json
+import multiprocessing
 import sys
 import time
 
 from factorcover.graphs import flower_snark, mobius_ladder, prism
 from factorcover.matching import enumerate_perfect_matchings
-from factorcover.report import AnalyzeOptions, analyze
+from factorcover.report import DEFAULT_OPS, AnalyzeOptions, analyze
+
+SNARK_OPS = ("mu", "fan_raspaud", "core")
 
 
 def stress_set():
+    """(name, graph, ops) for each graph, in the order they run."""
     for t in (9, 11, 13):
-        yield f"J{t}", flower_snark(t)
+        yield f"J{t}", flower_snark(t), DEFAULT_OPS
     for t in (*range(16, 25), 32):
-        yield f"C{t}xK2", prism(t)
+        yield f"C{t}xK2", prism(t), DEFAULT_OPS
     for t in range(16, 25):
-        yield f"M{2 * t}", mobius_ladder(t)
+        yield f"M{2 * t}", mobius_ladder(t), DEFAULT_OPS
+    for t in (15, 17):
+        yield f"J{t}", flower_snark(t), SNARK_OPS
+
+
+def analyse_alone(name, repeat, out) -> None:
+    """Analyse the stress graph name repeat times and send its JSON line
+    to the pipe end out."""
+    G, ops = next((G, ops) for key, G, ops in stress_set() if key == name)
+    options = AnalyzeOptions(ops=ops, timings=True)
+    best = None
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        data = analyze(G, options, id=name).to_dict()
+        total = round((time.perf_counter() - t0) * 1000.0, 3)
+        timings = dict(data.pop("timings_ms"), total=total)
+        best = timings if best is None else {
+            key: min(value, best[key]) for key, value in timings.items()}
+    digest = hashlib.sha256(
+        json.dumps(data, separators=(",", ":")).encode()).hexdigest()
+    # past the cap the report says so; enumerating again would only pay
+    # the cap path once more
+    if data["errors"].get("matchings") == "pm_cap_exceeded":
+        matchings = None
+    else:
+        matchings = len(enumerate_perfect_matchings(G))
+    out.send({
+        "graph": name, "n": G.n, "m": G.m, "matchings": matchings,
+        "timings_ms": best, "report_sha256": digest,
+    })
+    out.close()
 
 
 def main() -> None:
@@ -48,30 +87,23 @@ def main() -> None:
     files.add_argument("--save", metavar="FILE")
     files.add_argument("--check", metavar="FILE")
     args = parser.parse_args()
-    options = AnalyzeOptions(timings=True)
+    fresh = multiprocessing.get_context("spawn")
     digests = {}
-    for name, G in stress_set():
-        best = None
-        for _ in range(args.repeat):
-            t0 = time.perf_counter()
-            data = analyze(G, options, id=name).to_dict()
-            total = round((time.perf_counter() - t0) * 1000.0, 3)
-            timings = dict(data.pop("timings_ms"), total=total)
-            best = timings if best is None else {
-                key: min(value, best[key]) for key, value in timings.items()}
-        digest = hashlib.sha256(
-            json.dumps(data, separators=(",", ":")).encode()).hexdigest()
-        digests[name] = digest
-        # past the cap the report says so; enumerating again would only
-        # pay the cap path once more
-        if data["errors"].get("matchings") == "pm_cap_exceeded":
-            matchings = None
-        else:
-            matchings = len(enumerate_perfect_matchings(G))
-        print(json.dumps({
-            "graph": name, "n": G.n, "m": G.m, "matchings": matchings,
-            "timings_ms": best, "report_sha256": digest,
-        }), flush=True)
+    for name, _, _ in stress_set():
+        receive, send = fresh.Pipe(duplex=False)
+        child = fresh.Process(target=analyse_alone,
+                              args=(name, args.repeat, send))
+        child.start()
+        send.close()
+        try:
+            line = receive.recv()
+        except EOFError:
+            line = None
+        child.join()
+        if line is None or child.exitcode != 0:
+            sys.exit(f"analysing {name} failed (exit code {child.exitcode})")
+        digests[name] = line["report_sha256"]
+        print(json.dumps(line), flush=True)
     if args.save:
         with open(args.save, "w") as out:
             json.dump(digests, out, indent=2)

@@ -186,6 +186,20 @@ LEAF_SLICE_SETUP = 64
 DEGREE_FILTER_COST = 3
 
 
+#: mu_k scores the second and third factors of a 3-tuple over one list of
+#: the q candidates when q * q is below PAIR_PASS_COST * u * n/2 * (c + 1):
+#: the pass makes about q * q / 2 popcounts, and rec would make u follower
+#: counts of n/2 * (c + 1) big-int steps each.  Swept over 0 (never), 1, 2,
+#: 4, 8 and 16 on mu_3 of J7-J13, C16xK2-C24xK2 and M32-M48, without
+#: orbits, with them and seeded (CPU time, best of 5, 2-core Xeon): the
+#: seeded J7, J9, J11 and J13 took 0.49, 1.80, 7.06 and 40.8 ms at 0, 0.36,
+#: 0.83, 3.89 and 19.2 ms at 2, and 0.25, 0.83, 3.50 and 18.0 ms from 4 on;
+#: J13 with orbits 69.7 ms at 0 and 48 ms from 2 on.  Without orbits no
+#: node takes the pass, and the prisms and ladders read the same at every
+#: cost within noise.
+PAIR_PASS_COST = 4
+
+
 #: analyze() passes matching orbits to mu_k from this many matchings on,
 #: and the mu_{k-1} witness as the seed of mu_k.  Finding the orbits takes
 #: about a millisecond plus a pass over pms per generator; the seed builds
@@ -202,6 +216,71 @@ DEGREE_FILTER_COST = 3
 #: J7 has the most matchings in the bundled corpus, and it is the only
 #: corpus graph with more than 32.
 ORBIT_MIN_MATCHINGS = 64
+
+
+def _pairs_pay(
+    cand: int, start: int, p: int, half: int, c: int, roots: int
+) -> bool:
+    """Is mu_k's pass over the pairs of cand, all of index >= start,
+    cheaper than the follower counts that rec would run on them?  c is the
+    overlap bound and roots the factors the root loop counts anyway."""
+    steps = half * (c + 1)
+    # followers' own gate: from index p - steps on no count runs
+    if c >= half or p - start <= steps:
+        return False
+    saved = cand & (1 << p - steps) - 1
+    saved ^= saved & roots
+    q = cand.bit_count()
+    return q * q < PAIR_PASS_COST * saved.bit_count() * steps
+
+
+def _pair_pass(
+    pms: Sequence[int], suffix_or: Sequence[int], r: int, cand: int,
+    best_pop: int, most: int,
+) -> Tuple[int, Optional[Tuple[int, int]], int]:
+    """mu_k's search below a first factor r of a 3-tuple, over one list of
+    the factors of cand instead of follower counts; suffix_or is
+    _suffix_ors(pms) and most the largest union three factors can reach.
+
+    Returns the best union size, the first pair (l, x) reaching it or
+    None when nothing beat best_pop, and the number of triples scored.
+    """
+    p = len(pms)
+    half = pms[0].bit_count()
+    union = pms[r]
+
+    def overlap(f: int) -> int:
+        """The bound of followers(f), or n/2 where it counts nothing."""
+        c = 3 * half - best_pop - 1
+        return half if c >= half or p - f <= half * (c + 1) else c
+
+    best: Optional[Tuple[int, int]] = None
+    scored = 0
+    rest = [(x, pms[x]) for x in _indices(cand)]
+    while rest:
+        l, mask = rest[0]
+        before = best_pop
+        u = union | mask
+        # rec(l, u, cand & followers(l)): its bound, then its leaves
+        if min(u.bit_count() + half,
+               (u | suffix_or[l]).bit_count()) > best_pop:
+            c = overlap(l)
+            for x, other in rest:
+                if (mask & other).bit_count() <= c:
+                    scored += 1
+                    pop = (u | other).bit_count()
+                    if pop > best_pop:
+                        best_pop, best = pop, (l, x)
+        if best_pop == most or (
+                union | suffix_or[l + 1]).bit_count() <= best_pop:
+            break
+        del rest[0]
+        if best_pop != before:
+            # cand &= followers(r)
+            c = overlap(r)
+            rest = [(x, other) for x, other in rest
+                    if (union & other).bit_count() <= c]
+    return best_pop, best, scored
 
 
 def mu_k(
@@ -247,6 +326,26 @@ def mu_k(
     the filter is the overlap filter again.  It drops only factors that
     cannot beat the best union, so the witness does not change; only
     fewer tuples are scored.
+
+    With one factor r chosen and two to go (k = 3), a node can score its
+    last two factors over one list of its q candidates instead of follower
+    counts (_pair_pass).  For each second factor l, the members x from l on
+    with |pms[l] & pms[x]| <= c are cand & followers(l), all of them where
+    followers counts nothing, and they are scanned in index order as
+    rec's leaf scans them.  When the best union grows, the members that
+    meet pms[r] in more than the new c are dropped, as cand &=
+    followers(r) does.  The leaves, their order and the bounds are rec's,
+    so neither the witness nor the scored count changes.  The pass makes
+    about q*q/2 popcounts of n/2-bit masks, where rec makes one p-bit
+    count per candidate not yet in near.  Those counts are saved only
+    for factors that do not come back as roots, since a root counts its
+    own followers.  Without orbits every factor may, so the pass is never
+    taken; with them, only the representatives do, and none are assumed
+    before the orbits are asked for.  So the pass is taken when
+    q*q < PAIR_PASS_COST * u * n/2 * (c + 1), with u the candidates
+    below followers' gate that are not later roots (_pairs_pay).  The
+    counts already in near are not subtracted: once passes run, near
+    holds only counts of roots.
 
     index, a function returning _transpose(G.m, pms), shares the per-edge
     index across calls; without it, mu_k builds its own on first use.
@@ -302,6 +401,10 @@ def mu_k(
         index = functools.cache(lambda: _transpose(m, pms))
     # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
     near: Dict[int, int] = {}
+    # roots: the factors the root loop may try after the current one, each
+    # with a follower count of its own; with orbits only representatives,
+    # which are not known before factor 0's subtree is done
+    roots = everyone if orbits is None else 0
     # orbit[r]: the factors whose representative is r, filled on first use
     orbit: Dict[int, int] = {}
 
@@ -338,7 +441,7 @@ def mu_k(
 
     def rec(start: int, union: int, cand: int) -> None:
         """Extend chosen by the factors of cand, all of index >= start."""
-        nonlocal best_pop, best_tuple, scored
+        nonlocal best_pop, best_tuple, scored, roots
         remaining = k - len(chosen)
         bound = min(
             union.bit_count() + remaining * half,
@@ -373,6 +476,15 @@ def mu_k(
                     best_pop, best_tuple = pop, (*chosen, l)
                     near.clear()
             return
+        if remaining == 2 and len(chosen) == 1 and _pairs_pay(
+                cand, start, p, half, k * half - best_pop - 1, roots):
+            pop, pair, size = _pair_pass(
+                pms, suffix_or, chosen[0], cand, best_pop, most)
+            scored += size
+            if pair is not None:
+                best_pop, best_tuple = pop, (*chosen, *pair)
+                near.clear()
+            return
         narrow = remaining == 2 and len(chosen) >= 2
         if narrow:
             cand = second_to_last(union, cand)
@@ -390,6 +502,7 @@ def mu_k(
                 if not orbit:
                     for x, r in enumerate(orbits()):
                         orbit[r] = orbit.get(r, 0) | 1 << x
+                    roots = sum(1 << r for r in orbit)
                 low = orbit[l]
             if (union | suffix_or[l + 1]).bit_count() <= best_pop:
                 break

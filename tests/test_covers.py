@@ -2,9 +2,11 @@ import itertools
 import random
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from networkx.algorithms.isomorphism import GraphMatcher
 
 from factorcover import covers, report
@@ -896,6 +898,137 @@ def test_degree_filter_runs_past_two_factors_never_on_the_corpus(
         for k in ks if pms else ():
             mu_value_and_indices(G, k, pms)
     assert calls and sum(drops) > 50, (calls, drops)
+
+
+def pair_pass_witnesses(
+    G: CubicGraph, pms: Sequence[int], on: Optional[bool], orbits=None,
+    ks: Sequence[int] = (1, 2, 3), entered: Optional[List[int]] = None,
+) -> List[Tuple[Tuple[int, ...], int]]:
+    """(factor_indices, scored) of mu_k for each k of ks, unseeded and then
+    seeded (as seeded_chain), with the pair pass forced on (True), forced
+    off (False) or left to its cost rule (None).  entered, if given,
+    collects one entry per node that took the pass."""
+    rule = covers._pairs_pay
+
+    def forced(*args):
+        took = rule(*args) if on is None else on
+        if took and entered is not None:
+            entered.append(1)
+        return took
+
+    with mock.patch.object(covers, "_pairs_pay", forced):
+        found = [mu_k(G, k, pms, orbits=orbits)[1] for k in ks]
+        chain = seeded_chain(G, pms, max(ks), orbits)
+        found += [chain[k - 1] for k in ks if k > 1]
+    return [(w.factor_indices, w.scored) for w in found]
+
+
+def assert_pair_pass_changes_nothing(
+    G: CubicGraph, pms: Sequence[int], ks: Sequence[int] = (1, 2, 3)
+) -> int:
+    """The witnesses and scored counts of pair_pass_witnesses are the same
+    with the pass forced on, forced off and left to its rule, without
+    orbits and with them.  Returns the number of nodes that took the pass
+    when forced on."""
+    orbits = matching_orbits(G, pms)
+    entered: List[int] = []
+    for o in (None, lambda: orbits):
+        want = pair_pass_witnesses(G, pms, False, o, ks)
+        assert pair_pass_witnesses(G, pms, True, o, ks, entered) == want, (
+            G.edges, o is None)
+        assert pair_pass_witnesses(G, pms, None, o, ks) == want, (
+            G.edges, o is None)
+    return len(entered)
+
+
+def test_pair_pass_keeps_witness_and_scored_on_corpus(corpus, corpus_pms):
+    entered = sum(assert_pair_pass_changes_nothing(G, corpus_pms[name])
+                  for name, G in corpus)
+    assert entered > 1000, entered
+
+
+def test_pair_pass_keeps_witness_and_scored_on_flower_snarks():
+    for t in range(5, 14, 2):
+        G = flower_snark(t)
+        assert assert_pair_pass_changes_nothing(
+            G, enumerate_perfect_matchings(G)) > 0, t
+
+
+@pytest.mark.parametrize("t", range(8, 21))
+def test_pair_pass_keeps_witness_and_scored_on_prisms_and_ladders(t):
+    """C8 x K2 .. C20 x K2 and M16 .. M40."""
+    for G in (prism(t), mobius_ladder(t)):
+        assert assert_pair_pass_changes_nothing(
+            G, enumerate_perfect_matchings(G)) > 0, G.edges
+
+
+@MULTIGRAPH_TABLES
+def test_pair_pass_keeps_witness_and_scored_on_multigraphs(sizes, count, ks):
+    """Both tables' graphs, each for k = 1..3 whatever its ks."""
+    rng = random.Random(71)
+    entered = 0
+    for _ in range(count):
+        G = random_connected_cubic_multigraph(rng, rng.choice(sizes))
+        pms = enumerate_perfect_matchings(G)
+        if pms:
+            entered += assert_pair_pass_changes_nothing(G, pms)
+    assert entered > count, entered
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32))
+def test_pair_pass_keeps_the_mu_3_witness_on_random_multigraphs(half, seed):
+    G = random_connected_cubic_multigraph(random.Random(seed), 2 * half)
+    pms = enumerate_perfect_matchings(G)
+    assume(pms)
+    assert_pair_pass_changes_nothing(G, pms, ks=(3,))
+
+
+def test_pair_pass_leaves_only_root_counts_on_j11(monkeypatch):
+    """J11's seeded mu_3 counts followers p bits wide only for its first
+    factors: one count per orbit representative (63), where the counts
+    below the root took 514."""
+    G = flower_snark(11)
+    pms = enumerate_perfect_matchings(G)
+    orbits = matching_orbits(G, pms)
+    after = seeded_chain(G, pms, 2, lambda: orbits)[-1]
+    calls: List[int] = []
+
+    def counted(cand, rows, c):
+        calls.append(len(rows))
+        return _in_at_most(cand, rows, c)
+
+    monkeypatch.setattr(covers, "_in_at_most", counted)
+    witness = mu_k(G, 3, pms, orbits=lambda: orbits, after=after)[1]
+    assert (witness.factor_indices, witness.scored) == ((0, 571, 1195), 1_485)
+    assert 0 < len(calls) <= len(set(orbits)) == 63, len(calls)
+    assert set(calls) == {G.n // 2}
+
+
+def test_pair_pass_rule_takes_only_j7_of_the_corpus(
+        corpus, corpus_pms, monkeypatch):
+    """In analyze(), the corpus graphs stop at followers' gate, except at
+    17 of 720 nodes: J7's nine, all of which take the pass, and one each
+    of J5 and seven graphs on 14 vertices, which have no orbits, so every
+    factor is a later root and the rule declines."""
+    rule = covers._pairs_pay
+    asked: List[Tuple[str, bool, bool]] = []
+    name = ""
+
+    def recorded(cand, start, p, half, c, roots):
+        gated = c >= half or p - start <= half * (c + 1)
+        asked.append((name, gated, rule(cand, start, p, half, c, roots)))
+        return asked[-1][2]
+
+    monkeypatch.setattr(covers, "_pairs_pay", recorded)
+    options = AnalyzeOptions(ops=("mu",))
+    for name, G in corpus:
+        analyze(G, options, id=name)
+    assert len(asked) == 720
+    past = [graph for graph, gated, _ in asked if not gated]
+    assert past.count("flower_snark_J7") == 9 and len(past) == 17, past
+    assert [graph for graph, _, took in asked if took] == [
+        "flower_snark_J7"] * 9
 
 
 def test_mu_basic_identities(corpus, corpus_pms):

@@ -27,6 +27,7 @@ the reports the package gives today.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -41,21 +42,24 @@ SNARK_OPS = ("mu", "fan_raspaud", "core")
 
 
 def stress_set():
-    """(name, graph, ops) for each graph, in the order they run."""
+    """(name, build, ops) for each graph, in the order they run: build()
+    returns the graph, so that a child builds only its own."""
     for t in (9, 11, 13):
-        yield f"J{t}", flower_snark(t), DEFAULT_OPS
+        yield f"J{t}", functools.partial(flower_snark, t), DEFAULT_OPS
     for t in (*range(16, 25), 32):
-        yield f"C{t}xK2", prism(t), DEFAULT_OPS
+        yield f"C{t}xK2", functools.partial(prism, t), DEFAULT_OPS
     for t in range(16, 25):
-        yield f"M{2 * t}", mobius_ladder(t), DEFAULT_OPS
+        yield f"M{2 * t}", functools.partial(mobius_ladder, t), DEFAULT_OPS
     for t in (15, 17):
-        yield f"J{t}", flower_snark(t), SNARK_OPS
+        yield f"J{t}", functools.partial(flower_snark, t), SNARK_OPS
 
 
 def analyse_alone(name, repeat, out) -> None:
     """Analyse the stress graph name repeat times and send its JSON line
     to the pipe end out."""
-    G, ops = next((G, ops) for key, G, ops in stress_set() if key == name)
+    build, ops = next((build, ops) for key, build, ops in stress_set()
+                      if key == name)
+    G = build()
     options = AnalyzeOptions(ops=ops, timings=True)
     best = None
     for _ in range(repeat):

@@ -340,7 +340,7 @@ def mu_k(
     count per candidate not yet in near.  Those counts are saved only
     for factors that do not come back as roots, since a root counts its
     own followers.  Without orbits every factor may, so the pass is never
-    taken; with them, only the representatives do, and none are assumed
+    tried; with them, only the representatives do, and none are assumed
     before the orbits are asked for.  So the pass is taken when
     q*q < PAIR_PASS_COST * u * n/2 * (c + 1), with u the candidates
     below followers' gate that are not later roots (_pairs_pay).  The
@@ -402,9 +402,10 @@ def mu_k(
     # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
     near: Dict[int, int] = {}
     # roots: the factors the root loop may try after the current one, each
-    # with a follower count of its own; with orbits only representatives,
-    # which are not known before factor 0's subtree is done
-    roots = everyone if orbits is None else 0
+    # with a follower count of its own: only representatives, not known
+    # before factor 0's subtree is done; without orbits every factor is
+    # one, and the pair pass never pays (None)
+    roots: Optional[int] = None if orbits is None else 0
     # orbit[r]: the factors whose representative is r, filled on first use
     orbit: Dict[int, int] = {}
 
@@ -476,8 +477,9 @@ def mu_k(
                     best_pop, best_tuple = pop, (*chosen, l)
                     near.clear()
             return
-        if remaining == 2 and len(chosen) == 1 and _pairs_pay(
-                cand, start, p, half, k * half - best_pop - 1, roots):
+        if (remaining == 2 and len(chosen) == 1 and roots is not None
+                and _pairs_pay(cand, start, p, half,
+                               k * half - best_pop - 1, roots)):
             pop, pair, size = _pair_pass(
                 pms, suffix_or, chosen[0], cand, best_pop, most)
             scored += size

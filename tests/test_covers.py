@@ -927,17 +927,23 @@ def assert_pair_pass_changes_nothing(
     G: CubicGraph, pms: Sequence[int], ks: Sequence[int] = (1, 2, 3)
 ) -> int:
     """The witnesses and scored counts of pair_pass_witnesses are the same
-    with the pass forced on, forced off and left to its rule, without
-    orbits and with them.  Returns the number of nodes that took the pass
-    when forced on."""
+    with the pass forced on, forced off and left to its rule, with one
+    orbit per matching and with the orbits of G, and with one orbit per
+    matching they are those of the search without orbits, which has the
+    same roots and never asks the rule.  Returns the number of nodes that
+    took the pass when forced on."""
     orbits = matching_orbits(G, pms)
+    alone = list(range(len(pms)))
     entered: List[int] = []
-    for o in (None, lambda: orbits):
+    for o in (lambda: alone, lambda: orbits):
         want = pair_pass_witnesses(G, pms, False, o, ks)
         assert pair_pass_witnesses(G, pms, True, o, ks, entered) == want, (
-            G.edges, o is None)
+            G.edges, o() is alone)
         assert pair_pass_witnesses(G, pms, None, o, ks) == want, (
-            G.edges, o is None)
+            G.edges, o() is alone)
+        if o() is alone:
+            assert pair_pass_witnesses(G, pms, True, None, ks) == want, (
+                G.edges)
     return len(entered)
 
 
@@ -1007,28 +1013,22 @@ def test_pair_pass_leaves_only_root_counts_on_j11(monkeypatch):
 
 def test_pair_pass_rule_takes_only_j7_of_the_corpus(
         corpus, corpus_pms, monkeypatch):
-    """In analyze(), the corpus graphs stop at followers' gate, except at
-    17 of 720 nodes: J7's nine, all of which take the pass, and one each
-    of J5 and seven graphs on 14 vertices, which have no orbits, so every
-    factor is a later root and the rule declines."""
+    """In analyze(), only J7 of the corpus searches with orbits (past
+    ORBIT_MIN_MATCHINGS), so the others never ask the rule.  J7's mu_3 asks
+    it at its nine nodes below a first factor, and each takes the pass."""
     rule = covers._pairs_pay
-    asked: List[Tuple[str, bool, bool]] = []
+    asked: List[Tuple[str, bool]] = []
     name = ""
 
-    def recorded(cand, start, p, half, c, roots):
-        gated = c >= half or p - start <= half * (c + 1)
-        asked.append((name, gated, rule(cand, start, p, half, c, roots)))
-        return asked[-1][2]
+    def recorded(*args):
+        asked.append((name, rule(*args)))
+        return asked[-1][1]
 
     monkeypatch.setattr(covers, "_pairs_pay", recorded)
     options = AnalyzeOptions(ops=("mu",))
     for name, G in corpus:
         analyze(G, options, id=name)
-    assert len(asked) == 720
-    past = [graph for graph, gated, _ in asked if not gated]
-    assert past.count("flower_snark_J7") == 9 and len(past) == 17, past
-    assert [graph for graph, _, took in asked if took] == [
-        "flower_snark_J7"] * 9
+    assert asked == [("flower_snark_J7", True)] * 9
 
 
 def test_mu_basic_identities(corpus, corpus_pms):

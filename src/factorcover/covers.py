@@ -192,11 +192,11 @@ DEGREE_FILTER_COST = 3
 #: counts of n/2 * (c + 1) big-int steps each.  Swept over 0 (never), 1, 2,
 #: 4, 8 and 16 on mu_3 of J7-J13, C16xK2-C24xK2 and M32-M48, without
 #: orbits, with them and seeded (CPU time, best of 5, 2-core Xeon): the
-#: seeded J7, J9, J11 and J13 took 0.49, 1.80, 7.06 and 40.8 ms at 0, 0.36,
-#: 0.83, 3.89 and 19.2 ms at 2, and 0.25, 0.83, 3.50 and 18.0 ms from 4 on;
-#: J13 with orbits 69.7 ms at 0 and 48 ms from 2 on.  Without orbits no
-#: node takes the pass, and the prisms and ladders read the same at every
-#: cost within noise.
+#: seeded J7, J9, J11 and J13 took 0.48, 1.79, 7.00 and 40.9 ms at 0, 0.36,
+#: 0.83, 3.87 and 19.1 ms at 2, and 0.25, 0.82, 3.44 and 17.9 ms at 4,
+#: within 2% of that at 8 and 16; J13 with orbits took 70.0 ms at 0, 52.3
+#: at 1 and 48 from 2 on.  Without orbits the rule is not asked, and the
+#: prisms and ladders read the same at every cost within noise.
 PAIR_PASS_COST = 4
 
 

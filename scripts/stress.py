@@ -13,8 +13,8 @@ whole call, and a sha256 of the report without its timings, so that two
 versions of the package can be checked to give the same reports.
 
 Each graph is analysed in a fresh interpreter of its own, started only
-once the one before has exited, so that no field's time depends on the
-graphs analysed before it.
+once the one before has exited, so that no field's time depends on what
+an earlier analysis left in the interpreter.
 
 Usage: PYTHONPATH=src python scripts/stress.py [--repeat N]
            [--save FILE | --check FILE]

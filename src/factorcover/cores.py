@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .covers import fan_raspaud_indices
+from .covers import Matchings
 from .graphs import (
     CubicGraph,
     _cycle_labels,
@@ -259,20 +259,21 @@ def _classify_subdivision(
     )
 
 
-def find_core(G: CubicGraph, pms: Sequence[int]) -> Optional[Core]:
+def find_core(G: CubicGraph, pms: Sequence[int] | Matchings) -> Optional[Core]:
     """First cyclic core over the triples of pms (the list from
-    enumerate_perfect_matchings(G)) in lexicographic index order, or None.
+    enumerate_perfect_matchings(G), or a Matchings whose Fan-Raspaud triple
+    it reads) in lexicographic index order, or None.
 
     A core vertex has core degree 3 exactly when it ends an edge of the
     triple intersection T (build_core asserts this), so every component
     is a circuit, and the core is cyclic, exactly when T is empty: the
     first cyclic core is the core of the first Fan-Raspaud triple.
     """
-    found = fan_raspaud_indices(G, pms)
+    context = Matchings.of(G, pms)
+    found = context.fan_raspaud
     if found is None:
         return None
-    i, j, l = found
-    return build_core(G, pms[i], pms[j], pms[l])
+    return build_core(G, *(context.pms[x] for x in found))
 
 
 def verify_core_theorems(

@@ -13,7 +13,7 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
     CubicGraph,
@@ -50,11 +50,10 @@ class FulkersonWitness:
 
 
 def matching_orbits(
-    G: CubicGraph, pms: Sequence[int], by_edge: Optional[Sequence[int]] = None
+    G: CubicGraph, pms: Sequence[int] | Matchings
 ) -> List[int]:
-    """The orbits of the automorphisms(G) generators on pms: entry l is the
-    least index of the orbit of pms[l].  by_edge, if given, is the
-    per-edge index _transpose(G.m, pms).
+    """The orbits of the automorphisms(G) generators on pms, a list or a
+    Matchings: entry l is the least index of the orbit of pms[l].
 
     A generator is used only once edge_permutation confirms it preserves
     every edge multiplicity and each image of a matching is in pms, so a
@@ -64,6 +63,8 @@ def matching_orbits(
     rows joined edge by edge, the characters p - 1 - l, 2p - 1 - l, ...
     spell matching l, and a string names a matching without int().
     """
+    context = Matchings.of(G, pms)
+    pms = context.pms
     p = len(pms)
     rows: List[str] = []
     where: Dict[str, int] = {}
@@ -73,9 +74,7 @@ def matching_orbits(
         if perm is None:
             continue
         if not rows:
-            if by_edge is None:
-                by_edge = _transpose(G.m, pms)
-            rows = [format(row, f"0{p}b") for row in by_edge]
+            rows = [format(row, f"0{p}b") for row in context.by_edge]
             text = "".join(rows)
             where = {text[p - 1 - l::p]: l for l in range(p)}
         # the row of each edge goes to its image edge, so the joined rows
@@ -114,11 +113,53 @@ def _suffix_ors(pms: Sequence[int]) -> List[int]:
     return s
 
 
+def _orbit_masks(orbits: Sequence[int]) -> Tuple[Dict[int, int], int]:
+    """({r: the matchings in the orbit of r}, the mask of the r) for each
+    representative r of a list like matching_orbits(G, pms)."""
+    orbit: Dict[int, int] = {}
+    for x, r in enumerate(orbits):
+        orbit[r] = orbit.get(r, 0) | 1 << x
+    return orbit, sum(1 << r for r in orbit)
+
+
+class Matchings:
+    """The list pms from enumerate_perfect_matchings(G), not a copy, with
+    the tables the searches derive from it, each built when one first asks
+    for it; use_orbits says whether mu_k skips symmetric tuples, from
+    ORBIT_MIN_MATCHINGS matchings on."""
+
+    def __init__(self, G: CubicGraph, pms: Sequence[int]) -> None:
+        self.G, self.pms = G, pms
+        self.use_orbits = len(pms) >= ORBIT_MIN_MATCHINGS
+
+    @classmethod
+    def of(cls, G: CubicGraph, pms: Sequence[int] | Matchings) -> Matchings:
+        """pms itself when it is a Matchings, else one over the list."""
+        return pms if isinstance(pms, cls) else cls(G, pms)
+
+    @functools.cached_property
+    def by_edge(self) -> List[int]:
+        """The per-edge index: bit l of row e says pms[l] holds edge e."""
+        return _transpose(self.G.m, self.pms)
+
+    @functools.cached_property
+    def suffix_or(self) -> List[int]:
+        return _suffix_ors(self.pms)
+
+    @functools.cached_property
+    def orbits(self) -> Tuple[Dict[int, int], int]:
+        return _orbit_masks(matching_orbits(self.G, self))
+
+    @functools.cached_property
+    def fan_raspaud(self) -> Optional[Tuple[int, int, int]]:
+        return fan_raspaud_indices(self.G, self.pms)
+
+
 def _degree_filter(
-    G: CubicGraph, union: int, cand: int, best_pop: int, by_edge: Sequence[int]
+    context: Matchings, union: int, cand: int, best_pop: int
 ) -> int:
     """The factors M of cand that can be followed by one last factor L with
-    |union | M | L| > best_pop; by_edge is _transpose(G.m, pms).
+    |union | M | L| > best_pop.
 
     Let D be the vertices with exactly one edge g_v in union.  If M holds
     g_v, L covers at most one of v's two other edges, and an uncovered edge
@@ -127,6 +168,7 @@ def _degree_filter(
     s = m - 1 - best_pop, so the factors in more than 2s of the rows of
     the g_v are dropped.
     """
+    G, by_edge = context.G, context.by_edge
     rows = []
     for star in G.stars:
         g = star & union
@@ -136,17 +178,17 @@ def _degree_filter(
 
 
 def _best_leaf(
-    union: int, cand: int, best_pop: int, m: int, by_edge: Sequence[int]
+    context: Matchings, union: int, cand: int, best_pop: int
 ) -> Optional[Tuple[int, int]]:
     """(pop, l) for the first l in cand at which pop = |union | pms[l]| is
-    largest, or None when no pop exceeds best_pop; by_edge is
-    _transpose(m, pms).
+    largest, or None when no pop exceeds best_pop.
 
     With W the edges outside union, pms[l] reaches m - t edges when it
     misses t edges of W, so only the factors missing at most
     m - 1 - best_pop of them can improve, and a bit-sliced count of misses
     over the rows of W sorts those by t.
     """
+    m, by_edge = context.G.m, context.by_edge
     holes = (1 << m) - 1 & ~union
     top = min(m - 1 - best_pop, holes.bit_count())
     if top < 0:
@@ -200,21 +242,14 @@ DEGREE_FILTER_COST = 3
 PAIR_PASS_COST = 4
 
 
-#: analyze() passes matching orbits to mu_k from this many matchings on,
-#: and the mu_{k-1} witness as the seed of mu_k.  Finding the orbits takes
+#: mu_k skips symmetric tuples from this many matchings on, and analyze()
+#: seeds it there with the mu_{k-1} witness.  Finding the orbits takes
 #: about a millisecond plus a pass over pms per generator; the seed builds
-#: the per-edge index.  analyze() with the ops mu, fan_raspaud and core,
-#: in CPU ms (best of 15, 2-core Xeon) at a threshold of 256/128/64/32:
-#:   J5 (32 matchings)       0.83 0.82 0.80 1.18
-#:   J7 (128)                4.00 2.25 2.26 2.26
-#:   C9xK2 (76)              0.49 0.48 0.43 0.43
-#:   C10xK2 (125)            0.65 0.65 0.55 0.55
-#:   C11xK2 (199)            1.00 0.78 0.78 0.78
-#:   M18 (78)                0.72 0.71 0.43 0.43
-#:   M20 (123)               0.70 0.69 0.56 0.56
-#:   M22 (201)               2.12 0.78 0.77 0.77
-#: J7 has the most matchings in the bundled corpus, and it is the only
-#: corpus graph with more than 32.
+#: the per-edge index.  Swept over 256, 128, 64 and 32 on J5, J7, C9xK2 to
+#: C11xK2 and M18 to M22 (analyze() with the ops mu, fan_raspaud and core,
+#: CPU ms, best of 15, 2-core Xeon; BENCH_pr26_orbit_path.json), 64 was
+#: within 0.01 ms of the fastest on each.  J7 (128) has the most matchings
+#: in the bundled corpus, and it is the only corpus graph with more than 32.
 ORBIT_MIN_MATCHINGS = 64
 
 
@@ -235,16 +270,16 @@ def _pairs_pay(
 
 
 def _pair_pass(
-    pms: Sequence[int], suffix_or: Sequence[int], r: int, cand: int,
-    best_pop: int, most: int,
+    context: Matchings, r: int, cand: int, best_pop: int, most: int
 ) -> Tuple[int, Optional[Tuple[int, int]], int]:
     """mu_k's search below a first factor r of a 3-tuple, over one list of
-    the factors of cand instead of follower counts; suffix_or is
-    _suffix_ors(pms) and most the largest union three factors can reach.
+    the factors of cand instead of follower counts; most is the largest
+    union three factors can reach.
 
     Returns the best union size, the first pair (l, x) reaching it or
     None when nothing beat best_pop, and the number of triples scored.
     """
+    pms, suffix_or = context.pms, context.suffix_or
     p = len(pms)
     half = pms[0].bit_count()
     union = pms[r]
@@ -284,13 +319,12 @@ def _pair_pass(
 
 
 def mu_k(
-    G: CubicGraph, k: int, pms: Sequence[int],
-    orbits: Optional[Callable[[], Sequence[int]]] = None,
-    index: Optional[Callable[[], Sequence[int]]] = None,
+    G: CubicGraph, k: int, pms: Sequence[int] | Matchings,
     after: Optional[CoverWitness] = None,
 ) -> Tuple[int, CoverWitness]:
     """Exact mu_k via branch and bound over nondecreasing factor-index tuples
-    of pms, the list from enumerate_perfect_matchings(G).
+    of pms, the list from enumerate_perfect_matchings(G) or a Matchings
+    over it; searches given one Matchings share its tables.
 
     Let U be the union of the factors chosen so far and r the number still
     to choose.  A next factor M adds at most n/2 - |M & U| edges, so it can
@@ -303,66 +337,47 @@ def mu_k(
     order and only a strictly larger union replaces the best one, so the
     witness is the lexicographically first optimal tuple.
 
-    The last factor is scored in one step when that is cheaper.  With W
-    the w edges outside U, a factor M reaches |U | M| = m - |W - M|, so it
-    beats the best union only if it misses at most s = m - 1 - best edges
-    of W.  A bit-sliced count of misses over the index rows of W
-    (_best_leaf) sorts the candidates by miss count 0..s, and the least
-    index of the lowest nonempty level is the factor a scan in index order
-    keeps, so the witness and the scored count do not change.  It costs
-    w * (s + 1) big-int steps against one union per candidate, so it is
-    used when LEAF_SLICE_COST * w * (min(s, w) + 1) + LEAF_SLICE_SETUP is
-    below the number of candidates, and never at the root (k = 1), where
-    every factor covers n/2 edges and the scan keeps factor 0.
+    The last factor is scored in one step when LEAF_SLICE_COST says that
+    is cheaper (_best_leaf): with W the edges outside U, a factor missing
+    t edges of W reaches m - t, and the least index of the lowest nonempty
+    miss count is the factor a scan in index order keeps, so the witness
+    and the scored count do not change.  It is never used at the root
+    (k = 1), where every factor covers n/2 edges and the scan keeps
+    factor 0.  A scan stops at a leaf reaching min(m, k*n/2), as no later
+    one beats it.
 
-    The second-to-last factor M is filtered by vertex degrees once at least
-    two factors are chosen (k >= 4).  With D the vertices that have exactly
-    one edge g_v in U, M can lead to a better union only if it holds at
-    most 2s of the g_v (_degree_filter): the last factor covers only one
-    of the two open edges at each such v.  That is a bit-sliced count over
-    the index rows of the g_v, run again when the best union grows, and
-    used when DEGREE_FILTER_COST * n * (s + 1) is below the number of
-    candidates.  With one chosen factor (k = 3) every vertex is in D and
-    the filter is the overlap filter again.  It drops only factors that
+    Once two factors are chosen (k >= 4), the second-to-last factor is
+    filtered by vertex degrees when DEGREE_FILTER_COST says that pays
+    (_degree_filter): at a vertex with exactly one edge in U, the last
+    factor covers only one of the two open edges.  With one chosen factor
+    (k = 3) this is the overlap filter again.  It drops only factors that
     cannot beat the best union, so the witness does not change; only
     fewer tuples are scored.
 
     With one factor r chosen and two to go (k = 3), a node can score its
     last two factors over one list of its q candidates instead of follower
-    counts (_pair_pass).  For each second factor l, the members x from l on
-    with |pms[l] & pms[x]| <= c are cand & followers(l), all of them where
-    followers counts nothing, and they are scanned in index order as
-    rec's leaf scans them.  When the best union grows, the members that
-    meet pms[r] in more than the new c are dropped, as cand &=
-    followers(r) does.  The leaves, their order and the bounds are rec's,
-    so neither the witness nor the scored count changes.  The pass makes
-    about q*q/2 popcounts of n/2-bit masks, where rec makes one p-bit
-    count per candidate not yet in near.  Those counts are saved only
-    for factors that do not come back as roots, since a root counts its
-    own followers.  Without orbits every factor may, so the pass is never
-    tried; with them, only the representatives do, and none are assumed
-    before the orbits are asked for.  So the pass is taken when
-    q*q < PAIR_PASS_COST * u * n/2 * (c + 1), with u the candidates
-    below followers' gate that are not later roots (_pairs_pay).  The
-    counts already in near are not subtracted: once passes run, near
-    holds only counts of roots.
+    counts (_pair_pass): for each second factor l it scans the members x
+    from l on with |pms[l] & pms[x]| <= c in index order, and when the
+    best union grows it drops the members meeting pms[r] in more than the
+    new c.  The leaves, their order and the bounds are rec's, so neither
+    the witness nor the scored count changes.  The pass saves the p-bit
+    follower counts of the candidates that do not come back as roots,
+    which count their own: with orbits only the representatives do (none
+    assumed before the orbits are found), and without them every factor
+    does, so the pass is never tried.  It is taken when
+    q*q < PAIR_PASS_COST * u * n/2 * (c + 1), with u those candidates
+    below followers' gate (_pairs_pay).  The counts already in near are
+    not subtracted: once passes run, near holds only counts of roots.
 
-    index, a function returning _transpose(G.m, pms), shares the per-edge
-    index across calls; without it, mu_k builds its own on first use.
-
-    orbits, a function returning matching_orbits(G, pms), lets the search
-    skip symmetric tuples.  An automorphism maps a tuple to one of the same
-    union, so the first optimal tuple starts with the least index of its
-    orbit (a representative) l, and no factor of it lies in the orbit of a
-    representative below l.  So once a first factor l is done, the root
-    drops l's whole orbit from the candidates; the least one left is the
-    next representative.  The tuples kept are visited in the same order
-    and include the first optimal one, so the witness does not change.
-    orbits is asked for once, only when factor 0's subtree falls short of
-    min(m, k*n/2); analyze() passes it from ORBIT_MIN_MATCHINGS (64)
-    matchings on, which in the bundled corpus only J7 (128) reaches.  It
-    holds for any group of automorphisms, so a missed one costs time,
-    never the optimum or the witness.
+    From ORBIT_MIN_MATCHINGS matchings on (Matchings.use_orbits), the
+    search skips symmetric tuples.  An automorphism maps a tuple to one of
+    the same union, so the first optimal tuple starts with the least index
+    of its orbit (a representative) l, and no factor of it lies in the
+    orbit of a representative below l.  So once a first factor l is done,
+    the root drops l's whole orbit, and the least candidate left is the
+    next representative; the witness does not change.  The orbits
+    (Matchings.orbits) are found only when factor 0's subtree falls short
+    of min(m, k*n/2).  A missed automorphism costs time, never the witness.
 
     after, the witness of mu_k(G, k - 1, pms), seeds the best union: its
     factors plus the first factor covering the most edges outside its
@@ -370,18 +385,18 @@ def mu_k(
     size S is at most the optimum (mu_k <= mu_{k-1} is this fact), and the
     search starts with the best union at S - 1 and no best tuple.  While
     the best union is below the optimum, no ancestor of the first optimal
-    tuple is pruned or filtered out, so that tuple is still the first one
-    scored at the optimum, and the witness does not change; the search
-    only skips tuples that cannot reach S.  The seed is the union of a
-    tuple the search itself scores (sorted, as repetition is allowed),
-    never a bound that the report checks.  analyze() passes after where
-    it passes orbits, since the seed builds the index, and only from
-    k = 3: mu_1's witness is (0,), and factor 0's subtree is the first
-    one the unseeded search scores.
+    tuple is pruned or filtered out, so the witness does not change; the
+    search only skips tuples that cannot reach S.  The seed is the union
+    of a tuple the search itself scores, never a bound that the report
+    checks.  analyze() passes after where the search uses orbits, since
+    the seed builds the index, and only from k = 3: mu_1's witness is
+    (0,), whose subtree the unseeded search scores first.
 
     Repetition is allowed (it never improves the union), so the search is
     total whenever G has at least one perfect matching and 1 <= k <= 6.
     """
+    context = Matchings.of(G, pms)
+    pms, suffix_or = context.pms, context.suffix_or
     if not 1 <= k <= 6:
         raise ValueError("k must be between 1 and 6")
     if not pms:
@@ -396,24 +411,19 @@ def mu_k(
     p = len(pms)
     everyone = (1 << p) - 1
     most = min(m, k * half)  # no k factors cover more
-    suffix_or = _suffix_ors(pms)
-    if index is None:
-        index = functools.cache(lambda: _transpose(m, pms))
     # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
     near: Dict[int, int] = {}
     # roots: the factors the root loop may try after the current one, each
     # with a follower count of its own: only representatives, not known
     # before factor 0's subtree is done; without orbits every factor is
     # one, and the pair pass never pays (None)
-    roots: Optional[int] = None if orbits is None else 0
-    # orbit[r]: the factors whose representative is r, filled on first use
-    orbit: Dict[int, int] = {}
+    roots: Optional[int] = 0 if context.use_orbits else None
 
     best_pop = -1
     if after is not None:
         # never None: every factor reaches at least |after.union|
-        seed = _best_leaf(after.union, everyone, after.union.bit_count() - 1,
-                          m, index())
+        seed = _best_leaf(context, after.union, everyone,
+                          after.union.bit_count() - 1)
         best_pop = seed[0] - 1
     best_tuple: Optional[Tuple[int, ...]] = None
     chosen: List[int] = []
@@ -427,7 +437,7 @@ def mu_k(
         if c >= half or p - f <= half * (c + 1):
             return everyone
         if f not in near:
-            by_edge = index()
+            by_edge = context.by_edge
             near[f] = _in_at_most(
                 everyone, [by_edge[e] for e in _indices(pms[f])], c)
         return near[f]
@@ -437,7 +447,7 @@ def mu_k(
         s = m - 1 - best_pop
         # no factor holds more than n of the g_v: 2s >= n drops none
         if 2 * s < n and DEGREE_FILTER_COST * n * (s + 1) < cand.bit_count():
-            return _degree_filter(G, union, cand, best_pop, index())
+            return _degree_filter(context, union, cand, best_pop)
         return cand
 
     def rec(start: int, union: int, cand: int) -> None:
@@ -459,7 +469,7 @@ def mu_k(
                 w = m - union.bit_count()
                 steps = w * (min(m - 1 - best_pop, w) + 1)
                 if LEAF_SLICE_COST * steps + LEAF_SLICE_SETUP < size:
-                    found = _best_leaf(union, cand, best_pop, m, index())
+                    found = _best_leaf(context, union, cand, best_pop)
                     if found is not None:
                         best_pop, l = found
                         best_tuple = (*chosen, l)
@@ -476,12 +486,14 @@ def mu_k(
                 if pop > best_pop:
                     best_pop, best_tuple = pop, (*chosen, l)
                     near.clear()
+                    if pop == most:
+                        break
             return
         if (remaining == 2 and len(chosen) == 1 and roots is not None
                 and _pairs_pay(cand, start, p, half,
                                k * half - best_pop - 1, roots)):
             pop, pair, size = _pair_pass(
-                pms, suffix_or, chosen[0], cand, best_pop, most)
+                context, chosen[0], cand, best_pop, most)
             scored += size
             if pair is not None:
                 best_pop, best_tuple = pop, (*chosen, *pair)
@@ -499,12 +511,9 @@ def mu_k(
             chosen.pop()
             if best_pop == most:
                 return
-            if not chosen and orbits is not None:
+            if not chosen and roots is not None:
                 # the root: l is a representative; drop its whole orbit
-                if not orbit:
-                    for x, r in enumerate(orbits()):
-                        orbit[r] = orbit.get(r, 0) | 1 << x
-                    roots = sum(1 << r for r in orbit)
+                orbit, roots = context.orbits
                 low = orbit[l]
             if (union | suffix_or[l + 1]).bit_count() <= best_pop:
                 break
@@ -549,18 +558,19 @@ def fan_raspaud_indices(
 
 
 def fulkerson_witness(
-    G: CubicGraph, pms: Sequence[int]
+    G: CubicGraph, pms: Sequence[int] | Matchings
 ) -> Optional[FulkersonWitness]:
-    """Exact search for six 1-factors of pms covering every edge exactly
-    twice.
+    """Exact search for six 1-factors of pms (a list or a Matchings)
+    covering every edge exactly twice.
 
     Depth-first over nondecreasing index tuples (killing the 6! symmetric
     duplicates) with per-edge count <= 2 pruning; exhausts the space before
     returning None.
     """
+    context = Matchings.of(G, pms)
+    pms, suffix_or = context.pms, context.suffix_or
     p = len(pms)
     full = (1 << G.m) - 1
-    suffix_or = _suffix_ors(pms)
     chosen: List[int] = []
 
     def rec(start: int, once: int, twice: int) -> Optional[Tuple[int, ...]]:

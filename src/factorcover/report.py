@@ -26,14 +26,7 @@ from .cores import (
     find_core,
     verify_core_theorems,
 )
-from .covers import (
-    ORBIT_MIN_MATCHINGS,
-    fan_raspaud_indices,
-    fulkerson_witness,
-    matching_orbits,
-    mu_k,
-    verify_fulkerson,
-)
+from .covers import Matchings, fulkerson_witness, mu_k, verify_fulkerson
 from .cyclecovers import (
     CoverConstructionError,
     DimensionCapExceededError,
@@ -52,7 +45,6 @@ from .graphs import (
     NotCubicError,
     _indices,
     _mask,
-    _transpose,
     girth,
     has_nontrivial_3_edge_cut,
     is_bipartite,
@@ -275,20 +267,17 @@ def analyze(
             report.errors["matchings"] = "no_perfect_matching"
     # the ops that read the matchings run only when there is one
     needs_pms = ops & set(_PM_OPS) if pms else set()
+    # the tables the searches share, each built by the first that needs it
+    matchings = Matchings(G, pms or [])
 
     mu_witnesses: Dict[int, object] = {}
     if "mu" in needs_pms:
-        # computed at most once, by the first search that needs them
-        index = functools.cache(lambda: _transpose(G.m, pms))
-        large = len(pms) >= ORBIT_MIN_MATCHINGS
-        orbits = (functools.cache(lambda: matching_orbits(G, pms, index()))
-                  if large else None)
         for k in range(1, options.mu_upto + 1):
             # mu_1's witness is (0,), whose subtree mu_2 scores first anyway
-            after = mu_witnesses.get(k - 1) if large and k >= 3 else None
+            after = (mu_witnesses.get(k - 1)
+                     if matchings.use_orbits and k >= 3 else None)
             with step(f"mu_{k}"):
-                value, witness = mu_k(G, k, pms, orbits=orbits, index=index,
-                                      after=after)
+                value, witness = mu_k(G, k, matchings, after=after)
                 report.mu[str(k)] = value
                 report.mu_witness[str(k)] = _mu_dict(G, witness.factors)
                 mu_witnesses[k] = witness
@@ -299,13 +288,13 @@ def analyze(
 
     if "fan_raspaud" in needs_pms:
         with step("fan_raspaud"):
-            found = fan_raspaud_indices(G, pms)
+            found = matchings.fan_raspaud
             if found is not None:
                 report.fan_raspaud = _factors_dict(found, pms)
 
     if "fulkerson" in needs_pms:
         with step("fulkerson"):
-            witness = fulkerson_witness(G, pms)
+            witness = fulkerson_witness(G, matchings)
             if witness is not None:
                 report.fulkerson = _factors_dict(witness.factor_indices, pms)
 
@@ -330,7 +319,7 @@ def analyze(
                 report.covers.append(
                     _cover_dict("canonical", canonical_cover(G, coloring))
                 )
-            cyclic_core = find_core(G, pms)
+            cyclic_core = find_core(G, matchings)
             if cyclic_core is not None:
                 core_cover = bipartite_core_cover(cyclic_core)
                 cover = cover_from_core(G, cyclic_core, core_cover)

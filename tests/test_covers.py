@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Sequence, Tuple
 from unittest import mock
 
@@ -14,9 +16,11 @@ from factorcover.covers import (
     LEAF_SLICE_COST,
     LEAF_SLICE_SETUP,
     ORBIT_MIN_MATCHINGS,
+    Matchings,
     NoPerfectMatchingError,
     _best_leaf,
     _in_at_most,
+    _orbit_masks,
     fan_raspaud_indices,
     fulkerson_witness,
     matching_orbits,
@@ -42,7 +46,7 @@ from factorcover.matching import (
     is_three_edge_colorable,
 )
 
-from factorcover.report import AnalyzeOptions, analyze
+from factorcover.report import ALL_OPS, DEFAULT_OPS, AnalyzeOptions, analyze
 
 from conftest import random_connected_cubic_multigraph
 
@@ -228,16 +232,32 @@ def mu_lex_oracle(
     return G.m - best_pop, best_tuple
 
 
+class GivenOrbits(Matchings):
+    """A Matchings over pms whose searches skip the tuples symmetric under
+    orbits, a list like matching_orbits(G, pms), and use no orbits when it
+    is None, bypassing the ORBIT_MIN_MATCHINGS rule; asked counts the
+    searches that found the orbits."""
+
+    def __init__(self, G, pms, orbits):
+        super().__init__(G, pms)
+        self.use_orbits = orbits is not None
+        self.given = orbits
+        self.asked = 0
+
+    @functools.cached_property
+    def orbits(self):
+        self.asked += 1
+        return _orbit_masks(self.given)
+
+
 def mu_value_and_indices(G, k, pms, orbits=None, calls=None):
     """mu_k's value and witness indices.  With orbits, mu_k takes its orbit
-    path, bypassing analyze's cost rule; calls, if given, then counts the
+    path, bypassing the cost rule; calls, if given, then counts the
     searches that asked for the orbits."""
-    def get():
-        if calls is not None:
-            calls.append(k)
-        return orbits
-
-    value, witness = mu_k(G, k, pms, orbits=None if orbits is None else get)
+    context = GivenOrbits(G, pms, orbits)
+    value, witness = mu_k(G, k, context)
+    if calls is not None:
+        calls.extend([k] * context.asked)
     return value, witness.factor_indices
 
 
@@ -417,7 +437,7 @@ def test_matching_orbit_images_are_the_per_matching_images(
             pms = enumerate_perfect_matchings(G)
         want = matching_orbits_oracle(G, pms)
         assert matching_orbits(G, pms) == want, G.edges
-        assert matching_orbits(G, pms, _transpose(G.m, pms)) == want
+        assert matching_orbits(G, Matchings(G, pms)) == want
         if len(set(want)) < len(pms):
             coarse += 1
             parallel += len(set(G.edges)) < G.m
@@ -451,10 +471,10 @@ def test_orbit_cost_rule_puts_only_j7_of_the_corpus_on_the_orbit_path(
              if len(pms) >= ORBIT_MIN_MATCHINGS]
     assert large == ["flower_snark_J7"]
 
-    def refuse(G, pms, by_edge):
+    def refuse(G, pms):
         raise AssertionError("matching_orbits ran")
 
-    monkeypatch.setattr(report, "matching_orbits", refuse)
+    monkeypatch.setattr(covers, "matching_orbits", refuse)
     options = AnalyzeOptions(ops=("mu",))
     for name, G in corpus:
         if name not in large:
@@ -462,9 +482,9 @@ def test_orbit_cost_rule_puts_only_j7_of_the_corpus_on_the_orbit_path(
     # J7 has 128 matchings and J9 512: mu_2 asks for the orbits, and mu_3
     # reuses them
     calls: List[int] = []
-    monkeypatch.setattr(report, "matching_orbits",
-                        lambda G, pms, by_edge: calls.append(1) or
-                        matching_orbits(G, pms, by_edge))
+    monkeypatch.setattr(covers, "matching_orbits",
+                        lambda G, pms: calls.append(1) or
+                        matching_orbits(G, pms))
     for G in (dict(corpus)["flower_snark_J7"], flower_snark(9)):
         calls.clear()
         analyze(G, options)
@@ -479,7 +499,8 @@ def test_mu_flower_snark_j11():
     pms = enumerate_perfect_matchings(G)
     orbits = matching_orbits(G, pms)
     assert len(set(orbits)) == 63
-    found = [mu_k(G, k, pms, orbits=lambda: orbits)[1] for k in range(1, 5)]
+    given = GivenOrbits(G, pms, orbits)
+    found = [mu_k(G, k, given)[1] for k in range(1, 5)]
     assert [w.mu for w in found] == [44, 23, 3, 0]
     assert found[2].factor_indices == (0, 571, 1195)
     assert found[3].factor_indices == (0, 3, 1251, 1703)
@@ -491,7 +512,7 @@ def test_mu_flower_snark_j11():
     assert [w.scored for w in found[2:]] == [113_341, 170_250]
     # seeded with the witness before, as analyze() does past
     # ORBIT_MIN_MATCHINGS: the same witnesses from fewer tuples
-    seeded = seeded_chain(G, pms, 4, lambda: orbits)
+    seeded = seeded_chain(G, pms, 4, orbits)
     assert [w.factor_indices for w in seeded] == [
         w.factor_indices for w in found]
     assert [w.scored for w in seeded[1:]] == [11, 1_485, 23]
@@ -500,10 +521,11 @@ def test_mu_flower_snark_j11():
 
 def seeded_chain(G, pms, upto, orbits=None) -> List[covers.CoverWitness]:
     """mu_k's witnesses for k = 1..upto, each k >= 2 seeded with the
-    witness for k - 1."""
-    chain = [mu_k(G, 1, pms, orbits=orbits)[1]]
+    witness for k - 1, over GivenOrbits(G, pms, orbits)."""
+    given = GivenOrbits(G, pms, orbits)
+    chain = [mu_k(G, 1, given)[1]]
     for k in range(2, upto + 1):
-        chain.append(mu_k(G, k, pms, orbits=orbits, after=chain[-1])[1])
+        chain.append(mu_k(G, k, given, after=chain[-1])[1])
     return chain
 
 
@@ -514,7 +536,7 @@ def assert_seed_keeps_the_witness(G, pms, orbits=None) -> Tuple[int, int]:
     short = fewer = 0
     chain = seeded_chain(G, pms, 4, orbits)
     for k, after, seeded in zip(range(2, 5), chain, chain[1:]):
-        plain = mu_k(G, k, pms, orbits=orbits)[1]
+        plain = mu_k(G, k, GivenOrbits(G, pms, orbits))[1]
         want = mu_lex_oracle(G, k, pms)
         assert (seeded.mu, seeded.factor_indices) == want, (G.edges, k)
         assert (plain.mu, plain.factor_indices) == want, (G.edges, k)
@@ -542,7 +564,7 @@ def test_mu_seed_keeps_the_witness_on_flower_snarks():
         pms = enumerate_perfect_matchings(G)
         orbits = matching_orbits(G, pms)
         assert_seed_keeps_the_witness(G, pms)
-        assert_seed_keeps_the_witness(G, pms, lambda: orbits)
+        assert_seed_keeps_the_witness(G, pms, orbits)
 
 
 @MULTIGRAPH_TABLES
@@ -595,9 +617,9 @@ def test_analyze_seeds_mu_k_from_orbit_min_matchings_on(
         corpus, corpus_pms, monkeypatch):
     seeds: List[Optional[int]] = []
 
-    def recorded(G, k, pms, orbits=None, index=None, after=None):
+    def recorded(G, k, pms, after=None):
         seeds.append(None if after is None else after.k)
-        return mu_k(G, k, pms, orbits=orbits, index=index, after=after)
+        return mu_k(G, k, pms, after=after)
 
     monkeypatch.setattr(report, "mu_k", recorded)
     options = AnalyzeOptions(ops=("mu",))
@@ -665,7 +687,7 @@ def test_best_leaf_matches_a_plain_scan(corpus, corpus_pms):
     ties = nones = 0
     for G, pms in graphs:
         m, p = G.m, len(pms)
-        by_edge = _transpose(m, pms)
+        context = Matchings(G, pms)
         for _ in range(6):
             union = 0
             for l in rng.sample(range(p), min(p, rng.randrange(4))):
@@ -674,7 +696,7 @@ def test_best_leaf_matches_a_plain_scan(corpus, corpus_pms):
                 union |= rng.getrandbits(m)
             cand = rng.getrandbits(p)
             best_pop = rng.randrange(-1, m + 1)
-            found = _best_leaf(union, cand, best_pop, m, by_edge)
+            found = _best_leaf(context, union, cand, best_pop)
             assert found == leaf_scan(union, cand, best_pop, pms), (
                 G.edges, union, cand, best_pop)
             if found is None:
@@ -719,10 +741,11 @@ def test_mu_k_counts_only_nonnegative_masks(corpus, corpus_pms, monkeypatch):
     monkeypatch.setattr(covers, "_exceeding", guarded)
     for G in (flower_snark(9), flower_snark(11)):
         pms = enumerate_perfect_matchings(G)
-        for orbits in (None, lambda: matching_orbits(G, pms)):
+        for orbits in (None, matching_orbits(G, pms)):
             counted.clear()
             seeded = seeded_chain(G, pms, 4, orbits)
-            plain = [mu_k(G, k, pms, orbits=orbits)[1] for k in range(1, 5)]
+            plain = [mu_k(G, k, GivenOrbits(G, pms, orbits))[1]
+                     for k in range(1, 5)]
             assert ([w.factor_indices for w in seeded]
                     == [w.factor_indices for w in plain]), G.n
             assert counted, G.n
@@ -730,8 +753,9 @@ def test_mu_k_counts_only_nonnegative_masks(corpus, corpus_pms, monkeypatch):
     for name, G in random.Random(53).sample(corpus, 50):
         pms = corpus_pms[name]
         seeded_chain(G, pms, 4)
+        orbits = matching_orbits(G, pms)
         for k in range(1, 5):
-            mu_k(G, k, pms, orbits=lambda: matching_orbits(G, pms))
+            mu_k(G, k, GivenOrbits(G, pms, orbits))
     assert counted
 
 
@@ -759,7 +783,7 @@ def test_sliced_leaf_runs_on_snarks_and_prisms_never_on_k4(k4, monkeypatch):
 def test_analyze_builds_the_matching_index_at_most_once_per_graph(
         corpus, monkeypatch):
     calls: List[int] = []
-    monkeypatch.setattr(report, "_transpose",
+    monkeypatch.setattr(covers, "_transpose",
                         lambda m, pms: calls.append(m) or
                         _transpose(m, pms))
     for ops in (("structure", "fan_raspaud", "core", "covers"), ("mu",)):
@@ -774,6 +798,50 @@ def test_analyze_builds_the_matching_index_at_most_once_per_graph(
     assert built > 1, built
 
 
+@pytest.mark.parametrize("ops", [DEFAULT_OPS, ALL_OPS], ids=["default", "all"])
+def test_analyze_builds_each_shared_table_at_most_once_per_graph(
+        ops, monkeypatch):
+    """The suffix ORs, the orbit masks and the Fan-Raspaud triple, which
+    mu_k, fulkerson_witness and find_core read from one Matchings.  J9 and
+    J11 search with orbits from mu_2 on; M32 reaches each optimum below
+    factor 0 and never asks for them."""
+    builds: Counter = Counter()
+
+    def counted(name, build):
+        return lambda *args: builds.update([name]) or build(*args)
+
+    for name in ("_suffix_ors", "_orbit_masks", "fan_raspaud_indices"):
+        monkeypatch.setattr(covers, name, counted(name, getattr(covers, name)))
+    for G, orbits in ((flower_snark(9), 1), (flower_snark(11), 1),
+                      (mobius_ladder(16), 0)):
+        builds.clear()
+        analyze(G, AnalyzeOptions(ops=ops))
+        assert builds == Counter(_suffix_ors=1, _orbit_masks=orbits,
+                                 fan_raspaud_indices=1), (G.n, builds)
+
+
+class CountedReads(list):
+    """A list of matchings that counts the reads of its entries by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_leaf_scan_stops_at_a_leaf_reaching_the_most():
+    """mu_1's scan keeps factor 0, which covers n/2 edges, as many as any
+    factor, and reads no later leaf; scored still counts every one."""
+    G = flower_snark(9)
+    pms = CountedReads(enumerate_perfect_matchings(G))
+    value, witness = mu_k(G, 1, pms)
+    assert witness.factor_indices == (0,) and witness.scored == len(pms)
+    assert value == G.m - G.n // 2
+    # the leaf, then the witness's factors and union
+    assert pms.reads <= 3, pms.reads
+
+
 def test_mu_1_builds_no_index(monkeypatch):
     """Every perfect matching has n/2 edges, so mu_1's scan keeps factor 0
     without the per-edge index, even with more matchings than the sliced
@@ -784,14 +852,15 @@ def test_mu_1_builds_no_index(monkeypatch):
     assert p == 15_129
     assert p > LEAF_SLICE_COST * G.m * (G.m + 1) + LEAF_SLICE_SETUP
 
-    def refuse():
+    def refuse(m, pms):
         raise AssertionError("the index was built")
 
-    value, witness = mu_k(G, 1, pms, index=refuse)
+    with mock.patch.object(covers, "_transpose", refuse):
+        value, witness = mu_k(G, 1, pms)
     assert value == G.m - G.n // 2
     assert witness.factor_indices == (0,) and witness.scored == p
     calls: List[int] = []
-    monkeypatch.setattr(report, "_transpose",
+    monkeypatch.setattr(covers, "_transpose",
                         lambda m, pms: calls.append(m) or
                         _transpose(m, pms))
     got = analyze(G, AnalyzeOptions(ops=("mu",), mu_upto=1))
@@ -811,7 +880,7 @@ def test_degree_filter_keeps_every_factor_a_last_factor_lifts(
     tight = dropped = 0
     for G, pms in graphs:
         m, p = G.m, len(pms)
-        by_edge = _transpose(m, pms)
+        context = Matchings(G, pms)
         for _ in range(2):
             union = 0
             for l in rng.choices(range(p), k=rng.randint(2, 4)):
@@ -822,8 +891,7 @@ def test_degree_filter_keeps_every_factor_a_last_factor_lifts(
             for best_pop in (rng.randrange(-1, m),
                              rng.randrange(max(top - 3, -1), m)):
                 cand = rng.getrandbits(p)
-                kept = covers._degree_filter(G, union, cand, best_pop,
-                                             by_edge)
+                kept = covers._degree_filter(context, union, cand, best_pop)
                 assert kept & ~cand == 0
                 for l in _indices(cand):
                     if reach[l] > best_pop:
@@ -838,7 +906,7 @@ def test_mu_5_and_6_keep_the_witness_on_flower_snarks():
         G = flower_snark(t)
         pms = enumerate_perfect_matchings(G)
         orbits = matching_orbits(G, pms)
-        chain = seeded_chain(G, pms, 6, lambda: orbits)
+        chain = seeded_chain(G, pms, 6, orbits)
         for k in (5, 6):
             want = mu_lex_oracle(G, k, pms)
             assert mu_value_and_indices(G, k, pms) == want, (t, k)
@@ -851,13 +919,13 @@ def test_degree_filter_runs_past_two_factors_never_on_the_corpus(
     calls: List[int] = []
     drops: List[int] = []
 
-    def counted(G, union, cand, best_pop, by_edge):
-        kept = degree_filter(G, union, cand, best_pop, by_edge)
-        calls.append(G.n)
+    def counted(context, union, cand, best_pop):
+        kept = degree_filter(context, union, cand, best_pop)
+        calls.append(context.G.n)
         drops.append((cand & ~kept).bit_count())
         return kept
 
-    def refuse():
+    def refuse(m, pms):
         raise AssertionError("the index was built")
 
     degree_filter = covers._degree_filter
@@ -867,7 +935,9 @@ def test_degree_filter_runs_past_two_factors_never_on_the_corpus(
     for name, G in [("K4", k4)] + corpus:
         pms = corpus_pms.get(name) or enumerate_perfect_matchings(G)
         for k in range(1, 7):
-            mu_k(G, k, pms, index=refuse if k >= 4 else None)
+            with mock.patch.object(covers, "_transpose",
+                                   refuse if k >= 4 else _transpose):
+                mu_k(G, k, GivenOrbits(G, pms, None))
     assert calls == []
     # J11's mu_4, seeded or not
     G = flower_snark(11)
@@ -917,7 +987,7 @@ def pair_pass_witnesses(
         return took
 
     with mock.patch.object(covers, "_pairs_pay", forced):
-        found = [mu_k(G, k, pms, orbits=orbits)[1] for k in ks]
+        found = [mu_k(G, k, GivenOrbits(G, pms, orbits))[1] for k in ks]
         chain = seeded_chain(G, pms, max(ks), orbits)
         found += [chain[k - 1] for k in ks if k > 1]
     return [(w.factor_indices, w.scored) for w in found]
@@ -935,13 +1005,13 @@ def assert_pair_pass_changes_nothing(
     orbits = matching_orbits(G, pms)
     alone = list(range(len(pms)))
     entered: List[int] = []
-    for o in (lambda: alone, lambda: orbits):
+    for o in (alone, orbits):
         want = pair_pass_witnesses(G, pms, False, o, ks)
         assert pair_pass_witnesses(G, pms, True, o, ks, entered) == want, (
-            G.edges, o() is alone)
+            G.edges, o is alone)
         assert pair_pass_witnesses(G, pms, None, o, ks) == want, (
-            G.edges, o() is alone)
-        if o() is alone:
+            G.edges, o is alone)
+        if o is alone:
             assert pair_pass_witnesses(G, pms, True, None, ks) == want, (
                 G.edges)
     return len(entered)
@@ -997,7 +1067,7 @@ def test_pair_pass_leaves_only_root_counts_on_j11(monkeypatch):
     G = flower_snark(11)
     pms = enumerate_perfect_matchings(G)
     orbits = matching_orbits(G, pms)
-    after = seeded_chain(G, pms, 2, lambda: orbits)[-1]
+    after = seeded_chain(G, pms, 2, orbits)[-1]
     calls: List[int] = []
 
     def counted(cand, rows, c):
@@ -1005,7 +1075,7 @@ def test_pair_pass_leaves_only_root_counts_on_j11(monkeypatch):
         return _in_at_most(cand, rows, c)
 
     monkeypatch.setattr(covers, "_in_at_most", counted)
-    witness = mu_k(G, 3, pms, orbits=lambda: orbits, after=after)[1]
+    witness = mu_k(G, 3, GivenOrbits(G, pms, orbits), after=after)[1]
     assert (witness.factor_indices, witness.scored) == ((0, 571, 1195), 1_485)
     assert 0 < len(calls) <= len(set(orbits)) == 63, len(calls)
     assert set(calls) == {G.n // 2}

@@ -17,10 +17,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .graphs import (
     CubicGraph,
+    _columns,
     _exceeding,
     _indices,
     _levels,
-    _transpose,
+    _numerals,
+    _wide_indices,
     automorphisms,
     edge_permutation,
 )
@@ -59,13 +61,15 @@ def matching_orbits(
     every edge multiplicity and each image of a matching is in pms, so a
     missed or rejected automorphism leaves orbits finer, never wrong.
 
-    Each index row is written once as a p-digit binary numeral, so in the
-    rows joined edge by edge, the characters p - 1 - l, 2p - 1 - l, ...
-    spell matching l, and a string names a matching without int().
+    A matching is named by its m-digit binary numeral, as the context
+    writes it to build the per-edge index (Matchings.numerals).  The
+    p-digit rows of the index, each put at the place of its edge's image
+    and joined last edge first, spell at the characters p - 1 - l,
+    2p - 1 - l, ... the numeral of the image of matching l, so a string
+    names each image without int().
     """
     context = Matchings.of(G, pms)
-    pms = context.pms
-    p = len(pms)
+    m, p = G.m, len(context.pms)
     rows: List[str] = []
     where: Dict[str, int] = {}
     moves: List[List[int]] = []  # per generator, the index of each image
@@ -74,14 +78,11 @@ def matching_orbits(
         if perm is None:
             continue
         if not rows:
-            rows = [format(row, f"0{p}b") for row in context.by_edge]
-            text = "".join(rows)
-            where = {text[p - 1 - l::p]: l for l in range(p)}
-        # the row of each edge goes to its image edge, so the joined rows
-        # spell the images of the matchings
-        moved = [""] * G.m
-        for f, row in enumerate(rows):
-            moved[perm[f]] = row
+            numerals, rows = context.numerals()
+            where = dict(zip(numerals, range(p)))
+        moved = [""] * m
+        for e, row in enumerate(rows):
+            moved[m - 1 - perm[e]] = row
         text = "".join(moved)
         images = [where.get(text[p - 1 - l::p], -1) for l in range(p)]
         if -1 not in images:
@@ -140,7 +141,28 @@ class Matchings:
     @functools.cached_property
     def by_edge(self) -> List[int]:
         """The per-edge index: bit l of row e says pms[l] holds edge e."""
-        return _transpose(self.G.m, self.pms)
+        m = self.G.m
+        rows = _columns(m, "".join(_numerals(m, self.pms)))
+        return [int(row or "0", 2) for row in rows]
+
+    def numerals(self) -> Tuple[List[str], List[str]]:
+        """The m-digit binary numeral of each matching, in the order of
+        pms, and the p-digit numeral of each row of by_edge, edge by edge:
+        either list, joined, is cut into the other (_columns).
+
+        Before by_edge is built, the numerals of the matchings are written
+        and by_edge is built from the rows; after, the rows are written.
+        Nothing keeps the strings, so a graph whose searches never ask for
+        the orbits holds only the index.
+        """
+        m, p = self.G.m, len(self.pms)
+        if "by_edge" in vars(self):
+            rows = _numerals(p, self.by_edge)
+            return _columns(p, "".join(rows)), rows
+        numerals = _numerals(m, self.pms)
+        rows = _columns(m, "".join(numerals))
+        self.by_edge = [int(row or "0", 2) for row in rows]
+        return numerals, rows
 
     @functools.cached_property
     def suffix_or(self) -> List[int]:
@@ -291,7 +313,7 @@ def _pair_pass(
 
     best: Optional[Tuple[int, int]] = None
     scored = 0
-    rest = [(x, pms[x]) for x in _indices(cand)]
+    rest = [(x, pms[x]) for x in _wide_indices(cand)]
     while rest:
         l, mask = rest[0]
         before = best_pop

@@ -38,18 +38,42 @@ def _indices(bits: int) -> List[int]:
     return out
 
 
+def _wide_indices(bits: int) -> List[int]:
+    """_indices(bits), read off the binary numeral of bits by str.rfind:
+    one pass over the digits in C instead of one big-int step per set bit,
+    which pays on masks of thousands of bits."""
+    digits = bin(bits)
+    top = len(digits) - 1  # the place of bit 0
+    out = []
+    i = digits.rfind("1")
+    while i >= 0:
+        out.append(top - i)
+        i = digits.rfind("1", 0, i)
+    return out
+
+
+def _numerals(width: int, rows: Sequence[int]) -> List[str]:
+    """The width-digit binary numeral of each of rows, each below
+    2**width."""
+    return [format(x, f"0{width}b") for x in rows]
+
+
+def _columns(width: int, text: str) -> List[str]:
+    """The numerals of the columns of a bit matrix, text being its rows'
+    width-digit numerals joined in order: column j, last row first, is
+    text read from its end back, from bit j of the last row, with a stride
+    of width."""
+    end = len(text) - 1
+    return [text[end - j::-width] for j in range(width)]
+
+
 def _transpose(width: int, rows: Sequence[int]) -> List[int]:
     """The transpose of a bit matrix: entry j has bit i set when rows[i],
-    each below 2**width, has bit j.
-
-    The binary numerals of rows, last row first, are joined into one
-    string, and the column of bit j, read with a stride of width, is the
-    numeral of entry j.
-    """
+    each below 2**width, has bit j."""
     if not rows:
         return [0] * width
-    text = "".join([format(x, f"0{width}b") for x in reversed(rows)])
-    return [int(text[width - 1 - j::width], 2) for j in range(width)]
+    text = "".join(_numerals(width, rows))
+    return [int(column, 2) for column in _columns(width, text)]
 
 
 def _mask(m: int, indices: Iterable[int]) -> int:
@@ -664,10 +688,33 @@ def _refine(
         count = len(keys)
 
 
-def _individualise(colour: List[int], w: int) -> List[int]:
-    """colour with w split off just before the rest of its cell."""
-    cw = colour[w]
-    return [2 * c + (c == cw and v != w) for v, c in enumerate(colour)]
+def _individualise(
+    nbrs: Sequence[Tuple[int, int, int]], colour: List[int], w: int
+) -> List[int]:
+    """colour with every cell split by distance from w, nearer first, so
+    that w, the one vertex at distance 0, is split off just before the rest
+    of its cell; unreached vertices count as at distance n.
+
+    An equitable colouring with w alone in its cell already separates the
+    distances from w, so _refine reaches the same cells from this colouring
+    as from w merely split off, in fewer rounds (their order may differ).
+    Distances are isomorphism-invariant, so the result is too.
+    """
+    n = len(colour)
+    dist = [n] * n
+    dist[w] = 0
+    frontier = [w]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for v in frontier:
+            for u in nbrs[v]:
+                if dist[u] == n:
+                    dist[u] = d
+                    reached.append(u)
+        frontier = reached
+    return [c * (n + 1) + d for c, d in zip(colour, dist)]
 
 
 def _target_cell(colour: List[int]) -> List[int]:
@@ -706,7 +753,7 @@ def automorphisms(G: CubicGraph) -> List[List[int]]:
     while len(set(colour)) < n:
         cell = _target_cell(colour)
         path.append((colour, cell))
-        colour, quotient = _refine(nbrs, _individualise(colour, cell[0]))
+        colour, quotient = _refine(nbrs, _individualise(nbrs, colour, cell[0]))
         quotients.append(quotient)
     first_leaf = colour
     nodes = 0
@@ -728,7 +775,7 @@ def automorphisms(G: CubicGraph) -> List[List[int]]:
         for w in _target_cell(colour):
             if nodes >= AUT_NODE_CAP:
                 return None
-            found = search(_individualise(colour, w), depth + 1)
+            found = search(_individualise(nbrs, colour, w), depth + 1)
             if found is not None:
                 return found
         return None
@@ -750,7 +797,7 @@ def automorphisms(G: CubicGraph) -> List[List[int]]:
                 return generators
             if any(find(w) == find(x) for x in tried):
                 continue
-            sigma = search(_individualise(colour, w), level + 1)
+            sigma = search(_individualise(nbrs, colour, w), level + 1)
             if sigma is None:
                 tried.append(w)
                 continue

@@ -33,6 +33,7 @@ from factorcover.graphs import (
     _indices,
     _levels,
     _mask,
+    _numerals,
     _transpose,
     automorphisms,
     edge_permutation,
@@ -667,6 +668,35 @@ def test_matching_index_is_the_per_edge_definition(corpus, corpus_pms):
     assert _transpose(3, []) == [0, 0, 0]
 
 
+def test_context_writes_the_same_numerals_before_and_after_the_index(
+        corpus, corpus_pms):
+    """Matchings.numerals spells each matching and each index row alike
+    whether by_edge comes first or from the numerals, and by_edge is the
+    per-edge definition either way."""
+    rng = random.Random(31)
+    graphs = [(G, corpus_pms[name]) for name, G in rng.sample(corpus, 40)]
+    graphs += [(G, enumerate_perfect_matchings(G))
+               for G in map(flower_snark, (5, 7, 9))]
+    graphs += list(multigraph_tables())[:60]
+    for G, pms in graphs:
+        m, p = G.m, len(pms)
+        index = naive_matching_index(m, pms)
+        want = ([format(x, f"0{m}b") for x in pms],
+                [format(row, f"0{p}b") for row in index])
+        first = Matchings(G, pms)
+        assert first.numerals() == want and first.by_edge == index
+        later = Matchings(G, pms)
+        assert later.by_edge == index and later.numerals() == want
+    # J9's orbits from the rows of a built index
+    G = flower_snark(9)
+    pms = enumerate_perfect_matchings(G)
+    later = Matchings(G, pms)
+    later.by_edge
+    orbits = matching_orbits(G, later)
+    assert orbits == matching_orbits_oracle(G, pms)
+    assert len(set(orbits)) == 23
+
+
 def leaf_scan(
     union: int, cand: int, best_pop: int, pms: Sequence[int]
 ) -> Optional[Tuple[int, int]]:
@@ -783,9 +813,9 @@ def test_sliced_leaf_runs_on_snarks_and_prisms_never_on_k4(k4, monkeypatch):
 def test_analyze_builds_the_matching_index_at_most_once_per_graph(
         corpus, monkeypatch):
     calls: List[int] = []
-    monkeypatch.setattr(covers, "_transpose",
+    monkeypatch.setattr(covers, "_numerals",
                         lambda m, pms: calls.append(m) or
-                        _transpose(m, pms))
+                        _numerals(m, pms))
     for ops in (("structure", "fan_raspaud", "core", "covers"), ("mu",)):
         built = 0
         for name, G in corpus[::5] + [("J9", flower_snark(9))]:
@@ -855,14 +885,14 @@ def test_mu_1_builds_no_index(monkeypatch):
     def refuse(m, pms):
         raise AssertionError("the index was built")
 
-    with mock.patch.object(covers, "_transpose", refuse):
+    with mock.patch.object(covers, "_numerals", refuse):
         value, witness = mu_k(G, 1, pms)
     assert value == G.m - G.n // 2
     assert witness.factor_indices == (0,) and witness.scored == p
     calls: List[int] = []
-    monkeypatch.setattr(covers, "_transpose",
+    monkeypatch.setattr(covers, "_numerals",
                         lambda m, pms: calls.append(m) or
-                        _transpose(m, pms))
+                        _numerals(m, pms))
     got = analyze(G, AnalyzeOptions(ops=("mu",), mu_upto=1))
     assert got.mu == {"1": value} and calls == []
 
@@ -935,8 +965,8 @@ def test_degree_filter_runs_past_two_factors_never_on_the_corpus(
     for name, G in [("K4", k4)] + corpus:
         pms = corpus_pms.get(name) or enumerate_perfect_matchings(G)
         for k in range(1, 7):
-            with mock.patch.object(covers, "_transpose",
-                                   refuse if k >= 4 else _transpose):
+            with mock.patch.object(covers, "_numerals",
+                                   refuse if k >= 4 else _numerals):
                 mu_k(G, k, GivenOrbits(G, pms, None))
     assert calls == []
     # J11's mu_4, seeded or not

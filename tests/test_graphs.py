@@ -566,6 +566,17 @@ def test_transpose_against_per_bit_definition(case):
     assert _transpose(len(rows), flipped) == rows
 
 
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 8192).flatmap(
+    lambda width: st.integers(0, (1 << width) - 1)))
+@example(0)
+@example(1)
+@example((1 << 8192) - 1)
+@example(1 << 8191 | 1)
+def test_wide_indices_equal_indices(bits):
+    assert graphs._wide_indices(bits) == _indices(bits)
+
+
 # ---------------------------------------------------------------------------
 # bridges from cycle labels (oracle: the Tarjan DFS they replaced)
 # ---------------------------------------------------------------------------
@@ -1052,6 +1063,54 @@ def test_automorphisms_against_networkx_on_multigraphs(theta):
     assert parallel > 50, parallel
 
 
+def group_order(n: int, generators) -> int:
+    """The order of the group the vertex permutations generate: the
+    identity closed under composing with each generator."""
+    seen = {tuple(range(n))}
+    stack = list(seen)
+    while stack:
+        g = stack.pop()
+        for sigma in generators:
+            h = tuple(sigma[v] for v in g)
+            if h not in seen:
+                seen.add(h)
+                stack.append(h)
+    return len(seen)
+
+
+def nx_automorphism_count(G: CubicGraph) -> int:
+    """The number of vertex permutations preserving every edge
+    multiplicity, as networkx lists them."""
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    for u, v in G.edges:
+        mult = H.edges[u, v]["mult"] + 1 if H.has_edge(u, v) else 1
+        H.add_edge(u, v, mult=mult)
+    matcher = GraphMatcher(
+        H, H, edge_match=lambda a, b: a["mult"] == b["mult"])
+    return sum(1 for _ in matcher.isomorphisms_iter())
+
+
+def test_automorphisms_generate_the_whole_group(corpus, petersen, k4, theta):
+    """A proper subgroup can have the vertex orbits of the whole group, but
+    not its order."""
+    rng = random.Random(43)
+    family = [petersen, k4] + [G for _, G in rng.sample(corpus, 60)]
+    rng = random.Random(47)
+    family += [theta, flower_snark(5), prism(8)]
+    family += [
+        random_connected_cubic_multigraph(rng, rng.choice(range(2, 17, 2)))
+        for _ in range(150)]
+    family += [prism(t) for t in range(2, 9)]
+    family += [mobius_ladder(t) for t in range(2, 9)]
+    larger = 0
+    for G in family:
+        order = nx_automorphism_count(G)
+        assert group_order(G.n, automorphisms(G)) == order, G.edges
+        larger += order > 2
+    assert larger > 100, larger
+
+
 def neighbours(G: CubicGraph):
     return [tuple(G.other_end(f, v) for f in G.incidence[v])
             for v in range(G.n)]
@@ -1102,6 +1161,34 @@ def test_refine_commutes_with_relabelling(case):
     got_h, quotient_h = graphs._refine(neighbours(H), moved)
     assert all(got_h[pi[v]] == c for v, c in enumerate(got))
     assert quotient_h == quotient
+
+
+TWO_K4 = CubicGraph(8, K4_EDGES + [(u + 4, v + 4) for u, v in K4_EDGES])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(relabelled_multigraphs(), st.integers(0, 39))
+@example((TWO_K4, [0] * 8, [5, 7, 1, 0, 2, 6, 4, 3]), 6)
+@example((CubicGraph(2, [(0, 1)] * 3), [0, 0], [1, 0]), 0)
+def test_individualise_then_refine_commutes_with_relabelling(case, w):
+    """The distance split keeps the colouring isomorphism-invariant, and
+    refinement reaches the cells of w merely split off from its cell."""
+    G, colour, pi = case
+    w %= G.n
+    H = CubicGraph(G.n, [(pi[u], pi[v]) for u, v in G.edges])
+    moved = [0] * G.n
+    for v, c in enumerate(colour):
+        moved[pi[v]] = c
+    nbrs, nbrs_h = neighbours(G), neighbours(H)
+    got, quotient = graphs._refine(
+        nbrs, graphs._individualise(nbrs, colour, w))
+    got_h, quotient_h = graphs._refine(
+        nbrs_h, graphs._individualise(nbrs_h, moved, pi[w]))
+    assert all(got_h[pi[v]] == c for v, c in enumerate(got))
+    assert quotient_h == quotient
+    alone = [2 * c + (c == colour[w] and v != w) for v, c in enumerate(colour)]
+    assert cells(got) == cells(graphs._refine(nbrs, alone)[0])
+    assert [v for v, c in enumerate(got) if c == got[w]] == [w]
 
 
 def test_refine_cells_equal_the_tuple_signature_cells(corpus, theta):

@@ -9,6 +9,7 @@ factor-index order wins every tie.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
@@ -252,15 +253,20 @@ DEGREE_FILTER_COST = 3
 
 #: mu_k scores the second and third factors of a 3-tuple over one list of
 #: the q candidates when q * q is below PAIR_PASS_COST * u * n/2 * (c + 1):
-#: the pass makes about q * q / 2 popcounts, and rec would make u follower
-#: counts of n/2 * (c + 1) big-int steps each.  Swept over 0 (never), 1, 2,
-#: 4, 8 and 16 on mu_3 of J7-J13, C16xK2-C24xK2 and M32-M48, without
-#: orbits, with them and seeded (CPU time, best of 5, 2-core Xeon): the
-#: seeded J7, J9, J11 and J13 took 0.48, 1.79, 7.00 and 40.9 ms at 0, 0.36,
-#: 0.83, 3.87 and 19.1 ms at 2, and 0.25, 0.82, 3.44 and 17.9 ms at 4,
-#: within 2% of that at 8 and 16; J13 with orbits took 70.0 ms at 0, 52.3
-#: at 1 and 48 from 2 on.  Without orbits the rule is not asked, and the
-#: prisms and ladders read the same at every cost within noise.
+#: the pass makes q popcounts plus one or two per pair of its buckets, up
+#: to q * q / 2 when c admits every pair, and rec would make u follower
+#: counts of n/2 * (c + 1) big-int steps each.  The gate stays on q * q
+#: with the buckets: gated on q, the prisms and ladders, whose c admits
+#: most pairs, take the pass where it loses (C24xK2's and M48's seeded
+#: mu_3 about 1 ms on q * q, 2.4-3.1 ms on q).  Swept before the buckets
+#: over 0 (never), 1, 2, 4, 8 and 16 on mu_3 of J7-J13, C16xK2-C24xK2
+#: and M32-M48, without orbits, with them and seeded (CPU time, best of
+#: 5, 2-core Xeon): the seeded J7, J9, J11 and J13 took 0.48, 1.79, 7.00
+#: and 40.9 ms at 0, 0.36, 0.83, 3.87 and 19.1 ms at 2, and 0.25, 0.82,
+#: 3.44 and 17.9 ms at 4, within 2% of that at 8 and 16; J13 with orbits
+#: took 70.0 ms at 0, 52.3 at 1 and 48 from 2 on.  Without orbits the
+#: rule is not asked, and the prisms and ladders read the same at every
+#: cost within noise.
 PAIR_PASS_COST = 4
 
 
@@ -294,49 +300,63 @@ def _pairs_pay(
 def _pair_pass(
     context: Matchings, r: int, cand: int, best_pop: int, most: int
 ) -> Tuple[int, Optional[Tuple[int, int]], int]:
-    """mu_k's search below a first factor r of a 3-tuple, over one list of
-    the factors of cand instead of follower counts; most is the largest
-    union three factors can reach.
+    """mu_k's search below a first factor r of a 3-tuple, over the factors
+    of cand put into buckets by a_x = |pms[r] & pms[x]| instead of follower
+    counts; most is the largest union three factors can reach.
+
+    |r | l | x| = 3n/2 - a_l - a_x - |(l & x) - r|, so a pair beats
+    best_pop only if a_l + a_x <= c = 3n/2 - best_pop - 1: each l, in index
+    order, is paired only with the members x >= l of the buckets up to
+    c - a_l, and a pair is scored only if |l & x| <= c too.  The best x of
+    each l is the least index of the largest union, so the first optimal
+    pair wins as in rec.
 
     Returns the best union size, the first pair (l, x) reaching it or
     None when nothing beat best_pop, and the number of triples scored.
     """
     pms, suffix_or = context.pms, context.suffix_or
-    p = len(pms)
     half = pms[0].bit_count()
     union = pms[r]
-
-    def overlap(f: int) -> int:
-        """The bound of followers(f), or n/2 where it counts nothing."""
-        c = 3 * half - best_pop - 1
-        return half if c >= half or p - f <= half * (c + 1) else c
-
+    members = _wide_indices(cand)
+    meets = [(union & pms[x]).bit_count() for x in members]
+    buckets: Dict[int, List[int]] = {}
+    for x, a in zip(members, meets):
+        buckets.setdefault(a, []).append(x)
+    levels = sorted(buckets)
     best: Optional[Tuple[int, int]] = None
     scored = 0
-    rest = [(x, pms[x]) for x in _wide_indices(cand)]
-    while rest:
-        l, mask = rest[0]
-        before = best_pop
+    c = 3 * half - best_pop - 1
+    for l, a in zip(members, meets):
+        if 2 * levels[0] > c:
+            break
+        if a + levels[0] > c:
+            continue
+        mask = pms[l]
         u = union | mask
-        # rec(l, u, cand & followers(l)): its bound, then its leaves
+        # rec(l, u, ...): its bound, then its leaves
         if min(u.bit_count() + half,
                (u | suffix_or[l]).bit_count()) > best_pop:
-            c = overlap(l)
-            for x, other in rest:
-                if (mask & other).bit_count() <= c:
-                    scored += 1
-                    pop = (u | other).bit_count()
-                    if pop > best_pop:
-                        best_pop, best = pop, (l, x)
+            top, y = best_pop, -1
+            for b in levels:
+                if a + b > c:
+                    break
+                bucket = buckets[b]
+                for x in bucket[bisect.bisect_left(bucket, l):]:
+                    other = pms[x]
+                    if (mask & other).bit_count() <= c:
+                        scored += 1
+                        pop = (u | other).bit_count()
+                        if pop > top or pop == top and x < y:
+                            top, y = pop, x
+            if y >= 0:
+                best_pop, best = top, (l, y)
+                c = 3 * half - best_pop - 1
+                levels = [b for b in levels if b <= c]
+                if not levels:
+                    break
         if best_pop == most or (
                 union | suffix_or[l + 1]).bit_count() <= best_pop:
             break
-        del rest[0]
-        if best_pop != before:
-            # cand &= followers(r)
-            c = overlap(r)
-            rest = [(x, other) for x, other in rest
-                    if (union & other).bit_count() <= c]
     return best_pop, best, scored
 
 
@@ -377,12 +397,13 @@ def mu_k(
     fewer tuples are scored.
 
     With one factor r chosen and two to go (k = 3), a node can score its
-    last two factors over one list of its q candidates instead of follower
-    counts (_pair_pass): for each second factor l it scans the members x
-    from l on with |pms[l] & pms[x]| <= c in index order, and when the
-    best union grows it drops the members meeting pms[r] in more than the
-    new c.  The leaves, their order and the bounds are rec's, so neither
-    the witness nor the scored count changes.  The pass saves the p-bit
+    last two factors over its q candidates instead of follower counts
+    (_pair_pass): it puts them into buckets by a_x = |pms[r] & pms[x]|,
+    and for each second factor l in index order scores only the members
+    x from l on with a_l + a_x <= c and |pms[l] & pms[x]| <= c, a subset
+    of the leaves rec scores.  A skipped pair cannot beat the best union
+    and each l keeps the least x of its largest union, so the witness
+    does not change; only fewer tuples are scored.  The pass saves the p-bit
     follower counts of the candidates that do not come back as roots,
     which count their own: with orbits only the representatives do (none
     assumed before the orbits are found), and without them every factor
@@ -418,7 +439,7 @@ def mu_k(
     total whenever G has at least one perfect matching and 1 <= k <= 6.
     """
     context = Matchings.of(G, pms)
-    pms, suffix_or = context.pms, context.suffix_or
+    pms = context.pms
     if not 1 <= k <= 6:
         raise ValueError("k must be between 1 and 6")
     if not pms:
@@ -428,6 +449,7 @@ def mu_k(
         or after.factors != tuple(pms[i] for i in after.factor_indices)
     ):
         raise ValueError("after must be a mu_{k-1} witness on pms")
+    suffix_or = context.suffix_or
     m, n = G.m, G.n
     half = n // 2
     p = len(pms)

@@ -35,6 +35,7 @@ from factorcover.graphs import (
     _mask,
     _numerals,
     _transpose,
+    _wide_indices,
     automorphisms,
     edge_permutation,
     flower_snark,
@@ -505,18 +506,19 @@ def test_mu_flower_snark_j11():
     assert [w.mu for w in found] == [44, 23, 3, 0]
     assert found[2].factor_indices == (0, 571, 1195)
     assert found[3].factor_indices == (0, 3, 1251, 1703)
-    # 113 341 triples scored with orbits (145 804 without); the unfiltered
+    # 112 709 triples scored with orbits (145 804 without); the unfiltered
     # search scores about 18 million
     assert found[2].scored < 120_000, found[2].scored
     # the sliced last-factor scoring counts the same tuples as a scan; the
-    # degree filter takes mu_4 from 1 007 170 to 170 250
-    assert [w.scored for w in found[2:]] == [113_341, 170_250]
+    # degree filter takes mu_4 from 1 007 170 to 170 250; the pair pass
+    # takes mu_3 from 113 341 to 112 709
+    assert [w.scored for w in found[2:]] == [112_709, 170_250]
     # seeded with the witness before, as analyze() does past
     # ORBIT_MIN_MATCHINGS: the same witnesses from fewer tuples
     seeded = seeded_chain(G, pms, 4, orbits)
     assert [w.factor_indices for w in seeded] == [
         w.factor_indices for w in found]
-    assert [w.scored for w in seeded[1:]] == [11, 1_485, 23]
+    assert [w.scored for w in seeded[1:]] == [11, 522, 23]
     assert time.monotonic() - t0 < 10.0
 
 
@@ -1000,15 +1002,64 @@ def test_degree_filter_runs_past_two_factors_never_on_the_corpus(
     assert calls and sum(drops) > 50, (calls, drops)
 
 
+def pair_pass_oracle(
+    context: Matchings, r: int, cand: int, best_pop: int, most: int
+) -> Tuple[int, Optional[Tuple[int, int]], int]:
+    """covers._pair_pass as it was before its buckets: for each second
+    factor l in index order, the later members x with |pms[l] & pms[x]|
+    within followers(l)'s bound, scanned in index order for a strictly
+    larger union; when the best union grows, the members meeting pms[r] in
+    more than followers(r)'s bound are dropped.  Its leaves, order and
+    bounds are rec's, so it returns rec's best union and pair and scores
+    the triples rec scores."""
+    pms, suffix_or = context.pms, context.suffix_or
+    p = len(pms)
+    half = pms[0].bit_count()
+    union = pms[r]
+
+    def overlap(f: int) -> int:
+        """The bound of followers(f), or n/2 where it counts nothing."""
+        c = 3 * half - best_pop - 1
+        return half if c >= half or p - f <= half * (c + 1) else c
+
+    best: Optional[Tuple[int, int]] = None
+    scored = 0
+    rest = [(x, pms[x]) for x in _wide_indices(cand)]
+    while rest:
+        l, mask = rest[0]
+        before = best_pop
+        u = union | mask
+        if min(u.bit_count() + half,
+               (u | suffix_or[l]).bit_count()) > best_pop:
+            c = overlap(l)
+            for x, other in rest:
+                if (mask & other).bit_count() <= c:
+                    scored += 1
+                    pop = (u | other).bit_count()
+                    if pop > best_pop:
+                        best_pop, best = pop, (l, x)
+        if best_pop == most or (
+                union | suffix_or[l + 1]).bit_count() <= best_pop:
+            break
+        del rest[0]
+        if best_pop != before:
+            c = overlap(r)
+            rest = [(x, other) for x, other in rest
+                    if (union & other).bit_count() <= c]
+    return best_pop, best, scored
+
+
 def pair_pass_witnesses(
     G: CubicGraph, pms: Sequence[int], on: Optional[bool], orbits=None,
     ks: Sequence[int] = (1, 2, 3), entered: Optional[List[int]] = None,
 ) -> List[Tuple[Tuple[int, ...], int]]:
     """(factor_indices, scored) of mu_k for each k of ks, unseeded and then
     seeded (as seeded_chain), with the pair pass forced on (True), forced
-    off (False) or left to its cost rule (None).  entered, if given,
-    collects one entry per node that took the pass."""
-    rule = covers._pairs_pay
+    off (False) or left to its cost rule (None).  Forced on, every pass
+    must return pair_pass_oracle's best union and pair, from at most as
+    many scored triples.  entered, if given, collects one entry per node
+    that took the pass."""
+    rule, pair_pass = covers._pairs_pay, covers._pair_pass
 
     def forced(*args):
         took = rule(*args) if on is None else on
@@ -1016,7 +1067,15 @@ def pair_pass_witnesses(
             entered.append(1)
         return took
 
-    with mock.patch.object(covers, "_pairs_pay", forced):
+    def checked(*args):
+        got = pair_pass(*args)
+        want = pair_pass_oracle(*args)
+        assert got[:2] == want[:2] and got[2] <= want[2], (args[1:], got, want)
+        return got
+
+    with mock.patch.object(covers, "_pairs_pay", forced), \
+            mock.patch.object(covers, "_pair_pass",
+                              checked if on else pair_pass):
         found = [mu_k(G, k, GivenOrbits(G, pms, orbits))[1] for k in ks]
         chain = seeded_chain(G, pms, max(ks), orbits)
         found += [chain[k - 1] for k in ks if k > 1]
@@ -1026,23 +1085,28 @@ def pair_pass_witnesses(
 def assert_pair_pass_changes_nothing(
     G: CubicGraph, pms: Sequence[int], ks: Sequence[int] = (1, 2, 3)
 ) -> int:
-    """The witnesses and scored counts of pair_pass_witnesses are the same
-    with the pass forced on, forced off and left to its rule, with one
-    orbit per matching and with the orbits of G, and with one orbit per
-    matching they are those of the search without orbits, which has the
-    same roots and never asks the rule.  Returns the number of nodes that
-    took the pass when forced on."""
+    """The witnesses of pair_pass_witnesses are the same with the pass
+    forced on, forced off and left to its rule, with one orbit per
+    matching and with the orbits of G, and the scored counts read
+    on <= rule <= off: a pass scores a subset of the triples rec scores at
+    its node, and the nodes are the same.  With one orbit per matching the
+    witnesses and scored counts are those of the search without orbits,
+    which has the same roots and never asks the rule.  Returns the number
+    of nodes that took the pass when forced on."""
     orbits = matching_orbits(G, pms)
     alone = list(range(len(pms)))
     entered: List[int] = []
     for o in (alone, orbits):
-        want = pair_pass_witnesses(G, pms, False, o, ks)
-        assert pair_pass_witnesses(G, pms, True, o, ks, entered) == want, (
-            G.edges, o is alone)
-        assert pair_pass_witnesses(G, pms, None, o, ks) == want, (
-            G.edges, o is alone)
+        off = pair_pass_witnesses(G, pms, False, o, ks)
+        on = pair_pass_witnesses(G, pms, True, o, ks, entered)
+        by_rule = pair_pass_witnesses(G, pms, None, o, ks)
+        for name, got in (("on", on), ("rule", by_rule)):
+            assert [w for w, _ in got] == [w for w, _ in off], (
+                G.edges, o is alone, name)
+        for low, mid, high in zip(on, by_rule, off):
+            assert low[1] <= mid[1] <= high[1], (G.edges, o is alone)
         if o is alone:
-            assert pair_pass_witnesses(G, pms, True, None, ks) == want, (
+            assert pair_pass_witnesses(G, pms, True, None, ks) == off, (
                 G.edges)
     return len(entered)
 
@@ -1090,6 +1154,21 @@ def test_pair_pass_keeps_the_mu_3_witness_on_random_multigraphs(half, seed):
     assert_pair_pass_changes_nothing(G, pms, ks=(3,))
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12), st.integers(0, 2 ** 32), st.randoms())
+def test_pair_pass_union_identity_on_random_multigraphs(half, seed, pick):
+    """|r | l | x| = 3n/2 - a_l - a_x - |(l & x) - r|, with a_y the edges
+    pms[y] shares with pms[r]: the identity _pair_pass buckets by."""
+    G = random_connected_cubic_multigraph(random.Random(seed), 2 * half)
+    pms = enumerate_perfect_matchings(G)
+    assume(pms)
+    for _ in range(20):
+        r, l, x = (pick.choice(pms) for _ in range(3))
+        a_l, a_x = (r & l).bit_count(), (r & x).bit_count()
+        assert (r | l | x).bit_count() == (
+            3 * half - a_l - a_x - (l & x & ~r).bit_count())
+
+
 def test_pair_pass_leaves_only_root_counts_on_j11(monkeypatch):
     """J11's seeded mu_3 counts followers p bits wide only for its first
     factors: one count per orbit representative (63), where the counts
@@ -1106,7 +1185,7 @@ def test_pair_pass_leaves_only_root_counts_on_j11(monkeypatch):
 
     monkeypatch.setattr(covers, "_in_at_most", counted)
     witness = mu_k(G, 3, GivenOrbits(G, pms, orbits), after=after)[1]
-    assert (witness.factor_indices, witness.scored) == ((0, 571, 1195), 1_485)
+    assert (witness.factor_indices, witness.scored) == ((0, 571, 1195), 522)
     assert 0 < len(calls) <= len(set(orbits)) == 63, len(calls)
     assert set(calls) == {G.n // 2}
 
@@ -1147,6 +1226,23 @@ def test_mu_rejects_bad_k(k4):
         mu_k(k4, 0, pms)
     with pytest.raises(ValueError):
         mu_k(k4, 7, pms)
+
+
+def test_rejected_mu_k_call_builds_no_table(k4):
+    """k, the empty list and a foreign after are checked before the
+    context builds anything."""
+    G = flower_snark(7)
+    pms = enumerate_perfect_matchings(G)
+    other = mu_k(k4, 1, enumerate_perfect_matchings(k4))[1]
+    for k, after in ((0, None), (7, None), (2, other), (3, other)):
+        context = Matchings(G, pms)
+        with pytest.raises(ValueError):
+            mu_k(G, k, context, after=after)
+        assert not {"suffix_or", "by_edge", "orbits"} & set(vars(context))
+    empty = Matchings(k4, [])
+    with pytest.raises(NoPerfectMatchingError):
+        mu_k(k4, 3, empty)
+    assert "suffix_or" not in vars(empty)
 
 
 def test_mu_requires_a_matching():

@@ -446,6 +446,7 @@ def mu_k(
         raise NoPerfectMatchingError("graph has no perfect matching")
     if after is not None and (
         after.k != k - 1
+        or not all(0 <= i < len(pms) for i in after.factor_indices)
         or after.factors != tuple(pms[i] for i in after.factor_indices)
     ):
         raise ValueError("after must be a mu_{k-1} witness on pms")

@@ -1231,10 +1231,14 @@ def test_mu_rejects_bad_k(k4):
 def test_rejected_mu_k_call_builds_no_table(k4):
     """k, the empty list and a foreign after are checked before the
     context builds anything."""
-    G = flower_snark(7)
+    G = flower_snark(5)
     pms = enumerate_perfect_matchings(G)
     other = mu_k(k4, 1, enumerate_perfect_matchings(k4))[1]
-    for k, after in ((0, None), (7, None), (2, other), (3, other)):
+    j7 = flower_snark(7)
+    # (0, 37): index 37 lies past J5's 32 matchings
+    wide = mu_k(j7, 2, enumerate_perfect_matchings(j7))[1]
+    for k, after in ((0, None), (7, None), (2, other), (3, other),
+                     (3, wide)):
         context = Matchings(G, pms)
         with pytest.raises(ValueError):
             mu_k(G, k, context, after=after)

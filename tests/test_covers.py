@@ -1055,10 +1055,10 @@ def pair_pass_witnesses(
 ) -> List[Tuple[Tuple[int, ...], int]]:
     """(factor_indices, scored) of mu_k for each k of ks, unseeded and then
     seeded (as seeded_chain), with the pair pass forced on (True), forced
-    off (False) or left to its cost rule (None).  Forced on, every pass
-    must return pair_pass_oracle's best union and pair, from at most as
-    many scored triples.  entered, if given, collects one entry per node
-    that took the pass."""
+    off (False) or left to its cost rule (None).  Every pass taken must
+    return pair_pass_oracle's best union and pair, from at most as many
+    scored triples.  entered, if given, collects one entry per node that
+    took the pass."""
     rule, pair_pass = covers._pairs_pay, covers._pair_pass
 
     def forced(*args):
@@ -1074,8 +1074,7 @@ def pair_pass_witnesses(
         return got
 
     with mock.patch.object(covers, "_pairs_pay", forced), \
-            mock.patch.object(covers, "_pair_pass",
-                              checked if on else pair_pass):
+            mock.patch.object(covers, "_pair_pass", checked):
         found = [mu_k(G, k, GivenOrbits(G, pms, orbits))[1] for k in ks]
         chain = seeded_chain(G, pms, max(ks), orbits)
         found += [chain[k - 1] for k in ks if k > 1]

@@ -260,13 +260,10 @@ DEGREE_FILTER_COST = 3
 #: most pairs, take the pass where it loses (C24xK2's and M48's seeded
 #: mu_3 about 1 ms on q * q, 2.4-3.1 ms on q).  Swept before the buckets
 #: over 0 (never), 1, 2, 4, 8 and 16 on mu_3 of J7-J13, C16xK2-C24xK2
-#: and M32-M48, without orbits, with them and seeded (CPU time, best of
-#: 5, 2-core Xeon): the seeded J7, J9, J11 and J13 took 0.48, 1.79, 7.00
-#: and 40.9 ms at 0, 0.36, 0.83, 3.87 and 19.1 ms at 2, and 0.25, 0.82,
-#: 3.44 and 17.9 ms at 4, within 2% of that at 8 and 16; J13 with orbits
-#: took 70.0 ms at 0, 52.3 at 1 and 48 from 2 on.  Without orbits the
-#: rule is not asked, and the prisms and ladders read the same at every
-#: cost within noise.
+#: and M32-M48 (BENCH_pr27_pair_pass.json, cost_rule_sweep): at 4 the
+#: seeded snarks took 0.25, 0.82, 3.44 and 17.9 ms, within 2% of the
+#: fastest, against 0.48, 1.79, 7.00 and 40.9 ms at 0, and the prisms and
+#: ladders read the same at every cost within noise.
 PAIR_PASS_COST = 4
 
 
@@ -398,12 +395,9 @@ def mu_k(
 
     With one factor r chosen and two to go (k = 3), a node can score its
     last two factors over its q candidates instead of follower counts
-    (_pair_pass): it puts them into buckets by a_x = |pms[r] & pms[x]|,
-    and for each second factor l in index order scores only the members
-    x from l on with a_l + a_x <= c and |pms[l] & pms[x]| <= c, a subset
-    of the leaves rec scores.  A skipped pair cannot beat the best union
-    and each l keeps the least x of its largest union, so the witness
-    does not change; only fewer tuples are scored.  The pass saves the p-bit
+    (_pair_pass, by their overlaps with pms[r]): it scores a subset of the
+    leaves rec scores, skipping only pairs that cannot beat the best
+    union, so the witness does not change.  The pass saves the p-bit
     follower counts of the candidates that do not come back as roots,
     which count their own: with orbits only the representatives do (none
     assumed before the orbits are found), and without them every factor

@@ -115,20 +115,21 @@ def _suffix_ors(pms: Sequence[int]) -> List[int]:
     return s
 
 
-def _orbit_masks(orbits: Sequence[int]) -> Tuple[Dict[int, int], int]:
-    """({r: the matchings in the orbit of r}, the mask of the r) for each
-    representative r of a list like matching_orbits(G, pms)."""
+def _orbit_masks(orbits: Sequence[int]) -> Dict[int, int]:
+    """{r: the matchings in the orbit of r} for each representative r of a
+    list like matching_orbits(G, pms)."""
     orbit: Dict[int, int] = {}
     for x, r in enumerate(orbits):
         orbit[r] = orbit.get(r, 0) | 1 << x
-    return orbit, sum(1 << r for r in orbit)
+    return orbit
 
 
 class Matchings:
     """The list pms from enumerate_perfect_matchings(G), not a copy, with
     the tables the searches derive from it, each built when one first asks
     for it; use_orbits says whether mu_k skips symmetric tuples, from
-    ORBIT_MIN_MATCHINGS matchings on."""
+    ORBIT_MIN_MATCHINGS matchings on, and orbits maps the least index of
+    each orbit to the mask of its matchings."""
 
     def __init__(self, G: CubicGraph, pms: Sequence[int]) -> None:
         self.G, self.pms = G, pms
@@ -170,7 +171,7 @@ class Matchings:
         return _suffix_ors(self.pms)
 
     @functools.cached_property
-    def orbits(self) -> Tuple[Dict[int, int], int]:
+    def orbits(self) -> Dict[int, int]:
         return _orbit_masks(matching_orbits(self.G, self))
 
     @functools.cached_property
@@ -251,22 +252,6 @@ LEAF_SLICE_SETUP = 64
 DEGREE_FILTER_COST = 3
 
 
-#: mu_k scores the second and third factors of a 3-tuple over one list of
-#: the q candidates when q * q is below PAIR_PASS_COST * u * n/2 * (c + 1):
-#: the pass makes q popcounts plus one or two per pair of its buckets, up
-#: to q * q / 2 when c admits every pair, and rec would make u follower
-#: counts of n/2 * (c + 1) big-int steps each.  The gate stays on q * q
-#: with the buckets: gated on q, the prisms and ladders, whose c admits
-#: most pairs, take the pass where it loses (C24xK2's and M48's seeded
-#: mu_3 about 1 ms on q * q, 2.4-3.1 ms on q).  Swept before the buckets
-#: over 0 (never), 1, 2, 4, 8 and 16 on mu_3 of J7-J13, C16xK2-C24xK2
-#: and M32-M48 (BENCH_pr27_pair_pass.json, cost_rule_sweep): at 4 the
-#: seeded snarks took 0.25, 0.82, 3.44 and 17.9 ms, within 2% of the
-#: fastest, against 0.48, 1.79, 7.00 and 40.9 ms at 0, and the prisms and
-#: ladders read the same at every cost within noise.
-PAIR_PASS_COST = 4
-
-
 #: mu_k skips symmetric tuples from this many matchings on, and analyze()
 #: seeds it there with the mu_{k-1} witness.  Finding the orbits takes
 #: about a millisecond plus a pass over pms per generator; the seed builds
@@ -278,20 +263,15 @@ PAIR_PASS_COST = 4
 ORBIT_MIN_MATCHINGS = 64
 
 
-def _pairs_pay(
-    cand: int, start: int, p: int, half: int, c: int, roots: int
-) -> bool:
-    """Is mu_k's pass over the pairs of cand, all of index >= start,
-    cheaper than the follower counts that rec would run on them?  c is the
-    overlap bound and roots the factors the root loop counts anyway."""
-    steps = half * (c + 1)
-    # followers' own gate: from index p - steps on no count runs
-    if c >= half or p - start <= steps:
-        return False
-    saved = cand & (1 << p - steps) - 1
-    saved ^= saved & roots
-    q = cand.bit_count()
-    return q * q < PAIR_PASS_COST * saved.bit_count() * steps
+#: The largest k that mu_k accepts, and so analyze()'s largest mu_upto.
+MAX_K = 6
+
+
+def _pairs_pay(start: int, p: int, half: int, c: int) -> bool:
+    """Would rec run follower counts below a first factor of index start,
+    with overlap bound c?  This is followers' own gate: mu_k takes its
+    pass over the pairs there instead."""
+    return c < half and p - start > half * (c + 1)
 
 
 def _pair_pass(
@@ -394,17 +374,14 @@ def mu_k(
     fewer tuples are scored.
 
     With one factor r chosen and two to go (k = 3), a node can score its
-    last two factors over its q candidates instead of follower counts
+    last two factors over its candidates instead of follower counts
     (_pair_pass, by their overlaps with pms[r]): it scores a subset of the
     leaves rec scores, skipping only pairs that cannot beat the best
-    union, so the witness does not change.  The pass saves the p-bit
-    follower counts of the candidates that do not come back as roots,
-    which count their own: with orbits only the representatives do (none
-    assumed before the orbits are found), and without them every factor
-    does, so the pass is never tried.  It is taken when
-    q*q < PAIR_PASS_COST * u * n/2 * (c + 1), with u those candidates
-    below followers' gate (_pairs_pay).  The counts already in near are
-    not subtracted: once passes run, near holds only counts of roots.
+    union, so the witness does not change.  The pass is taken wherever the
+    search uses orbits and followers would count, with c < n/2 and more
+    than n/2 * (c + 1) factors from r on (_pairs_pay).  Without orbits,
+    below ORBIT_MIN_MATCHINGS matchings, it is not taken: there the gate
+    seldom holds, and on the bundled corpus taking it saved no time.
 
     From ORBIT_MIN_MATCHINGS matchings on (Matchings.use_orbits), the
     search skips symmetric tuples.  An automorphism maps a tuple to one of
@@ -430,12 +407,12 @@ def mu_k(
     (0,), whose subtree the unseeded search scores first.
 
     Repetition is allowed (it never improves the union), so the search is
-    total whenever G has at least one perfect matching and 1 <= k <= 6.
+    total whenever G has at least one perfect matching and 1 <= k <= MAX_K.
     """
     context = Matchings.of(G, pms)
     pms = context.pms
-    if not 1 <= k <= 6:
-        raise ValueError("k must be between 1 and 6")
+    if not 1 <= k <= MAX_K:
+        raise ValueError(f"k must be between 1 and {MAX_K}")
     if not pms:
         raise NoPerfectMatchingError("graph has no perfect matching")
     if after is not None and (
@@ -452,11 +429,6 @@ def mu_k(
     most = min(m, k * half)  # no k factors cover more
     # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
     near: Dict[int, int] = {}
-    # roots: the factors the root loop may try after the current one, each
-    # with a follower count of its own: only representatives, not known
-    # before factor 0's subtree is done; without orbits every factor is
-    # one, and the pair pass never pays (None)
-    roots: Optional[int] = 0 if context.use_orbits else None
 
     best_pop = -1
     if after is not None:
@@ -491,7 +463,7 @@ def mu_k(
 
     def rec(start: int, union: int, cand: int) -> None:
         """Extend chosen by the factors of cand, all of index >= start."""
-        nonlocal best_pop, best_tuple, scored, roots
+        nonlocal best_pop, best_tuple, scored
         remaining = k - len(chosen)
         bound = min(
             union.bit_count() + remaining * half,
@@ -528,9 +500,9 @@ def mu_k(
                     if pop == most:
                         break
             return
-        if (remaining == 2 and len(chosen) == 1 and roots is not None
-                and _pairs_pay(cand, start, p, half,
-                               k * half - best_pop - 1, roots)):
+        if (remaining == 2 and len(chosen) == 1 and context.use_orbits
+                and cand
+                and _pairs_pay(start, p, half, k * half - best_pop - 1)):
             pop, pair, size = _pair_pass(
                 context, chosen[0], cand, best_pop, most)
             scored += size
@@ -550,10 +522,9 @@ def mu_k(
             chosen.pop()
             if best_pop == most:
                 return
-            if not chosen and roots is not None:
+            if not chosen and context.use_orbits:
                 # the root: l is a representative; drop its whole orbit
-                orbit, roots = context.orbits
-                low = orbit[l]
+                low = context.orbits[l]
             if (union | suffix_or[l + 1]).bit_count() <= best_pop:
                 break
             cand ^= low  # a bit of cand, or at the root an orbit in it

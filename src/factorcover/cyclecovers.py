@@ -29,6 +29,10 @@ from .cores import Core
 #: Most cycles scc_exact may use in a cover.
 SCC_MAX_CYCLES = 4
 
+#: Largest cycle space dimension scc_exact searches by default: its work
+#: doubles per dimension, and dimension 15 (J7) does not finish in minutes.
+DEFAULT_SCC_DIM_CAP = 10
+
 
 class CoverConstructionError(ValueError):
     """Preconditions of a cover construction are violated."""
@@ -251,7 +255,9 @@ def five_cdc(
 # ---------------------------------------------------------------------------
 
 
-def scc_exact(G: CubicGraph, dim_cap: int = 16) -> CycleCover:
+def scc_exact(
+    G: CubicGraph, dim_cap: int = DEFAULT_SCC_DIM_CAP
+) -> CycleCover:
     """Shortest cover of E(G) by at most SCC_MAX_CYCLES cycles, by
     exhaustive search over the cycle space with branch-and-bound.
 

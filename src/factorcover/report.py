@@ -26,8 +26,15 @@ from .cores import (
     find_core,
     verify_core_theorems,
 )
-from .covers import Matchings, fulkerson_witness, mu_k, verify_fulkerson
+from .covers import (
+    MAX_K,
+    Matchings,
+    fulkerson_witness,
+    mu_k,
+    verify_fulkerson,
+)
 from .cyclecovers import (
+    DEFAULT_SCC_DIM_CAP,
     CoverConstructionError,
     DimensionCapExceededError,
     bipartite_core_cover,
@@ -101,15 +108,15 @@ class AnalyzeOptions:
     ops: Tuple[str, ...] = DEFAULT_OPS
     mu_upto: int = 4
     pm_cap: int = DEFAULT_PM_CAP
-    scc_dim_cap: int = 10
+    scc_dim_cap: int = DEFAULT_SCC_DIM_CAP
     timings: bool = False
 
     def __post_init__(self):
         unknown = set(self.ops) - set(ALL_OPS)
         if unknown:
             raise ValueError(f"unknown ops: {sorted(unknown)}")
-        if not 1 <= self.mu_upto <= 6:
-            raise ValueError("mu_upto must be between 1 and 6")
+        if not 1 <= self.mu_upto <= MAX_K:
+            raise ValueError(f"mu_upto must be between 1 and {MAX_K}")
         if self.pm_cap < 1:
             raise ValueError("pm_cap must be at least 1")
         if self.scc_dim_cap < 0:

@@ -1209,6 +1209,28 @@ def test_pair_pass_rule_takes_only_j7_of_the_corpus(
     assert asked == [("flower_snark_J7", True)] * 9
 
 
+def test_pair_pass_runs_with_every_factor_a_root_on_j9(monkeypatch):
+    """With one orbit per matching, every factor comes back as a root and
+    counts its own followers; J9's seeded mu_3 still takes the pass where
+    followers would count, below first factors past 0 too, and keeps
+    mu_lex_oracle's witness."""
+    G = flower_snark(9)
+    pms = enumerate_perfect_matchings(G)
+    alone = list(range(len(pms)))
+    after = seeded_chain(G, pms, 2, alone)[-1]
+    pair_pass = covers._pair_pass
+    entered: List[int] = []
+
+    def counted(*args):
+        entered.append(args[1])
+        return pair_pass(*args)
+
+    monkeypatch.setattr(covers, "_pair_pass", counted)
+    witness = mu_k(G, 3, GivenOrbits(G, pms, alone), after=after)[1]
+    assert max(entered) > 0, entered
+    assert (witness.mu, witness.factor_indices) == mu_lex_oracle(G, 3, pms)
+
+
 def test_mu_basic_identities(corpus, corpus_pms):
     rng = random.Random(19)
     for name, G in rng.sample(corpus, 40):

@@ -255,9 +255,7 @@ def five_cdc(
 # ---------------------------------------------------------------------------
 
 
-def scc_exact(
-    G: CubicGraph, dim_cap: int = DEFAULT_SCC_DIM_CAP
-) -> CycleCover:
+def scc_exact(G: CubicGraph, dim_cap: int = DEFAULT_SCC_DIM_CAP) -> CycleCover:
     """Shortest cover of E(G) by at most SCC_MAX_CYCLES cycles, by
     exhaustive search over the cycle space with branch-and-bound.
 

@@ -9,8 +9,11 @@ the script runs outside it.  It prints one JSON line per graph: its name,
 n, m, the number of perfect matchings (null past the default --pm-cap,
 as for C32 x K2, whose report records pm_cap_exceeded), the wall
 milliseconds of each field (AnalyzeOptions(timings=True)) and of the
-whole call, and a sha256 of the report without its timings, so that two
-versions of the package can be checked to give the same reports.
+whole call, a sha256 of the report without its timings, so that two
+versions of the package can be checked to give the same reports, and
+verify_ms, the wall milliseconds of audit_report on that report read
+back from its JSON without the matching list, as `factorcover verify`
+audits it.
 
 Each graph is analysed in a fresh interpreter of its own, started only
 once the one before has exited, so that no field's time depends on what
@@ -36,7 +39,12 @@ import time
 
 from factorcover.graphs import flower_snark, mobius_ladder, prism
 from factorcover.matching import enumerate_perfect_matchings
-from factorcover.report import DEFAULT_OPS, AnalyzeOptions, analyze
+from factorcover.report import (
+    DEFAULT_OPS,
+    AnalyzeOptions,
+    analyze,
+    audit_report,
+)
 
 SNARK_OPS = ("mu", "fan_raspaud", "core")
 
@@ -62,6 +70,7 @@ def analyse_alone(name, repeat, out) -> None:
     G = build()
     options = AnalyzeOptions(ops=ops, timings=True)
     best = None
+    verify_ms = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
         data = analyze(G, options, id=name).to_dict()
@@ -69,6 +78,11 @@ def analyse_alone(name, repeat, out) -> None:
         timings = dict(data.pop("timings_ms"), total=total)
         best = timings if best is None else {
             key: min(value, best[key]) for key, value in timings.items()}
+        read_back = json.loads(json.dumps(data))
+        t0 = time.perf_counter()
+        audit_report(G, read_back)
+        verify_ms = min(verify_ms, round(
+            (time.perf_counter() - t0) * 1000.0, 3))
     digest = hashlib.sha256(
         json.dumps(data, separators=(",", ":")).encode()).hexdigest()
     # past the cap the report says so; enumerating again would only pay
@@ -79,7 +93,7 @@ def analyse_alone(name, repeat, out) -> None:
         matchings = len(enumerate_perfect_matchings(G))
     out.send({
         "graph": name, "n": G.n, "m": G.m, "matchings": matchings,
-        "timings_ms": best, "report_sha256": digest,
+        "timings_ms": best, "report_sha256": digest, "verify_ms": verify_ms,
     })
     out.close()
 

@@ -248,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                           default="mgf")
     p_verify.add_argument("--pm-cap", type=int, default=DEFAULT_PM_CAP,
                           metavar="N",
-                          help="fail a report whose core audit needs more "
-                               "than N perfect matchings")
+                          help="fail a report whose factor-index audit "
+                               "would need more than N perfect matchings")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -28,10 +28,15 @@ def is_perfect_matching(G: CubicGraph, edges: int) -> bool:
         (star & edges).bit_count() == 1 for star in G.stars)
 
 
+class _PrefixFull(Exception):
+    """The prefix that enumerate_perfect_matchings was asked for is whole."""
+
+
 def enumerate_perfect_matchings(
-    G: CubicGraph, cap: int = DEFAULT_PM_CAP
+    G: CubicGraph, cap: int = DEFAULT_PM_CAP, stop: Optional[int] = None
 ) -> List[int]:
-    """All perfect matchings, in lexicographic edge-index order.
+    """All perfect matchings, in lexicographic edge-index order, or with
+    stop only the first min(p, stop) of them, the same prefix of the list.
 
     Branches on the lowest-indexed uncovered vertex and tries its incident
     edges in index order.  The matchings below a search node depend only on
@@ -45,10 +50,12 @@ def enumerate_perfect_matchings(
     4n + len(out) // 8 states.  An entry costs about five times a matching
     in out, so the memo stays O(n + len(out)) and adds at most about two
     thirds to the memory of the list, even where the states outnumber the
-    matchings (the prisms, labelled round each circuit).  The cap is checked
-    before each leaf and before each replayed block, so the list never
-    grows past cap: PMCapExceededError is raised exactly when there are
-    more than cap matchings, rather than returning a truncated list.
+    matchings (the prisms, labelled round each circuit).  The cap, or a
+    stop below it, is checked before each leaf and before each replayed
+    block, so the list never grows past either: PMCapExceededError is
+    raised exactly when the list asked for would hold more than cap
+    matchings, rather than returning a truncated list.  A stop copies only
+    the part of a block that it needs, and unwinds at the next leaf.
     """
     n = G.n
     full = (1 << n) - 1
@@ -57,6 +64,9 @@ def enumerate_perfect_matchings(
     arms = [[(end_bits[f], 1 << f) for f in inc] for inc in G.incidence]
     out: List[int] = []
     done = {}  # state -> (its prefix, block start, block end)
+    capped = stop is None or stop > cap  # else the prefix fits under cap
+    limit = cap if capped else stop
+    past_limit = PMCapExceededError if capped else _PrefixFull
 
     def rec(covered: int, chosen: int) -> None:
         v = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered
@@ -65,9 +75,8 @@ def enumerate_perfect_matchings(
                 continue
             nxt, pick = covered | ends, chosen | bit
             if nxt == full:
-                if len(out) >= cap:
-                    raise PMCapExceededError(
-                        f"more than {cap} perfect matchings")
+                if len(out) >= limit:
+                    raise past_limit(f"more than {cap} perfect matchings")
                 out.append(pick)
                 continue
             block = done.get(nxt)
@@ -78,12 +87,17 @@ def enumerate_perfect_matchings(
                     done[nxt] = pick, start, len(out)
                 continue
             old, start, end = block
-            if len(out) + (end - start) > cap:
-                raise PMCapExceededError(f"more than {cap} perfect matchings")
+            if len(out) + (end - start) > limit:
+                if capped:
+                    raise past_limit(f"more than {cap} perfect matchings")
+                end = start + limit - len(out)  # the prefix ends in here
             d = old ^ pick
             out.extend([x ^ d for x in out[start:end]])
 
-    rec(0, 0)
+    try:
+        rec(0, 0)
+    except _PrefixFull:
+        pass
     return out
 
 

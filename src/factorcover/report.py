@@ -424,8 +424,9 @@ def audit_report(
     E(G), and the keys each op fills must hold a value exactly when the
     op ran (_OP_KEYS).  Raises ReportAuditError on the first mismatch, and when a field
     it reads is missing or of the wrong type.  pms may be passed to reuse
-    an existing enumeration; it is only computed when a witness refers to
-    factor indices, and then at most once.  cores may be passed to reuse
+    an existing enumeration.  Otherwise it is computed only when a witness
+    refers to factor indices, and then only the prefix up to the largest
+    named index, at most once.  cores may be passed to reuse
     the (core, classification) pair behind each entry of data["cores"];
     each pair must be built from the matchings its entry's indices name.
     Without cores, each core is rebuilt and reclassified from pms.
@@ -462,8 +463,17 @@ def _audit_witnesses(
 
     def check_indices(indices, what: str) -> None:
         nonlocal pms
-        if pms is None:
-            pms = enumerate_perfect_matchings(G, cap=pm_cap)
+        if pms is None:  # one prefix of the list serves every named index
+            named = [i for key in ("fan_raspaud", "fulkerson")
+                     if data.get(key) is not None
+                     for i in data[key]["factor_indices"]]
+            named += [i for entry in data["cores"] for i in entry["factors"]]
+            if any(type(i) is not int for i in named):
+                raise TypeError("a factor index is not an int")
+            # a negative index fails against the range of the whole list
+            stop = (None if min(named, default=0) < 0
+                    else max(named, default=-1) + 1)
+            pms = enumerate_perfect_matchings(G, cap=pm_cap, stop=stop)
         if any(not 0 <= i < len(pms) for i in indices):
             fail(f"{what}: factor index out of range 0..{len(pms) - 1}")
 
@@ -495,10 +505,11 @@ def _audit_witnesses(
         fail(f"cores: {len(data['cores'])} entries, not at most one")
 
     witnesses = data["mu_witness"]
+    # each distinct witness factor is tested once
+    is_matching = functools.cache(functools.partial(is_perfect_matching, G))
     for k, wit in witnesses.items():
         factors = [as_set(a) for a in wit["factors"]]
-        if (len(factors) != int(k)
-                or not all(is_perfect_matching(G, f) for f in factors)):
+        if len(factors) != int(k) or not all(map(is_matching, factors)):
             fail(f"mu_{k}: not {k} perfect matchings")
         rebuilt = _mu_dict(G, factors)
         check_entry(rebuilt, wit, f"mu_{k}")

@@ -11,7 +11,13 @@ from factorcover import cli as cli_module
 from factorcover import report as report_module
 from factorcover.cli import main
 from factorcover.cores import build_core, classify_core
-from factorcover.graphs import CubicGraph, parse_edge_list, prism, to_mgf
+from factorcover.graphs import (
+    CubicGraph,
+    flower_snark,
+    parse_edge_list,
+    prism,
+    to_mgf,
+)
 from factorcover.report import (
     ALL_OPS,
     DEFAULT_OPS,
@@ -727,6 +733,58 @@ def test_verify_fails_pm_cap_and_continues(tmp_path, capsys):
         "fail K4: more than 1 perfect matchings",
         "fail theta: more than 1 perfect matchings"]
     assert captured.out.splitlines() == ["verified 0 reports, 2 failures"]
+
+
+@pytest.fixture
+def petersen_j9_scan(tmp_path):
+    """A corpus of Petersen (6 matchings) and J9 (512) and its default
+    scan, whose factor indices reach 2 and 314."""
+    corpus = tmp_path / "two.mgf"
+    corpus.write_text("# petersen\n" + to_mgf(CubicGraph(10, PETERSEN_EDGES))
+                      + "\n# J9\n" + to_mgf(flower_snark(9)))
+    out = tmp_path / "scan.jsonl"
+    assert main(["scan", str(corpus), "--out", str(out)]) == 0
+    return str(out), str(corpus)
+
+
+def named_indices(data):
+    return [i for key in ("fan_raspaud", "fulkerson") if data.get(key)
+            for i in data[key]["factor_indices"]] + [
+        i for entry in data["cores"] for i in entry["factors"]]
+
+
+def test_verify_enumerates_once_up_to_the_largest_named_index(
+        petersen_j9_scan, monkeypatch, capsys):
+    out, corpus = petersen_j9_scan
+    calls = []
+    enumerate_all = report_module.enumerate_perfect_matchings
+
+    def counted(G, *args, **kwargs):
+        pms = enumerate_all(G, *args, **kwargs)
+        calls.append((G.n, kwargs.get("stop"), len(pms)))
+        return pms
+
+    monkeypatch.setattr(report_module, "enumerate_perfect_matchings",
+                        counted)
+    assert main(["verify", out, corpus]) == 0
+    stops = [1 + max(named_indices(data))
+             for data in read_jsonl(out) if "summary" not in data]
+    assert stops == [3, 315]
+    assert calls == [(10, 3, 3), (36, 315, 315)]
+
+
+def test_verify_pm_cap_counts_only_the_named_prefix(petersen_j9_scan,
+                                                    capsys):
+    """J9 has 512 matchings, but its report's indices need only the first
+    315: a cap of 315 verifies it, a cap of 314 fails it."""
+    out, corpus = petersen_j9_scan
+    capsys.readouterr()
+    assert main(["verify", out, corpus, "--pm-cap", "315"]) == 0
+    assert "verified 2 reports, 0 failures" in capsys.readouterr().out
+    assert main(["verify", out, corpus, "--pm-cap", "314"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fail J9: more than 314 perfect matchings\n"
+    assert "verified 1 reports, 1 failures" in captured.out
 
 
 def test_verify_fails_malformed_lines_and_continues(tmp_path, capsys):

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from factorcover.graphs import (
     CubicGraph,
@@ -173,6 +173,105 @@ def test_every_cap_on_j9_raises_exactly_below_the_count():
 def test_enumeration_matches_the_oracle_on_seeded_multigraphs(seed, half):
     check_against_oracle(
         random_connected_cubic_multigraph(random.Random(seed), 2 * half))
+
+
+def replayed_blocks(G: CubicGraph):
+    """(start, end) of each block of the list that the enumeration copies
+    from its memo rather than searches: its walk over the same states with
+    the same memo bound, keeping only the length of the list."""
+    n, full = G.n, (1 << G.n) - 1
+    arms = [[1 << G.edges[f][0] | 1 << G.edges[f][1] for f in inc]
+            for inc in G.incidence]
+    length, done, blocks = 0, {}, []
+
+    def rec(covered: int) -> None:
+        nonlocal length
+        v = ((covered + 1) & ~covered).bit_length() - 1
+        for ends in arms[v]:
+            if covered & ends:
+                continue
+            nxt = covered | ends
+            if nxt == full:
+                length += 1
+            elif nxt not in done:
+                start = length
+                rec(nxt)
+                if len(done) < 4 * n + length // 8:
+                    done[nxt] = length - start
+            elif done[nxt]:
+                blocks.append((length, length + done[nxt]))
+                length += done[nxt]
+
+    rec(0)
+    return blocks
+
+
+def check_prefixes(G: CubicGraph, most: int = 1000) -> None:
+    """stop=s gives full[:s] at s = 1, at p - 1, p, p + 1 and 10**9, and
+    at both ends of every replayed block and one past its start, so that a
+    stop falls inside a block; with more than most blocks, at an evenly
+    spread most of them."""
+    full = enumerate_perfect_matchings(G)
+    assert all(is_perfect_matching(G, x) for x in full)
+    blocks = replayed_blocks(G)
+    blocks = blocks[::-(-len(blocks) // most) or 1]
+    p = len(full)
+    stops = {1, p - 1, p, p + 1, 10 ** 9}
+    stops.update(s for start, end in blocks for s in (start, start + 1, end))
+    for s in sorted(stops):
+        assert enumerate_perfect_matchings(G, stop=s) == full[:s], s
+
+
+def test_stop_gives_the_prefix_of_the_list(corpus):
+    rng = random.Random(61)
+    multigraphs = [random_connected_cubic_multigraph(
+        rng, rng.choice(range(2, 17, 2))) for _ in range(20)]
+    family = [*corpus,
+              *((f"J{t}", flower_snark(t)) for t in range(5, 14, 2)),
+              *((f"multigraph {i}", G) for i, G in enumerate(multigraphs))]
+    for name, G in family:
+        try:
+            check_prefixes(G)
+        except AssertionError as error:
+            raise AssertionError(name) from error
+    for t in range(8, 21):
+        for name, G in ((f"C{t}xK2", prism(t)), (f"M{2 * t}",
+                                                  mobius_ladder(t))):
+            try:
+                check_prefixes(G, most=4)
+            except AssertionError as error:
+                raise AssertionError(name) from error
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 8),
+       st.sampled_from(("stop < cap", "stop == cap", "stop > cap >= p",
+                        "stop > cap, p > cap")),
+       st.data())
+def test_stop_and_cap_match_the_oracle_on_seeded_multigraphs(seed, half,
+                                                             case, data):
+    """With stop at or below cap the prefix never raises; above it, the
+    cap raises exactly when the oracle's does."""
+    G = random_connected_cubic_multigraph(random.Random(seed), 2 * half)
+    p = len(enumerate_oracle(G))
+    if case == "stop < cap":
+        cap = data.draw(st.integers(1, 2 * p + 2))
+        stop = data.draw(st.integers(0, cap - 1))
+    elif case == "stop == cap":
+        stop = cap = data.draw(st.integers(0, 2 * p + 2))
+    else:
+        assume(p > 0 or case == "stop > cap >= p")
+        cap = data.draw(st.integers(p, p + 2) if case == "stop > cap >= p"
+                        else st.integers(0, p - 1))
+        stop = data.draw(st.integers(cap + 1, cap + p + 2))
+    try:
+        want = enumerate_oracle(G, cap if stop > cap else DEFAULT_PM_CAP)
+    except PMCapExceededError:
+        with pytest.raises(PMCapExceededError,
+                           match=f"^more than {cap} perfect matchings$"):
+            enumerate_perfect_matchings(G, cap, stop=stop)
+    else:
+        assert enumerate_perfect_matchings(G, cap, stop=stop) == want[:stop]
 
 
 def test_complement_two_factor(petersen):

@@ -51,11 +51,11 @@ def enumerate_perfect_matchings(
     in out, so the memo stays O(n + len(out)) and adds at most about two
     thirds to the memory of the list, even where the states outnumber the
     matchings (the prisms, labelled round each circuit).  The cap, or a
-    stop below it, is checked before each leaf and before each replayed
-    block, so the list never grows past either: PMCapExceededError is
-    raised exactly when the list asked for would hold more than cap
-    matchings, rather than returning a truncated list.  A stop copies only
-    the part of a block that it needs, and unwinds at the next leaf.
+    stop below it, is checked before each leaf and each replayed block,
+    so the list never grows past either: PMCapExceededError is raised
+    exactly when the list asked for would hold more than cap matchings.
+    A stop copies only the part of a block that it needs, and unwinds
+    once a block completes the prefix or a leaf falls past it.
     """
     n = G.n
     full = (1 << n) - 1
@@ -93,6 +93,8 @@ def enumerate_perfect_matchings(
                 end = start + limit - len(out)  # the prefix ends in here
             d = old ^ pick
             out.extend([x ^ d for x in out[start:end]])
+            if len(out) == stop:  # else the walk goes on, copying nothing
+                raise _PrefixFull
 
     try:
         rec(0, 0)

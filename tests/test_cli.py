@@ -848,6 +848,29 @@ def test_audit_rejects_bad_indices(petersen, field, index, value):
         audit_report(petersen, data)
 
 
+@pytest.mark.parametrize("field,index", [
+    ("fan_raspaud", ("factor_indices", 1)),
+    ("cores", (0, "factors", 1)),
+])
+@pytest.mark.parametrize("value", [True, 1.0, "1", None])
+def test_audit_fails_a_mistyped_index_before_enumerating(
+        petersen, monkeypatch, field, index, value):
+    """JSON true is not the index 1, though Python compares them equal."""
+    data = analyze(petersen, AnalyzeOptions(), id="petersen").to_dict()
+    target = data[field]
+    for key in index[:-1]:
+        target = target[key]
+    target[index[-1]] = value
+
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("enumerated for a mistyped index")
+
+    monkeypatch.setattr(report_module, "enumerate_perfect_matchings",
+                        enumerate_nothing)
+    with pytest.raises(ReportAuditError, match="missing or mistyped field"):
+        audit_report(petersen, data)
+
+
 @pytest.fixture
 def petersen_cores(petersen, monkeypatch):
     """A default-ops Petersen report and the (core, classification) pairs

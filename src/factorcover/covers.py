@@ -23,6 +23,7 @@ from .graphs import (
     _indices,
     _levels,
     _numerals,
+    _transpose,
     _wide_indices,
     automorphisms,
     edge_permutation,
@@ -143,9 +144,7 @@ class Matchings:
     @functools.cached_property
     def by_edge(self) -> List[int]:
         """The per-edge index: bit l of row e says pms[l] holds edge e."""
-        m = self.G.m
-        rows = _columns(m, "".join(_numerals(m, self.pms)))
-        return [int(row or "0", 2) for row in rows]
+        return _transpose(self.G.m, self.pms)
 
     def numerals(self) -> Tuple[List[str], List[str]]:
         """The m-digit binary numeral of each matching, in the order of
@@ -267,11 +266,15 @@ ORBIT_MIN_MATCHINGS = 64
 MAX_K = 6
 
 
-def _pairs_pay(start: int, p: int, half: int, c: int) -> bool:
-    """Would rec run follower counts below a first factor of index start,
-    with overlap bound c?  This is followers' own gate: mu_k takes its
-    pass over the pairs there instead."""
-    return c < half and p - start > half * (c + 1)
+def _counts_pay(f: int, p: int, half: int, c: int) -> bool:
+    """Does mu_k count the factors meeting pms[f] in at most c edges?  Only
+    for c < n/2, where it costs less than trying the p - f factors."""
+    return c < half and p - f > half * (c + 1)
+
+
+#: mu_k takes _pair_pass below a first factor where it would count the
+#: factor's followers; a name of its own lets a test force the pass alone.
+_pairs_pay = _counts_pay
 
 
 def _pair_pass(
@@ -351,10 +354,11 @@ def mu_k(
     |M & U| <= c = |U| + r*n/2 - best - 1.  Since |M & U| >= |M & F| for
     each chosen factor F, the candidates lie among the factors that meet
     every chosen one in at most k*n/2 - best - 1 >= c edges; that set is a
-    bit-sliced count over a per-edge index of pms, kept once per factor and
-    rebuilt when the best union grows.  Tuples are visited in lexicographic
-    order and only a strictly larger union replaces the best one, so the
-    witness is the lexicographically first optimal tuple.
+    bit-sliced count over a per-edge index of pms, made where it pays
+    (_counts_pay).  For k >= 4 it never is: the bound is at least n/2
+    while best <= m - 1.  Tuples are visited in lexicographic order and
+    only a strictly larger union replaces the best one, so the witness is
+    the lexicographically first optimal tuple.
 
     The last factor is scored in one step when LEAF_SLICE_COST says that
     is cheaper (_best_leaf): with W the edges outside U, a factor missing
@@ -377,11 +381,8 @@ def mu_k(
     last two factors over its candidates instead of follower counts
     (_pair_pass, by their overlaps with pms[r]): it scores a subset of the
     leaves rec scores, skipping only pairs that cannot beat the best
-    union, so the witness does not change.  The pass is taken wherever the
-    search uses orbits and followers would count, with c < n/2 and more
-    than n/2 * (c + 1) factors from r on (_pairs_pay).  Without orbits,
-    below ORBIT_MIN_MATCHINGS matchings, it is not taken: there the gate
-    seldom holds, and on the bundled corpus taking it saved no time.
+    union, so the witness does not change.  The pass is taken wherever
+    r's followers would be counted (_pairs_pay).
 
     From ORBIT_MIN_MATCHINGS matchings on (Matchings.use_orbits), the
     search skips symmetric tuples.  An automorphism maps a tuple to one of
@@ -427,8 +428,6 @@ def mu_k(
     p = len(pms)
     everyone = (1 << p) - 1
     most = min(m, k * half)  # no k factors cover more
-    # near[f]: the factors meeting pms[f] in at most k*n/2 - best - 1 edges
-    near: Dict[int, int] = {}
 
     best_pop = -1
     if after is not None:
@@ -443,15 +442,10 @@ def mu_k(
     def followers(f: int) -> int:
         """A superset of the factors that can follow f in a better tuple."""
         c = k * half - best_pop - 1
-        # counting over the n/2 edges of pms[f] must cost less than trying
-        # the p - f factors from f on
-        if c >= half or p - f <= half * (c + 1):
+        if not _counts_pay(f, p, half, c):
             return everyone
-        if f not in near:
-            by_edge = context.by_edge
-            near[f] = _in_at_most(
-                everyone, [by_edge[e] for e in _indices(pms[f])], c)
-        return near[f]
+        rows = context.by_edge
+        return _in_at_most(everyone, [rows[e] for e in _indices(pms[f])], c)
 
     def second_to_last(union: int, cand: int) -> int:
         """cand less the factors _degree_filter drops, when that pays."""
@@ -484,7 +478,6 @@ def mu_k(
                     if found is not None:
                         best_pop, l = found
                         best_tuple = (*chosen, l)
-                        near.clear()
                     return
             # with no filter applied, cand holds every factor from start on
             # and a plain scan walks it faster
@@ -496,19 +489,16 @@ def mu_k(
                 pop = (union | pms[l]).bit_count()
                 if pop > best_pop:
                     best_pop, best_tuple = pop, (*chosen, l)
-                    near.clear()
                     if pop == most:
                         break
             return
-        if (remaining == 2 and len(chosen) == 1 and context.use_orbits
-                and cand
+        if (remaining == 2 and len(chosen) == 1 and cand
                 and _pairs_pay(start, p, half, k * half - best_pop - 1)):
             pop, pair, size = _pair_pass(
                 context, chosen[0], cand, best_pop, most)
             scored += size
             if pair is not None:
                 best_pop, best_tuple = pop, (*chosen, *pair)
-                near.clear()
             return
         narrow = remaining == 2 and len(chosen) >= 2
         if narrow:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+import marshal
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -418,18 +419,19 @@ def audit_report(
 
     Each entry of mu_witness, fan_raspaud, fulkerson, cores and covers is
     rebuilt by the function that analyze() wrote it with, and must equal
-    the rebuilt entry key for key: a mu witness and a cover from their own
-    edge sets, the Fan-Raspaud and Fulkerson factors and a core from the
-    matchings their factor indices name.  Every cover is checked against
-    E(G), and the keys each op fills must hold a value exactly when the
-    op ran (_OP_KEYS).  Raises ReportAuditError on the first mismatch, and when a field
-    it reads is missing or of the wrong type.  pms may be passed to reuse
-    an existing enumeration.  Otherwise it is computed only when a witness
-    refers to factor indices, and then only the prefix up to the largest
-    named index, at most once.  cores may be passed to reuse
-    the (core, classification) pair behind each entry of data["cores"];
-    each pair must be built from the matchings its entry's indices name.
-    Without cores, each core is rebuilt and reclassified from pms.
+    the rebuilt entry key for key and type for type (_same): a mu witness
+    and a cover from their own edge sets, the Fan-Raspaud and Fulkerson
+    factors and a core from the matchings their factor indices name.
+    Every cover is checked against E(G), and the keys each op fills must
+    hold a value exactly when the op ran (_OP_KEYS).  Raises
+    ReportAuditError on the first mismatch, and when a field it reads is
+    missing or of the wrong type.  pms may be passed to reuse an existing
+    enumeration.  Otherwise it is computed only when a witness refers to
+    factor indices, and then only the prefix up to the largest named
+    index, at most once.  cores may be passed to reuse the (core,
+    classification) pair behind each entry of data["cores"]; each pair
+    must be built from the matchings its entry's indices name.  Without
+    cores, each core is rebuilt and reclassified from pms.
     """
     if not isinstance(data, dict):
         raise ReportAuditError("report is not a JSON object")
@@ -439,6 +441,13 @@ def audit_report(
         raise ReportAuditError(
             f"report {data.get('id')}: missing or mistyped field "
             f"({type(exc).__name__}: {exc})") from exc
+
+
+def _same(a, b) -> bool:
+    """a == b, with JSON's 1, 1.0 and true apart: marshal writes each type,
+    and a dict's keys in order, which JSON with sorted keys ignores."""
+    return (marshal.dumps(a, 2) == marshal.dumps(b, 2)
+            or json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True))
 
 
 def _audit_witnesses(
@@ -455,10 +464,10 @@ def _audit_witnesses(
             fail(str(exc))
 
     def check_entry(rebuilt: dict, entry: dict, what: str) -> None:
-        if rebuilt != entry:
+        if not _same(rebuilt, entry):
             keys = sorted(key for key in rebuilt.keys() | entry.keys()
                           if key not in rebuilt or key not in entry
-                          or rebuilt[key] != entry[key])
+                          or not _same(rebuilt[key], entry[key]))
             fail(f"{what}: {', '.join(keys)} differ from the rebuilt entry")
 
     def check_indices(indices, what: str) -> None:
@@ -515,8 +524,8 @@ def _audit_witnesses(
         tested |= new
         rebuilt = _mu_dict(G, factors)
         check_entry(rebuilt, wit, f"mu_{k}")
-        if len(rebuilt["uncovered"]) != data["mu"][k]:
-            fail(f"mu_{k}: recorded value {data['mu'][k]} != "
+        if not _same(data["mu"][k], len(rebuilt["uncovered"])):
+            fail(f"mu_{k}: recorded value {data['mu'][k]!r} != "
                  f"{len(rebuilt['uncovered'])}")
     # every witness key has a value by now (data["mu"][k] above)
     if set(data["mu"]) != set(witnesses):

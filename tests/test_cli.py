@@ -591,6 +591,36 @@ def test_verify_detects_tampering(mini_corpus, tmp_path, capsys):
     assert main(["verify", str(tampered), mini_corpus]) == 1
 
 
+def test_verify_accepts_entries_with_their_keys_reordered(
+        mini_corpus, tmp_path, capsys):
+    """JSON objects are unordered: a witness entry whose keys, or whose
+    nested objects' keys, come in another order than the rebuilt entry's
+    still verifies."""
+    out = tmp_path / "scan.jsonl"
+    main(["scan", mini_corpus, *FULKERSON_ARGS, "--out", str(out)])
+
+    def reordered(value):
+        if isinstance(value, dict):
+            return {key: reordered(value[key]) for key in reversed(value)}
+        if isinstance(value, list):
+            return [reordered(item) for item in value]
+        return value
+
+    lines = out.read_text().splitlines()
+    reports = [json.loads(line) for line in lines[:-1]]
+    assert any(r["cores"] and r["cores"][0]["components"] for r in reports)
+    for r in reports:
+        r["mu_witness"] = {k: reordered(w) for k, w in r["mu_witness"].items()}
+        for key in ("cores", "covers", "fan_raspaud", "fulkerson"):
+            r[key] = reordered(r.get(key))
+    tampered = tmp_path / "reordered.jsonl"
+    tampered.write_text("".join(
+        json.dumps(r) + "\n" for r in reports) + lines[-1] + "\n")
+    assert main(["verify", str(tampered), mini_corpus]) == 0
+    assert f"verified {len(reports)} reports, 0 failures" in (
+        capsys.readouterr().out)
+
+
 @pytest.fixture
 def summary_scan(tmp_path):
     """A Fulkerson scan of the mini corpus plus an unparsable block, as
@@ -1029,6 +1059,31 @@ AUDIT_GAPS = {
     "mu_2_dropped_with_witness": (
         "K4",
         lambda r: (r["mu"].pop("2"), r["mu_witness"].pop("2"))),
+    # numbers that scan never writes, though Python finds 1.0 == True == 1
+    "mu_value_float": (
+        "K_2^3",
+        lambda r: r["mu"].update({"2": 1.0})),
+    "mu_value_bool": (
+        "K_2^3",
+        lambda r: r["mu"].update({"2": True})),
+    "mu_witness_edge_float": (
+        "K_2^3",
+        lambda r: r["mu_witness"]["1"].update(uncovered=[1.0, 2])),
+    "mu_witness_edge_bool": (
+        "K_2^3",
+        lambda r: r["mu_witness"]["2"].update(factors=[[0], [True]])),
+    "core_field_float": (
+        "K_2^3",
+        lambda r: r["cores"][0].update(k=0.0)),
+    "core_field_bool": (
+        "K_2^3",
+        lambda r: r["cores"][0].update(k=False)),
+    "cover_field_float": (
+        "K_2^3",
+        lambda r: r["covers"][0].update(length=4.0)),
+    "cover_field_bool": (
+        "K_2^3",
+        lambda r: r["covers"][0].update(cycles=[[False, 1], [0, 2]])),
 }
 
 

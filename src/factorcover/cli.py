@@ -53,8 +53,6 @@ def _add_analysis_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pm-cap", type=int, default=DEFAULT_PM_CAP,
                         metavar="N",
                         help="abort matching enumeration beyond N matchings")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="process pool size for scan (default: 1)")
     parser.add_argument("--timings", action="store_true",
                         help="include per-field timings (non-deterministic "
                              "output)")
@@ -231,6 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = add_parser("scan", help="report on every graph in a corpus")
     _add_analysis_flags(p_scan)
+    p_scan.add_argument("--workers", type=int, default=1, metavar="N",
+                        help="process pool size (default: 1)")
     p_scan.set_defaults(func=_cmd_scan)
 
     p_gen = add_parser("gen", help="emit a generated graph as MGF")

@@ -422,16 +422,16 @@ def audit_report(
     the rebuilt entry key for key and type for type (_same): a mu witness
     and a cover from their own edge sets, the Fan-Raspaud and Fulkerson
     factors and a core from the matchings their factor indices name.
-    Every cover is checked against E(G), and the keys each op fills must
-    hold a value exactly when the op ran (_OP_KEYS).  Raises
-    ReportAuditError on the first mismatch, and when a field it reads is
-    missing or of the wrong type.  pms may be passed to reuse an existing
-    enumeration.  Otherwise it is computed only when a witness refers to
-    factor indices, and then only the prefix up to the largest named
-    index, at most once.  cores may be passed to reuse the (core,
-    classification) pair behind each entry of data["cores"]; each pair
-    must be built from the matchings its entry's indices name.  Without
-    cores, each core is rebuilt and reclassified from pms.
+    n and m must equal G's, every cover is checked against E(G), and the
+    keys each op fills must hold a value exactly when the op ran
+    (_OP_KEYS).  Raises ReportAuditError on the first mismatch, and when
+    a field it reads is missing or of the wrong type: a factor index must
+    be an int, whether or not pms is passed.  pms may reuse an existing
+    enumeration; without it, the prefix up to the largest named factor
+    index is enumerated once, if one is named.  cores may be passed to
+    reuse the (core, classification) pair behind each entry of
+    data["cores"]; each pair must be built from the matchings its entry's
+    indices name.  Without cores, each core is rebuilt and reclassified.
     """
     if not isinstance(data, dict):
         raise ReportAuditError("report is not a JSON object")
@@ -470,27 +470,14 @@ def _audit_witnesses(
                           or not _same(rebuilt[key], entry[key]))
             fail(f"{what}: {', '.join(keys)} differ from the rebuilt entry")
 
-    def check_indices(indices, what: str) -> None:
-        nonlocal pms
-        if pms is None:  # one prefix of the list serves every named index
-            named = [i for key in ("fan_raspaud", "fulkerson")
-                     if data.get(key) is not None
-                     for i in data[key]["factor_indices"]]
-            named += [i for entry in data["cores"] for i in entry["factors"]]
-            if any(type(i) is not int for i in named):
-                raise TypeError("a factor index is not an int")
-            # a negative index fails against the range of the whole list
-            stop = (None if min(named, default=0) < 0
-                    else max(named, default=-1) + 1)
-            pms = enumerate_perfect_matchings(G, cap=pm_cap, stop=stop)
+    def indexed(indices, what: str) -> List[int]:
         if any(not 0 <= i < len(pms) for i in indices):
             fail(f"{what}: factor index out of range 0..{len(pms) - 1}")
-
-    def indexed_factors(key: str) -> List[int]:
-        indices = data[key]["factor_indices"]
-        check_indices(indices, key)
-        check_entry(_factors_dict(indices, pms), data[key], key)
         return [pms[i] for i in indices]
+
+    for key, value in (("n", G.n), ("m", G.m)):
+        if not _same(data[key], value):
+            fail(f"{key}: recorded value {data[key]!r} != {value}")
 
     failed = [check["name"] for check in data["checks"]
               if not check["passed"]]
@@ -513,6 +500,18 @@ def _audit_witnesses(
     if len(data["cores"]) > 1:
         fail(f"cores: {len(data['cores'])} entries, not at most one")
 
+    # checked here for every caller, so that passing pms skips no check
+    named = [i for key in ("fan_raspaud", "fulkerson")
+             if data.get(key) is not None
+             for i in data[key]["factor_indices"]]
+    named += [i for entry in data["cores"] for i in entry["factors"]]
+    if any(type(i) is not int for i in named):
+        raise TypeError("a factor index is not an int")
+    if pms is None and named:  # one prefix of the list serves every index
+        # a negative index fails against the range of the whole list
+        stop = None if min(named) < 0 else max(named) + 1
+        pms = enumerate_perfect_matchings(G, cap=pm_cap, stop=stop)
+
     witnesses = data["mu_witness"]
     tested = set()  # each distinct witness factor is tested once
     for k, wit in witnesses.items():
@@ -531,30 +530,31 @@ def _audit_witnesses(
     if set(data["mu"]) != set(witnesses):
         fail("mu: a recorded value has no witness")
 
-    if data.get("fan_raspaud") is not None:
-        factors = indexed_factors("fan_raspaud")
-        if len(factors) != 3 or (factors[0] & factors[1] & factors[2]):
-            fail("fan_raspaud: triple intersection is not empty")
-
-    if data.get("fulkerson") is not None:
-        if not verify_fulkerson(G, indexed_factors("fulkerson")):
-            fail("fulkerson: not every edge is covered exactly twice")
+    for key in ("fan_raspaud", "fulkerson"):
+        if data.get(key) is not None:
+            indices = data[key]["factor_indices"]
+            factors = indexed(indices, key)
+            check_entry(_factors_dict(indices, pms), data[key], key)
+            if key == "fan_raspaud":
+                if len(factors) != 3 or factors[0] & factors[1] & factors[2]:
+                    fail("fan_raspaud: triple intersection is not empty")
+            elif not verify_fulkerson(G, factors):
+                fail("fulkerson: not every edge is covered exactly twice")
 
     entries = data["cores"]
     if cores is not None and len(cores) != len(entries):
         fail(f"cores: {len(entries)} entries for {len(cores)} built cores")
     for index, entry in enumerate(entries):
-        check_indices(entry["factors"], "core")
-        i, j, l = entry["factors"]
+        factors = indexed(entry["factors"], "core")
         if cores is None:
             try:
-                core = build_core(G, pms[i], pms[j], pms[l])
+                core = build_core(G, *factors)
             except FactorError as exc:
                 fail(f"core: {exc}")
             cls = classify_core(core)
         else:
             core, cls = cores[index]
-            if core.factors != (pms[i], pms[j], pms[l]):
+            if list(core.factors) != factors:
                 fail("core: factors differ from the indexed matchings")
         check_entry(_core_dict(entry["factors"], core, cls), entry, "core")
 

@@ -18,6 +18,7 @@ from factorcover.graphs import (
     prism,
     to_mgf,
 )
+from factorcover.matching import enumerate_perfect_matchings
 from factorcover.report import (
     ALL_OPS,
     DEFAULT_OPS,
@@ -507,6 +508,15 @@ def test_scan_rejects_workers_below_1(workers, mini_corpus, tmp_path, capsys):
         scan(mini_corpus, workers=int(workers))
 
 
+def test_analyze_takes_no_workers(k4_file, tmp_path, capsys):
+    """--workers sizes scan's process pool; analyze reads one graph."""
+    out = tmp_path / "out.jsonl"
+    assert main(["analyze", k4_file, "--workers", "2",
+                 "--out", str(out)]) == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_scan_graph6_format(tmp_path):
     import networkx as nx
 
@@ -885,20 +895,24 @@ def test_audit_rejects_bad_indices(petersen, field, index, value):
 @pytest.mark.parametrize("value", [True, 1.0, "1", None])
 def test_audit_fails_a_mistyped_index_before_enumerating(
         petersen, monkeypatch, field, index, value):
-    """JSON true is not the index 1, though Python compares them equal."""
+    """JSON true is not the index 1, though Python compares them equal,
+    whether or not the caller passes the matchings."""
     data = analyze(petersen, AnalyzeOptions(), id="petersen").to_dict()
     target = data[field]
     for key in index[:-1]:
         target = target[key]
     target[index[-1]] = value
+    pms = enumerate_perfect_matchings(petersen)
 
     def enumerate_nothing(*args, **kwargs):
         raise AssertionError("enumerated for a mistyped index")
 
     monkeypatch.setattr(report_module, "enumerate_perfect_matchings",
                         enumerate_nothing)
-    with pytest.raises(ReportAuditError, match="missing or mistyped field"):
-        audit_report(petersen, data)
+    for passed in (None, pms):
+        with pytest.raises(ReportAuditError,
+                           match="missing or mistyped field"):
+            audit_report(petersen, data, pms=passed)
 
 
 @pytest.fixture
@@ -1084,6 +1098,13 @@ AUDIT_GAPS = {
     "cover_field_bool": (
         "K_2^3",
         lambda r: r["covers"][0].update(cycles=[[False, 1], [0, 2]])),
+    # the graph's own size, which no witness reads
+    "n_changed": (
+        "K_2^3",
+        lambda r: r.update(n=999)),
+    "m_float": (
+        "K_2^3",
+        lambda r: r.update(m=float(r["m"]))),
 }
 
 

@@ -2,7 +2,9 @@
 """Time analyze() per field on the stress set: the flower snarks J9-J13,
 the prisms C16 x K2 .. C24 x K2 and C32 x K2, and the Moebius ladders
 M32 .. M48, with the default ops, then J15 and J17 with the ops mu,
-fan_raspaud and core (those of the benchmark's snark_mu workload).
+fan_raspaud and core (those of the benchmark's snark_mu workload), and
+last J5 with every op and scc_dim_cap 11, so that the exact scc search
+at its cycle space dimension, 11, has a wall time and a digest.
 
 These graphs are larger than the benchmark's workloads (perfbench/), so
 the script runs outside it.  It prints one JSON line per graph: its name,
@@ -40,6 +42,7 @@ import time
 from factorcover.graphs import flower_snark, mobius_ladder, prism
 from factorcover.matching import enumerate_perfect_matchings
 from factorcover.report import (
+    ALL_OPS,
     DEFAULT_OPS,
     AnalyzeOptions,
     analyze,
@@ -50,25 +53,31 @@ SNARK_OPS = ("mu", "fan_raspaud", "core")
 
 
 def stress_set():
-    """(name, build, ops) for each graph, in the order they run: build()
-    returns the graph, so that a child builds only its own."""
+    """(name, build, options) for each graph, in the order they run:
+    build() returns the graph, so that a child builds only its own."""
+    def timed(ops, **limits):
+        return AnalyzeOptions(ops=ops, timings=True, **limits)
+
     for t in (9, 11, 13):
-        yield f"J{t}", functools.partial(flower_snark, t), DEFAULT_OPS
+        yield f"J{t}", functools.partial(flower_snark, t), timed(DEFAULT_OPS)
     for t in (*range(16, 25), 32):
-        yield f"C{t}xK2", functools.partial(prism, t), DEFAULT_OPS
+        yield f"C{t}xK2", functools.partial(prism, t), timed(DEFAULT_OPS)
     for t in range(16, 25):
-        yield f"M{2 * t}", functools.partial(mobius_ladder, t), DEFAULT_OPS
+        yield (f"M{2 * t}", functools.partial(mobius_ladder, t),
+               timed(DEFAULT_OPS))
     for t in (15, 17):
-        yield f"J{t}", functools.partial(flower_snark, t), SNARK_OPS
+        yield f"J{t}", functools.partial(flower_snark, t), timed(SNARK_OPS)
+    yield "J5", functools.partial(flower_snark, 5), timed(ALL_OPS,
+                                                          scc_dim_cap=11)
 
 
 def analyse_alone(name, repeat, out) -> None:
     """Analyse the stress graph name repeat times and send its JSON line
     to the pipe end out."""
-    build, ops = next((build, ops) for key, build, ops in stress_set()
-                      if key == name)
+    build, options = next((build, options)
+                          for key, build, options in stress_set()
+                          if key == name)
     G = build()
-    options = AnalyzeOptions(ops=ops, timings=True)
     best = None
     verify_ms = float("inf")
     for _ in range(repeat):

@@ -15,7 +15,7 @@ import marshal
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .cores import (
@@ -167,6 +167,12 @@ class GraphReport:
 
 
 _OMITTED_WHEN_NONE = ("hypohamiltonian", "oddness", "fulkerson", "timings_ms")
+# every key that to_dict writes, those it always writes, and the names of
+# analyze's timed steps
+_REPORT_KEYS = frozenset(f.name for f in fields(GraphReport))
+_ALWAYS_KEYS = _REPORT_KEYS.difference(_OMITTED_WHEN_NONE)
+_STEPS = frozenset(ALL_OPS).union(
+    ["matchings"], [f"mu_{k}" for k in range(1, MAX_K + 1)]) - {"mu"}
 
 
 def _mu_dict(G: CubicGraph, factors: Sequence[int]) -> dict:
@@ -368,6 +374,20 @@ def _ran(op: str, skipped: Sequence[str], errors: Dict[str, str]) -> bool:
             and not (op in _PM_OPS and "matchings" in errors))
 
 
+def _steps_ran(skipped: Sequence[str], errors: Dict[str, str]) -> set:
+    """The steps that ran by a report's skipped and errors: the ops not
+    skipped, the matchings they read, and the 3-edge-cut query of
+    structure.  No op of _PM_OPS runs once the matchings fail."""
+    steps = set(ALL_OPS).difference(skipped)
+    if steps.intersection(_PM_OPS):
+        steps.add("matchings")
+        if "matchings" in errors:
+            steps.difference_update(_PM_OPS)
+    if "structure" in steps:
+        steps.add("nontrivial_3_cut")
+    return steps
+
+
 def _theorem_checks(G: CubicGraph, report: GraphReport) -> None:
     """Instance checks of the bound and conjecture statements that the
     computed fields make decidable for this graph."""
@@ -424,9 +444,12 @@ def audit_report(
     factors and a core from the matchings their factor indices name.
     n and m must equal G's, every cover is checked against E(G), and the
     keys each op fills must hold a value exactly when the op ran
-    (_OP_KEYS).  Raises ReportAuditError on the first mismatch, and when
-    a field it reads is missing or of the wrong type: a factor index must
-    be an int, whether or not pms is passed.  pms may reuse an existing
+    (_OP_KEYS).  The report must hold no key that GraphReport.to_dict
+    never writes, skipped must list distinct ops in ALL_OPS order, each
+    errors key must name a step that ran, and timings_ms must map step
+    names to numbers.  Raises ReportAuditError on the first mismatch, and
+    when a field it reads is missing or of the wrong type: a factor index
+    must be an int, whether or not pms is passed.  pms may reuse an existing
     enumeration; without it, the prefix up to the largest named factor
     index is enumerated once, if one is named.  cores may be passed to
     reuse the (core, classification) pair behind each entry of
@@ -479,13 +502,33 @@ def _audit_witnesses(
         if not _same(data[key], value):
             fail(f"{key}: recorded value {data[key]!r} != {value}")
 
+    if not _ALWAYS_KEYS <= data.keys() <= _REPORT_KEYS:
+        missing = _ALWAYS_KEYS - data.keys()
+        if missing:
+            raise KeyError(", ".join(sorted(missing)))
+        fail(f"keys {sorted(data.keys() - _REPORT_KEYS)} are never written "
+             "in a report")
+    timings = data.get("timings_ms")
+    if timings is not None and (
+            type(timings) is not dict or not _STEPS.issuperset(timings)
+            or not {int, float}.issuperset(map(type, timings.values()))):
+        fail("timings_ms: not step names with numbers of milliseconds")
+
+    skipped, errors = data["skipped"], data["errors"]
+    if type(skipped) is not list or skipped != [
+            op for op in ALL_OPS if op in skipped]:
+        fail(f"skipped: {skipped!r} is not distinct ops in ALL_OPS order")
+    if type(errors) is not dict or errors and not (
+            _steps_ran(skipped, errors).issuperset(errors)
+            and {str}.issuperset(map(type, errors.values()))):
+        fail(f"errors: {errors!r} are not messages of steps that ran")
+
     failed = [check["name"] for check in data["checks"]
               if not check["passed"]]
     if failed != data["violations"]:
         fail(f"violations {data['violations']} differ from the failed "
              f"checks {failed}")
 
-    skipped, errors = data["skipped"], data["errors"]
     for op, keys in _OP_KEYS.items():
         ran = _ran(op, skipped, errors)
         for key in keys:

@@ -1006,6 +1006,50 @@ def test_audit_compares_violations_with_failed_checks(petersen, failed,
             audit_report(petersen, data)
 
 
+# Tamperings of a report's own key set and of its skipped, errors and
+# timings_ms records, on K_2^3's default report: each names an op, a step
+# or a key that analyze never writes there
+REPORT_KEY_TAMPERINGS = {
+    "skipped_bogus": lambda r: r["skipped"].append("bogus"),
+    "skipped_repeated": lambda r: r["skipped"].append("scc"),
+    "skipped_reordered": lambda r: r["skipped"].reverse(),
+    "skipped_not_a_list": lambda r: r.update(skipped=",".join(r["skipped"])),
+    "errors_unknown_step": lambda r: r["errors"].update(foo="bar"),
+    "errors_skipped_op": lambda r: r["errors"].update(
+        scc="dim_cap_exceeded"),
+    "errors_value_not_a_string": lambda r: r["errors"].update(
+        nontrivial_3_cut=1),
+    "errors_not_a_dict": lambda r: r.update(errors=[]),
+    "extra_key": lambda r: r.update(note=1),
+    "timings_unknown_step": lambda r: r.update(timings_ms={"x": 1.0}),
+    "timings_op_not_a_step": lambda r: r.update(timings_ms={"mu": 1.0}),
+    "timings_bool": lambda r: r.update(timings_ms={"core": True}),
+    "timings_string": lambda r: r.update(timings_ms={"core": "1.0"}),
+    "timings_not_a_dict": lambda r: r.update(timings_ms=[]),
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(REPORT_KEY_TAMPERINGS))
+def test_audit_rejects_keys_a_report_never_writes(tamper):
+    G = parse_entry(SMALL_GRAPHS["K_2^3"], "mgf")
+    data = analyze(G, AnalyzeOptions(timings=True), id="K_2^3").to_dict()
+    assert data["skipped"] == ["oddness", "fulkerson", "covers", "scc",
+                               "hypohamiltonian"]
+    audit_report(G, data)
+    REPORT_KEY_TAMPERINGS[tamper](data)
+    with pytest.raises(ReportAuditError):
+        audit_report(G, data)
+
+
+def test_audit_reads_a_missing_key_as_a_missing_field(petersen):
+    data = analyze(petersen, AnalyzeOptions(), id="petersen").to_dict()
+    for key in ("id", "covers", "fan_raspaud"):
+        tampered = dict(data)
+        del tampered[key]
+        with pytest.raises(ReportAuditError, match="missing or mistyped"):
+            audit_report(petersen, tampered)
+
+
 # Tamperings that only the comparison of the recorded core components,
 # of the keys of mu and mu_witness, of the factor indices of fan_raspaud
 # and fulkerson, of violations with the failed checks, of each cover
@@ -1268,6 +1312,15 @@ def test_scan_records_each_error_path(tmp_path, capsys, mgf, args, errors,
     capsys.readouterr()
     assert main(["verify", str(out), str(corpus)]) == 0
     assert "verified 1 reports, 0 failures" in capsys.readouterr().out
+
+
+def test_audit_rejects_an_error_of_an_op_after_the_matchings_failed():
+    G = parse_entry(NO_PM_MGF, "mgf")
+    data = analyze(G, AnalyzeOptions(ops=ALL_OPS), id="no_pm").to_dict()
+    audit_report(G, data)
+    data["errors"]["core"] = "fewer_than_three_matchings"
+    with pytest.raises(ReportAuditError, match="errors"):
+        audit_report(G, data)
 
 
 def test_bundled_corpus_is_readable():

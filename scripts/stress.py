@@ -2,9 +2,12 @@
 """Time analyze() per field on the stress set: the flower snarks J9-J13,
 the prisms C16 x K2 .. C24 x K2 and C32 x K2, and the Moebius ladders
 M32 .. M48, with the default ops, then J15 and J17 with the ops mu,
-fan_raspaud and core (those of the benchmark's snark_mu workload), and
-last J5 with every op and scc_dim_cap 11, so that the exact scc search
-at its cycle space dimension, 11, has a wall time and a digest.
+fan_raspaud and core (those of the benchmark's snark_mu workload), then
+J9, J11 and J13 once more with those ops and covers and fulkerson (named
+J9_covers and so on), so that the cover constructions and the audit's
+cover contracts run on snarks larger than any benchmark graph, and last
+J5 with every op and scc_dim_cap 11, so that the exact scc search at its
+cycle space dimension, 11, has a wall time and a digest.
 
 These graphs are larger than the benchmark's workloads (perfbench/), so
 the script runs outside it.  It prints one JSON line per graph: its name,
@@ -50,6 +53,7 @@ from factorcover.report import (
 )
 
 SNARK_OPS = ("mu", "fan_raspaud", "core")
+COVER_OPS = (*SNARK_OPS, "covers", "fulkerson")
 
 
 def stress_set():
@@ -67,6 +71,9 @@ def stress_set():
                timed(DEFAULT_OPS))
     for t in (15, 17):
         yield f"J{t}", functools.partial(flower_snark, t), timed(SNARK_OPS)
+    for t in (9, 11, 13):
+        yield (f"J{t}_covers", functools.partial(flower_snark, t),
+               timed(COVER_OPS))
     yield "J5", functools.partial(flower_snark, 5), timed(ALL_OPS,
                                                           scc_dim_cap=11)
 

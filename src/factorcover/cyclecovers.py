@@ -6,7 +6,8 @@ A cycle is an edge set inducing degree 0 or 2 at every vertex (a disjoint
 union of circuits); it is even when all its circuits have even length.  The
 length of a cover is the sum of its members' sizes, and ced is the maximum
 number of members through a single edge.  Edge sets are int bitmasks over
-G's edge indices.
+G's edge indices.  The constructions return their cycles, and
+verify_cover computes a cover's statistics and verdict.
 """
 
 from __future__ import annotations
@@ -56,13 +57,6 @@ class CycleCover:
     valid: bool
     problems: Tuple[str, ...] = ()
 
-    def is_double_cover(self, G: CubicGraph) -> bool:
-        """Does every edge of G lie in exactly two of the cycles?"""
-        if len(self.cycles) < 2:
-            return False
-        full = (1 << G.m) - 1
-        return _levels(full, self.cycles)[2] == full
-
 
 def _is_cycle(G: CubicGraph, edges: int) -> bool:
     return all((star & edges).bit_count() in (0, 2) for star in G.stars)
@@ -72,19 +66,13 @@ def _is_even_cycle(G: CubicGraph, edges: int) -> bool:
     return all(len(c) % 2 == 0 for c in trace_circuits(G, edges))
 
 
-def verify_cover(
-    G: CubicGraph,
-    cycles: Sequence[int],
-    target: Optional[int] = None,
-) -> CycleCover:
+def verify_cover(G: CubicGraph, cycles: Sequence[int]) -> CycleCover:
     """Compute all cover statistics; the verdict lists failures precisely.
 
-    Every cycle and the target must lie within E(G).  target defaults to
-    E(G); pass a core's edge set to verify core covers.
+    Every member must lie within E(G); the cover is valid when each one
+    is a cycle and together they cover E(G).
     """
     full = (1 << G.m) - 1
-    if target is None:
-        target = full
     problems: List[str] = []
     members: List[int] = []
     even = True
@@ -96,14 +84,9 @@ def verify_cover(
             even = False
         members.append(c)
     levels = _levels(full, members)
-    covered = full & ~levels[0]
-    missing = target & ~covered
-    if missing:
-        problems.append(f"{missing.bit_count()} edges uncovered: "
-                        f"{_indices(missing)}")
-    stray = covered & ~target
-    if stray:
-        problems.append(f"cycles leave the target edge set: {_indices(stray)}")
+    if levels[0]:
+        problems.append(f"{levels[0].bit_count()} edges uncovered: "
+                        f"{_indices(levels[0])}")
     return CycleCover(
         cycles=tuple(cycles),
         length=sum(c.bit_count() for c in cycles),
@@ -115,62 +98,49 @@ def verify_cover(
     )
 
 
-def canonical_cover(
-    G: CubicGraph,
-    coloring: Tuple[int, int, int],
-) -> CycleCover:
+def canonical_cover(G: CubicGraph,
+                    coloring: Tuple[int, int, int]) -> Tuple[int, ...]:
     """The 2-cycle cover {a|b, a|c} of a 3-edge-colored cubic graph.
 
-    The first class is doubled; length is |E| + |a| = 4/3 |E|.
+    The first class is doubled, so the cover is even, of length
+    |E| + |a| = 4/3 |E|.
     """
     a, b, c = coloring
     if (a & b) or (a & c) or (b & c) or (a | b | c) != (1 << G.m) - 1:
         raise CoverConstructionError(
             "coloring is not a partition of E(G) into three 1-factors"
         )
-    cover = verify_cover(G, [a | b, a | c])
-    assert cover.valid and cover.length == G.m + a.bit_count()
-    return cover
+    return (a | b, a | c)
 
 
 def cover_from_core(
     G: CubicGraph, core: Core, core_cover: Sequence[int]
-) -> CycleCover:
+) -> Tuple[int, ...]:
     """Extend a cover of the core to a cover of G with two symmetric
-    differences of 1-factors.
+    differences of 1-factors: the cycles of core_cover, then the two added.
 
-    Factors are relabeled so the hub factor meets the other two in at least
-    2/3 of the doubly-covered non-T edges, which caps the added length at
-    4/3 (|E| - k).  The two added cycles are always even.
+    core_cover must cover exactly the core's edges, else
+    CoverConstructionError.  Factors are relabeled so the hub factor meets
+    the other two in at least 2/3 of the doubly-covered non-T edges, which
+    caps the added length at 4/3 (|E| - k): the cover has length at most
+    4/3 (|E| - k) + t, with t the length of core_cover.  The two added
+    cycles are always even.
     """
-    checked = verify_cover(G, core_cover, target=core.edge_indices)
-    if not checked.valid:
+    union = 0
+    for c in core_cover:
+        union |= c
+    if union != core.edge_indices:
         raise CoverConstructionError(
-            f"core_cover invalid: {'; '.join(checked.problems)}"
-        )
-    f1, f2, f3 = core.factors
-    t = core.T
-    pair_sizes = {
-        0: (f2 & f3 & ~t).bit_count(),
-        1: (f1 & f3 & ~t).bit_count(),
-        2: (f1 & f2 & ~t).bit_count(),
-    }
+            "core_cover does not cover exactly the core's edges")
+    factors, t = core.factors, core.T
     # hub factor: the one whose two pairs carry the most M2 edges, i.e. the
-    # one whose OPPOSITE pair is smallest; first index wins ties
-    hub = min(range(3), key=lambda i: (pair_sizes[i], i))
-    factors = [f1, f2, f3]
+    # one whose OPPOSITE pair (the other two factors) is smallest; first
+    # index wins ties
+    hub = min(range(3), key=lambda i: (
+        factors[i - 1] & factors[i - 2] & ~t).bit_count())
     m_hub = factors[hub]
-    others = [factors[i] for i in range(3) if i != hub]
-    added = [m_hub ^ others[0], m_hub ^ others[1]]
-    cover = verify_cover(G, list(core_cover) + added)
-    t_len = checked.length
-    bound = 4 * (G.m - core.k) / 3 + t_len
-    if not cover.valid or cover.length > bound:
-        raise CoverConstructionError(
-            f"construction failed: valid={cover.valid} length={cover.length} "
-            f"bound={bound}"
-        )
-    return cover
+    others = [f for i, f in enumerate(factors) if i != hub]
+    return (*core_cover, m_hub ^ others[0], m_hub ^ others[1])
 
 
 def bipartite_core_cover(core: Core) -> List[int]:
@@ -209,7 +179,7 @@ def bipartite_core_cover(core: Core) -> List[int]:
 
 def four_cover_cycles(
     G: CubicGraph, M1: int, M2: int, M3: int, M4: int
-) -> CycleCover:
+) -> Tuple[int, ...]:
     """The 4-cycle cover built from four 1-factors with empty intersection.
 
     Cycle i is (edges of M_i in exactly one factor) | (edges outside M_i in
@@ -218,38 +188,24 @@ def four_cover_cycles(
     edges.  With k = 0 the cover is even and ced <= 2.
     """
     fs = [M1, M2, M3, M4]
-    m = G.m
-    uncovered, once, twice, thrice, common = _levels((1 << m) - 1, fs)
+    uncovered, once, twice, thrice, common = _levels((1 << G.m) - 1, fs)
     if common:
         raise CoverConstructionError("the four factors have a common edge")
-    k = uncovered.bit_count()
-    cycles = [f & once | twice & ~f | f & thrice | uncovered for f in fs]
-    cover = verify_cover(G, cycles)
-    expect = 4 * m // 3 + 4 * k
-    if not cover.valid or cover.length != expect:
-        raise CoverConstructionError(
-            f"four-cover construction failed: valid={cover.valid} "
-            f"length={cover.length} expected={expect}"
-        )
-    return cover
+    return tuple(f & once | twice & ~f | f & thrice | uncovered for f in fs)
 
 
 def five_cdc(
     G: CubicGraph, M1: int, M2: int, M3: int, M4: int
-) -> CycleCover:
+) -> Tuple[int, ...]:
     """5-cycle double cover from four 1-factors covering E(G) (k = 0).
 
     Adds the 2-factor of singly-covered edges to the k = 0 four-cover; every
-    edge then lies in exactly two members.
+    edge then lies in exactly two members: ced 2 and length 2 |E|.
     """
     uncovered, singly = _levels((1 << G.m) - 1, [M1, M2, M3, M4])[:2]
     if uncovered:
         raise CoverConstructionError("union of the four factors is not E(G)")
-    base = four_cover_cycles(G, M1, M2, M3, M4)
-    cover = verify_cover(G, [*base.cycles, singly])
-    if not cover.valid or not cover.is_double_cover(G):
-        raise CoverConstructionError("5-CDC construction failed")
-    return cover
+    return (*four_cover_cycles(G, M1, M2, M3, M4), singly)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +213,8 @@ def five_cdc(
 # ---------------------------------------------------------------------------
 
 
-def scc_exact(G: CubicGraph, dim_cap: int = DEFAULT_SCC_DIM_CAP) -> CycleCover:
+def scc_exact(G: CubicGraph,
+              dim_cap: int = DEFAULT_SCC_DIM_CAP) -> Tuple[int, ...]:
     """Shortest cover of E(G) by at most SCC_MAX_CYCLES cycles, by
     exhaustive search over the cycle space with branch-and-bound.
 
@@ -400,6 +357,5 @@ def scc_exact(G: CubicGraph, dim_cap: int = DEFAULT_SCC_DIM_CAP) -> CycleCover:
     rec(0, 0, 0, SCC_MAX_CYCLES)
     if best_choice is None:
         raise CoverConstructionError("graph has no cycle cover")
-    cover = verify_cover(G, best_choice)
-    assert cover.valid and cover.length == best_len
-    return cover
+    assert sum(c.bit_count() for c in best_choice) == best_len
+    return best_choice

@@ -36,7 +36,9 @@ from .covers import (
 )
 from .cyclecovers import (
     DEFAULT_SCC_DIM_CAP,
+    SCC_MAX_CYCLES,
     CoverConstructionError,
+    CycleCover,
     DimensionCapExceededError,
     bipartite_core_cover,
     canonical_cover,
@@ -131,7 +133,8 @@ class GraphReport:
     The fields are declared in report key order.  Each entry of
     mu_witness, fan_raspaud, fulkerson, cores and covers is built by one
     function below, which the audit calls again to rebuild the entry and
-    compare it whole; witnesses hold sorted edge-index arrays, and cores
+    compare it whole; a cover must also keep its kind's contract
+    (_cover_contract).  Witnesses hold sorted edge-index arrays, and cores
     and indexed factors also hold factor indices into the deterministic
     matching enumeration.  checks lists {name, passed, measured}; any
     failed check is a counterexample candidate and appears in violations.
@@ -205,7 +208,7 @@ def _core_dict(factors: Sequence[int], core: Core,
     }
 
 
-def _cover_dict(kind: str, cover) -> dict:
+def _cover_dict(kind: str, cover: CycleCover) -> dict:
     return {
         "kind": kind,
         "cycles": [_indices(c) for c in cover.cycles],
@@ -326,44 +329,46 @@ def analyze(
                     report.checks.append(
                         dict(check, name=f"core_{check['name']}"))
 
+    # each cover is verified once, here, and handed to the self-audit
+    built_covers: List[CycleCover] = []
+
+    def add_cover(kind: str, cycles: Sequence[int]) -> None:
+        cover = verify_cover(G, cycles)
+        built_covers.append(cover)
+        report.covers.append(_cover_dict(kind, cover))
+
     if "covers" in needs_pms:
         with step("covers"):
             colorable, coloring = is_three_edge_colorable(G)
             if colorable:
-                report.covers.append(
-                    _cover_dict("canonical", canonical_cover(G, coloring))
-                )
+                add_cover("canonical", canonical_cover(G, coloring))
             cyclic_core = find_core(G, matchings)
             if cyclic_core is not None:
                 core_cover = bipartite_core_cover(cyclic_core)
-                cover = cover_from_core(G, cyclic_core, core_cover)
-                report.covers.append(_cover_dict("core_extension", cover))
+                add_cover("core_extension",
+                          cover_from_core(G, cyclic_core, core_cover))
             if report.mu.get("4") == 0:
-                witness = mu_witnesses[4]
-                report.covers.append(
-                    _cover_dict("four_cover",
-                                four_cover_cycles(G, *witness.factors))
-                )
-                report.covers.append(
-                    _cover_dict("five_cdc", five_cdc(G, *witness.factors))
-                )
+                factors = mu_witnesses[4].factors
+                add_cover("four_cover", four_cover_cycles(G, *factors))
+                add_cover("five_cdc", five_cdc(G, *factors))
 
     if "scc" in ops:
         # no check may compare scc with 4m/3: scc_exact prunes with it
         with step("scc"):
             try:
-                cover = scc_exact(G, dim_cap=options.scc_dim_cap)
+                cycles = scc_exact(G, dim_cap=options.scc_dim_cap)
             except CoverConstructionError:  # G has a bridge
                 report.errors["scc"] = "no_cycle_cover"
             else:
-                report.covers.append(_cover_dict("scc_exact", cover))
+                add_cover("scc_exact", cycles)
 
     _theorem_checks(G, report)
     report.violations = [c["name"] for c in report.checks if not c["passed"]]
     if options.timings:
         report.timings_ms = timings
 
-    audit_report(G, report.to_dict(), pms=pms, cores=built_cores)
+    audit_report(G, report.to_dict(), pms=pms, cores=built_cores,
+                 covers=built_covers)
     return report
 
 
@@ -434,6 +439,7 @@ def audit_report(
     pms: Optional[Sequence[int]] = None,
     pm_cap: int = DEFAULT_PM_CAP,
     cores: Optional[Sequence[Tuple[Core, CoreClassification]]] = None,
+    covers: Optional[Sequence[CycleCover]] = None,
 ) -> None:
     """Re-verify every witness in a serialized report against the graph.
 
@@ -442,8 +448,9 @@ def audit_report(
     the rebuilt entry key for key and type for type (_same): a mu witness
     and a cover from their own edge sets, the Fan-Raspaud and Fulkerson
     factors and a core from the matchings their factor indices name.
-    n and m must equal G's, every cover is checked against E(G), and the
-    keys each op fills must hold a value exactly when the op ran
+    n and m must equal G's, every cover must be valid against E(G) and
+    keep its kind's contract (_cover_contract), and the keys each op fills
+    must hold a value exactly when the op ran
     (_OP_KEYS).  The report must hold no key that GraphReport.to_dict
     never writes, skipped must list distinct ops in ALL_OPS order, each
     errors key must name a step that ran, and timings_ms must map step
@@ -451,15 +458,17 @@ def audit_report(
     when a field it reads is missing or of the wrong type: a factor index
     must be an int, whether or not pms is passed.  pms may reuse an existing
     enumeration; without it, the prefix up to the largest named factor
-    index is enumerated once, if one is named.  cores may be passed to
-    reuse the (core, classification) pair behind each entry of
-    data["cores"]; each pair must be built from the matchings its entry's
-    indices name.  Without cores, each core is rebuilt and reclassified.
+    index is enumerated once, if one is named.  cores and covers may pass
+    what analyze built behind each entry of data["cores"] and
+    data["covers"]: a (core, classification) pair, which must be built
+    from the matchings its entry's indices name, and a verified
+    CycleCover, which must hold its entry's cycles.  Without them, each
+    core is rebuilt and reclassified, and each cover verified.
     """
     if not isinstance(data, dict):
         raise ReportAuditError("report is not a JSON object")
     try:
-        _audit_witnesses(G, data, pms, pm_cap, cores)
+        _audit_witnesses(G, data, pms, pm_cap, cores, covers)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise ReportAuditError(
             f"report {data.get('id')}: missing or mistyped field "
@@ -476,6 +485,7 @@ def _same(a, b) -> bool:
 def _audit_witnesses(
     G: CubicGraph, data: dict, pms: Optional[Sequence[int]], pm_cap: int,
     cores: Optional[Sequence[Tuple[Core, CoreClassification]]],
+    covers: Optional[Sequence[CycleCover]],
 ) -> None:
     def fail(msg: str):
         raise ReportAuditError(f"report {data.get('id')}: {msg}")
@@ -556,9 +566,10 @@ def _audit_witnesses(
         pms = enumerate_perfect_matchings(G, cap=pm_cap, stop=stop)
 
     witnesses = data["mu_witness"]
+    witness_factors = {}
     tested = set()  # each distinct witness factor is tested once
     for k, wit in witnesses.items():
-        factors = [as_set(a) for a in wit["factors"]]
+        factors = witness_factors[k] = [as_set(a) for a in wit["factors"]]
         new = set(factors) - tested
         if (len(factors) != int(k)
                 or not all(is_perfect_matching(G, f) for f in new)):
@@ -601,14 +612,8 @@ def _audit_witnesses(
                 fail("core: factors differ from the indexed matchings")
         check_entry(_core_dict(entry["factors"], core, cls), entry, "core")
 
-    for entry in data.get("covers", []):
-        cover = verify_cover(G, [as_set(a) for a in entry["cycles"]])
-        check_entry(_cover_dict(entry["kind"], cover), entry,
-                    f"cover {entry['kind']}")
-        if not cover.valid:
-            fail(f"cover {entry['kind']}: recorded cover is invalid")
-
-    kinds = [entry["kind"] for entry in data.get("covers", [])]
+    entries = data["covers"]
+    kinds = [entry["kind"] for entry in entries]
     rule = _implied_cover_kinds(data)
     if kinds != [kind for kind in rule if kind in kinds]:
         fail(f"covers: kinds {kinds} are not distinct kinds in the order "
@@ -617,6 +622,43 @@ def _audit_witnesses(
         if implied is not None and implied != (kind in kinds):
             fail(f"covers: {kind} is {'missing' if implied else 'present'}"
                  ", against the report's own fields")
+    if covers is not None and len(covers) != len(entries):
+        fail(f"covers: {len(entries)} entries for {len(covers)} built covers")
+    for index, entry in enumerate(entries):
+        kind = entry["kind"]
+        cycles = tuple(as_set(a) for a in entry["cycles"])
+        cover = verify_cover(G, cycles) if covers is None else covers[index]
+        if cover.cycles != cycles:
+            fail(f"cover {kind}: cycles differ from the built cover's")
+        check_entry(_cover_dict(kind, cover), entry, f"cover {kind}")
+        if not cover.valid:
+            fail(f"cover {kind}: recorded cover is invalid")
+        # four_cover and five_cdc are present only with mu["4"] = 0 (rule)
+        if not _cover_contract(G, kind, cover, witness_factors.get("4")):
+            fail(f"cover {kind}: breaks the contract of its kind")
+
+
+def _cover_contract(G: CubicGraph, kind: str, cover: CycleCover,
+                    four: Optional[Sequence[int]]) -> bool:
+    """Does a valid cover state what the construction of its kind proves?
+    four_cover and five_cdc must also be built from four, the mu_4 witness
+    factors.  core_extension's bound 4(m - k)/3 + t, with t = 2k the
+    length of all but its last two cycles, reads 3 length <= 4m + t.
+    scc_exact is never compared with 4m/3, which it prunes with."""
+    m, count, length = G.m, cover.count, cover.length
+    if kind == "canonical":
+        return count == 2 and cover.even and 3 * length == 4 * m
+    if kind == "core_extension":
+        t = sum(c.bit_count() for c in cover.cycles[:-2])
+        return count in (2, 3) and 3 * length <= 4 * m + t
+    if kind == "four_cover":
+        return (count == 4 and cover.even and cover.ced <= 2
+                and 3 * length == 4 * m
+                and cover.cycles == four_cover_cycles(G, *four))
+    if kind == "five_cdc":
+        return (count == 5 and cover.ced == 2 and length == 2 * m
+                and cover.cycles == five_cdc(G, *four))
+    return count <= SCC_MAX_CYCLES
 
 
 def _implied_cover_kinds(data: dict) -> Dict[str, Optional[bool]]:

@@ -78,7 +78,7 @@ def test_criterion_02_petersen_shortest_cover():
     with criterion(2, "Petersen scc_exact = 21 = 4/3*15 + 1 in < 60 s"):
         t0 = time.monotonic()
         G = petersen()
-        cover = scc_exact(G, dim_cap=6)
+        cover = verify_cover(G, scc_exact(G, dim_cap=6))
         assert cover.valid and cover.length == 21 == (4 * G.m) // 3 + 1
         assert time.monotonic() - t0 < 60.0
 
@@ -91,11 +91,13 @@ def test_criterion_03_flower_snark_covers(j5):
         assert mu_k(j5, 3, pms)[0] == 3
         value, witness = mu_k(j5, 4, pms)
         assert value == 0
-        four = four_cover_cycles(j5, *witness.factors)
+        four = verify_cover(j5, four_cover_cycles(j5, *witness.factors))
         assert four.valid and four.even and four.length == 40
         assert four.ced <= 2 and four.count == 4
-        cdc = five_cdc(j5, *witness.factors)
-        assert cdc.valid and cdc.count == 5 and cdc.is_double_cover(j5)
+        cdc = verify_cover(j5, five_cdc(j5, *witness.factors))
+        # valid with ced 2 and length 2m: every edge lies in two cycles
+        assert cdc.valid and cdc.count == 5
+        assert cdc.ced == 2 and cdc.length == 2 * j5.m
         assert time.monotonic() - t0 < 120.0
 
 
@@ -104,8 +106,7 @@ def test_criterion_04_petersen_four_cover_accounting():
                       "4/3*15 + 4*1 and is even"):
         G = petersen()
         _, witness = mu_k(G, 4, enumerate_perfect_matchings(G))
-        cover = four_cover_cycles(G, *witness.factors)
-        checked = verify_cover(G, cover.cycles)
+        checked = verify_cover(G, four_cover_cycles(G, *witness.factors))
         assert checked.valid
         assert checked.length == 24 == (4 * G.m) // 3 + 4 * 1
         assert checked.even
@@ -199,19 +200,22 @@ def test_criterion_09_constructions_vs_oracle(corpus, corpus_pms):
         for name, G in corpus:
             if G.m - G.n + 1 > SCC_FEASIBLE_DIM:
                 continue
-            best = scc_exact(G, dim_cap=SCC_FEASIBLE_DIM).length
+            best = verify_cover(
+                G, scc_exact(G, dim_cap=SCC_FEASIBLE_DIM)).length
             pms = corpus_pms[name]
             colorable, coloring = is_three_edge_colorable(G)
             if colorable:
-                canonical = canonical_cover(G, coloring).length
+                canonical = verify_cover(
+                    G, canonical_cover(G, coloring)).length
                 assert canonical == best == 4 * G.m // 3, name
             core = find_core(G, pms)
             if core is not None and not core.is_empty:
-                cover = cover_from_core(G, core, bipartite_core_cover(core))
+                cover = verify_cover(G, cover_from_core(
+                    G, core, bipartite_core_cover(core)))
                 assert cover.valid and cover.length >= best, name
             value, witness = mu_k(G, 4, pms)
             if value == 0:
-                four = four_cover_cycles(G, *witness.factors)
+                four = verify_cover(G, four_cover_cycles(G, *witness.factors))
                 assert four.valid and four.length >= best, name
             checked += 1
         assert checked >= 580

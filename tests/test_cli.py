@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import hashlib
 import json
@@ -11,8 +12,10 @@ from factorcover import cli as cli_module
 from factorcover import report as report_module
 from factorcover.cli import main
 from factorcover.cores import build_core, classify_core
+from factorcover.cyclecovers import verify_cover
 from factorcover.graphs import (
     CubicGraph,
+    _mask,
     flower_snark,
     parse_edge_list,
     prism,
@@ -24,6 +27,7 @@ from factorcover.report import (
     DEFAULT_OPS,
     AnalyzeOptions,
     ReportAuditError,
+    _cover_dict,
     analyze,
     audit_report,
     parse_entry,
@@ -31,7 +35,7 @@ from factorcover.report import (
     scan,
 )
 
-from conftest import PETERSEN_EDGES, corpus_path
+from conftest import K4_EDGES, PETERSEN_EDGES, corpus_path
 
 MINI_MGF = """\
 # K4
@@ -915,19 +919,27 @@ def test_audit_fails_a_mistyped_index_before_enumerating(
             audit_report(petersen, data, pms=passed)
 
 
+def capture_audit(monkeypatch, G, options, id):
+    """A report of G and what analyze hands its built-in audit: the
+    matchings, the (core, classification) pairs and the verified covers."""
+    passed = []
+
+    def capture(G, data, pms=None, pm_cap=None, cores=None, covers=None):
+        passed.append((pms, cores, covers))
+
+    monkeypatch.setattr(report_module, "audit_report", capture)
+    data = analyze(G, options, id=id).to_dict()
+    ((pms, cores, covers),) = passed
+    monkeypatch.undo()
+    return data, pms, cores, covers
+
+
 @pytest.fixture
 def petersen_cores(petersen, monkeypatch):
     """A default-ops Petersen report and the (core, classification) pairs
     that analyze built for it, as analyze passes them to the audit."""
-    passed = []
-
-    def capture(G, data, pms=None, pm_cap=None, cores=None):
-        passed.append((pms, cores))
-
-    monkeypatch.setattr(report_module, "audit_report", capture)
-    data = analyze(petersen, AnalyzeOptions(), id="petersen").to_dict()
-    ((pms, cores),) = passed
-    monkeypatch.undo()
+    data, pms, cores, _ = capture_audit(monkeypatch, petersen,
+                                        AnalyzeOptions(), "petersen")
     assert len(cores) == len(data["cores"]) == 1
     return data, pms, cores
 
@@ -968,6 +980,99 @@ def test_shared_core_audit_rejects_a_core_of_other_factors(petersen,
             audit_report(petersen, data, pms=pms, cores=[pair])
     with pytest.raises(ReportAuditError, match="1 entries for 2"):
         audit_report(petersen, data, pms=pms, cores=[(core, cls)] * 2)
+
+
+@pytest.fixture
+def petersen_covers(petersen, monkeypatch):
+    """An all-ops Petersen report and what analyze hands its audit, with
+    the two verified covers behind its core_extension and scc_exact."""
+    built = capture_audit(monkeypatch, petersen, AnalyzeOptions(ops=ALL_OPS),
+                          "petersen")
+    data, covers = built[0], built[3]
+    assert [entry["kind"] for entry in data["covers"]] == [
+        "core_extension", "scc_exact"]
+    assert [cover.cycles for cover in covers] == [
+        tuple(_mask(petersen.m, c) for c in entry["cycles"])
+        for entry in data["covers"]]
+    return built
+
+
+def test_shared_cover_audit_rejects_a_cover_of_other_cycles(petersen,
+                                                           petersen_covers):
+    data, pms, cores, covers = petersen_covers
+    audit_report(petersen, data, pms=pms, cores=cores, covers=covers)
+    core_extension, scc = covers
+    # the same cycles in another order keep every statistic of the entry
+    reordered = dataclasses.replace(scc, cycles=scc.cycles[::-1])
+    for wrong in ([core_extension, reordered], [scc, core_extension]):
+        with pytest.raises(ReportAuditError, match="cycles differ"):
+            audit_report(petersen, data, pms=pms, cores=cores, covers=wrong)
+    for wrong, message in ((covers[:1], "2 entries for 1"),
+                           (covers + covers[:1], "2 entries for 3"),
+                           ([], "2 entries for 0")):
+        with pytest.raises(ReportAuditError, match=message):
+            audit_report(petersen, data, pms=pms, cores=cores, covers=wrong)
+
+
+def test_analyze_verifies_each_cover_once(j5, monkeypatch):
+    calls = []
+    verify = report_module.verify_cover
+    monkeypatch.setattr(report_module, "verify_cover",
+                        lambda G, cycles: calls.append(cycles)
+                        or verify(G, cycles))
+    data = analyze(j5, AnalyzeOptions(ops=ALL_OPS, scc_dim_cap=11),
+                   id="J5").to_dict()
+    assert [entry["kind"] for entry in data["covers"]] == [
+        "core_extension", "four_cover", "five_cdc", "scc_exact"]
+    assert len(calls) == 4
+
+
+# Swaps of one cover entry's cycles for those of another kind in the
+# same all-ops report, with the entry's statistics rebuilt from its new
+# cycles: the cover stays valid, so only its kind's contract tells.
+COVER_KIND_SWAPS = [
+    ("K4", "canonical", "four_cover"),
+    ("K4", "canonical", "five_cdc"),
+    ("K4", "core_extension", "four_cover"),
+    ("K4", "four_cover", "scc_exact"),
+    ("K4", "five_cdc", "canonical"),
+    ("K4", "scc_exact", "five_cdc"),
+    ("J5", "core_extension", "scc_exact"),
+    ("J5", "four_cover", "scc_exact"),
+    ("J5", "four_cover", "five_cdc"),
+    ("J5", "five_cdc", "core_extension"),
+    ("Petersen", "core_extension", "scc_exact"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _swap_report(name):
+    G = {"K4": CubicGraph(4, K4_EDGES), "J5": flower_snark(5),
+         "Petersen": CubicGraph(10, PETERSEN_EDGES)}[name]
+    options = AnalyzeOptions(ops=ALL_OPS, scc_dim_cap=11)
+    return G, analyze(G, options, id=name).to_dict()
+
+
+@pytest.mark.parametrize("name,kind,source", COVER_KIND_SWAPS)
+def test_audit_rejects_a_cover_with_another_kinds_cycles(name, kind,
+                                                        source):
+    """Validity alone passes each of these swaps.  Two kinds of swap
+    still pass the contracts, and are left out: a swap into scc_exact,
+    whose cycles only a new search can tell from those of another short
+    cover, and a swap among K4's canonical, core_extension and scc_exact,
+    which are all even 2-cycle covers of length 8 (canonical's and
+    core_extension's have the same cycles)."""
+    G, data = _swap_report(name)
+    audit_report(G, data)
+    tampered = copy.deepcopy(data)
+    kinds = [entry["kind"] for entry in data["covers"]]
+    cycles = [_mask(G.m, c)
+              for c in data["covers"][kinds.index(source)]["cycles"]]
+    swapped = _cover_dict(kind, verify_cover(G, cycles))
+    assert swapped["valid"]
+    tampered["covers"][kinds.index(kind)] = swapped
+    with pytest.raises(ReportAuditError, match="contract of its kind"):
+        audit_report(G, tampered)
 
 
 def test_analyze_classifies_each_core_once(petersen, monkeypatch):

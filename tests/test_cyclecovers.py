@@ -53,14 +53,6 @@ def test_verify_cover_flags_problems(k4):
     assert any("uncovered" in p or "missing" in p for p in missing.problems)
 
 
-def test_verify_cover_against_target(petersen):
-    pms = enumerate_perfect_matchings(petersen)
-    core = build_core(petersen, pms[0], pms[1], pms[2])
-    cover = verify_cover(petersen, [core.edge_indices],
-                         target=core.edge_indices)
-    assert cover.valid and cover.length == 6
-
-
 # ---------------------------------------------------------------------------
 # canonical 2-cover of 3-edge-colorable graphs
 # ---------------------------------------------------------------------------
@@ -72,7 +64,7 @@ def test_canonical_cover(corpus):
         colorable, coloring = is_three_edge_colorable(G)
         if not colorable:
             continue
-        cover = canonical_cover(G, coloring)
+        cover = verify_cover(G, canonical_cover(G, coloring))
         assert cover.valid and cover.count == 2, name
         assert cover.length == 4 * G.m // 3, name
         assert cover.even, name
@@ -92,9 +84,22 @@ def test_canonical_cover_rejects_non_coloring(k4):
 def test_cover_from_core_petersen(petersen):
     core = find_core(petersen, enumerate_perfect_matchings(petersen))
     core_cover = bipartite_core_cover(core)
-    cover = cover_from_core(petersen, core, core_cover)
+    cover = verify_cover(petersen, cover_from_core(petersen, core, core_cover))
     assert cover.valid and cover.count == 3
     assert cover.length == 22  # 4/3 * (15 - 3) + 6
+
+
+def test_cover_from_core_rejects_a_cover_that_is_not_the_core(petersen):
+    """core_cover must cover exactly the core's edges: one that misses a
+    core edge, or that leaves the core, is refused before G's cover is
+    built."""
+    core = find_core(petersen, enumerate_perfect_matchings(petersen))
+    (edges,) = bipartite_core_cover(core)
+    low = edges & -edges
+    outside = ((1 << petersen.m) - 1) & ~edges
+    for core_cover in ([edges ^ low], [edges, outside & -outside], []):
+        with pytest.raises(CoverConstructionError, match="core's edges"):
+            cover_from_core(petersen, core, core_cover)
 
 
 def test_cover_from_core_length_bound(corpus, corpus_pms):
@@ -105,7 +110,7 @@ def test_cover_from_core_length_bound(corpus, corpus_pms):
             continue
         core_cover = bipartite_core_cover(core)
         t = sum(c.bit_count() for c in core_cover)
-        cover = cover_from_core(G, core, core_cover)
+        cover = verify_cover(G, cover_from_core(G, core, core_cover))
         assert cover.valid, name
         assert 3 * cover.length <= 4 * (G.m - core.k) + 3 * t, name
 
@@ -241,7 +246,7 @@ def test_bipartite_core_cover_rejects_non_bipartite_core(corpus, corpus_pms):
 
 def test_four_cover_flower_snark(j5):
     _, witness = mu_k(j5, 4, enumerate_perfect_matchings(j5))
-    cover = four_cover_cycles(j5, *witness.factors)
+    cover = verify_cover(j5, four_cover_cycles(j5, *witness.factors))
     assert cover.valid and cover.count == 4
     assert cover.length == 40 and cover.even and cover.ced <= 2
 
@@ -249,16 +254,18 @@ def test_four_cover_flower_snark(j5):
 def test_four_cover_length_accounting(petersen):
     pms = enumerate_perfect_matchings(petersen)
     _, witness = mu_k(petersen, 4, pms)  # mu_4 = 1, so k = 1 uncovered edge
-    cover = four_cover_cycles(petersen, *witness.factors)
+    cover = verify_cover(petersen,
+                         four_cover_cycles(petersen, *witness.factors))
     assert cover.valid
     assert cover.length == 4 * petersen.m // 3 + 4 * 1 == 24
 
 
 def test_five_cdc_flower_snark(j5):
     _, witness = mu_k(j5, 4, enumerate_perfect_matchings(j5))
-    cover = five_cdc(j5, *witness.factors)
+    cover = verify_cover(j5, five_cdc(j5, *witness.factors))
     assert cover.valid and cover.count == 5
-    assert cover.is_double_cover(j5)
+    # a valid cover with ced 2 and length 2m covers every edge twice
+    assert cover.ced == 2
     assert cover.length == 2 * j5.m
 
 
@@ -303,15 +310,16 @@ def scc_oracle(G: CubicGraph, max_cycles: int = 4) -> int:
 
 def test_scc_exact_against_brute_force(k4, k33, theta, prism):
     for G in (theta, k4, k33, prism):
-        cover = scc_exact(G)
+        cover = verify_cover(G, scc_exact(G))
         assert cover.valid
         assert cover.length == scc_oracle(G)
 
 
 def test_scc_known_values(petersen, theta, k4):
-    assert scc_exact(theta).length == 4
-    assert scc_exact(k4).length == 8
-    assert scc_exact(petersen).length == 21  # 4/3 * 15 + 1
+    assert verify_cover(theta, scc_exact(theta)).length == 4
+    assert verify_cover(k4, scc_exact(k4)).length == 8
+    # 4/3 * 15 + 1
+    assert verify_cover(petersen, scc_exact(petersen)).length == 21
 
 
 def test_scc_dim_cap(petersen):
@@ -323,7 +331,7 @@ def test_scc_equals_4m_over_3_on_colorable(corpus):
     checked = 0
     for name, G in corpus:
         if G.m - G.n + 1 <= 7 and is_three_edge_colorable(G)[0]:
-            assert scc_exact(G).length == 4 * G.m // 3, name
+            assert verify_cover(G, scc_exact(G)).length == 4 * G.m // 3, name
             checked += 1
     assert checked >= 100
 
@@ -504,7 +512,7 @@ def scc_bucket_oracle(G: CubicGraph) -> Tuple[int, ...]:
 
 
 def scc_bits(G: CubicGraph, dim_cap: int = 7) -> Tuple[int, ...]:
-    return scc_exact(G, dim_cap=dim_cap).cycles
+    return scc_exact(G, dim_cap=dim_cap)
 
 
 def test_scc_prune_keeps_the_witness_on_corpus(corpus):
@@ -576,8 +584,8 @@ def test_scc_overshoot_cut_keeps_the_witness_on_multigraphs():
 def test_scc_flower_snark_j5(j5):
     """Dimension 11: J5's 4-cover from mu_4 = 0 is shortest (length 40)."""
     t0 = time.monotonic()
-    cover = scc_exact(j5, dim_cap=11)
+    cover = verify_cover(j5, scc_exact(j5, dim_cap=11))
     assert time.monotonic() - t0 < 10.0
     _, witness = mu_k(j5, 4, enumerate_perfect_matchings(j5))
-    four = four_cover_cycles(j5, *witness.factors)
+    four = verify_cover(j5, four_cover_cycles(j5, *witness.factors))
     assert cover.valid and cover.length == four.length == 40

@@ -354,7 +354,10 @@ def scc_exact(G: CubicGraph,
                 if best_len == root_bound:
                     return
 
-    rec(0, 0, 0, SCC_MAX_CYCLES)
+    try:
+        rec(0, 0, 0, SCC_MAX_CYCLES)
+    finally:
+        del rec  # rec's closure refers to rec: break that cycle
     if best_choice is None:
         raise CoverConstructionError("graph has no cycle cover")
     assert sum(c.bit_count() for c in best_choice) == best_len

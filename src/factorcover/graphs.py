@@ -342,6 +342,10 @@ def girth(G: CubicGraph) -> int:
     return g
 
 
+#: (order, parent_edge, depth, label) of _cycle_labels
+Forest = Tuple[List[int], List[int], List[int], List[int]]
+
+
 def _bfs(
     G: CubicGraph, mask: int, roots: Iterable[int]
 ) -> Tuple[List[int], List[int], List[int]]:
@@ -427,15 +431,9 @@ def _two_coloring(
     return [d & 1 if d >= 0 else -1 for d in depth]
 
 
-def is_bipartite(G: CubicGraph) -> Tuple[bool, Optional[List[int]]]:
-    full = (1 << G.m) - 1
-    coloring = _two_coloring(G, full, _bfs(G, full, range(G.n))[2])
-    return (coloring is not None), coloring
-
-
 def _cycle_labels(
     G: CubicGraph, mask: int, roots: Iterable[int]
-) -> Tuple[List[int], List[int], List[int], List[int]]:
+) -> Forest:
     """The BFS forest _bfs(G, mask, roots) and its cycle labels.
 
     Returns (order, parent_edge, depth, label).  label[e]: bit j is set
@@ -469,48 +467,80 @@ def _cycle_labels(
     return order, parent_edge, depth, label
 
 
+def _forest(G: CubicGraph) -> Forest:
+    """The BFS forest of all of G, from every vertex in turn, and its cycle
+    labels: the one forest that is_bridgeless, is_bipartite and
+    has_nontrivial_3_edge_cut can share."""
+    return _cycle_labels(G, (1 << G.m) - 1, range(G.n))
+
+
 def bridges(G: CubicGraph) -> int:
-    label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))[3]
-    return sum(1 << e for e, x in enumerate(label) if x == 0)
+    return sum(1 << e for e, x in enumerate(_forest(G)[3]) if x == 0)
 
 
-def is_bridgeless(G: CubicGraph) -> bool:
-    return not bridges(G)
+def is_bridgeless(G: CubicGraph, forest: Optional[Forest] = None) -> bool:
+    """True when no edge is a bridge, i.e. labelled 0 in forest, which is
+    _forest(G) (built here when not given)."""
+    return 0 not in (forest or _forest(G))[3]
+
+
+def is_bipartite(
+    G: CubicGraph, forest: Optional[Forest] = None
+) -> Tuple[bool, Optional[List[int]]]:
+    """(True, a 2-coloring) or (False, None), by the depth parity of a BFS
+    forest of G: forest, which is _forest(G), when given, else a new BFS."""
+    full = (1 << G.m) - 1
+    depth = (forest or _bfs(G, full, range(G.n)))[2]
+    coloring = _two_coloring(G, full, depth)
+    return (coloring is not None), coloring
 
 
 def cycle_space_basis(G: CubicGraph) -> List[int]:
     """Fundamental cycles (as edge bitmasks) w.r.t. a BFS spanning forest:
     the transpose of _cycle_labels."""
-    label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))[3]
+    label = _forest(G)[3]
     return _transpose(max(label).bit_length(), label)
 
 
 def has_nontrivial_3_edge_cut(
-    G: CubicGraph,
+    G: CubicGraph, forest: Optional[Forest] = None
 ) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Find a 3-edge cut with >= 2 vertices on both sides.
 
     The three edges at a single vertex form a trivial cut; everything else
     counts.  Returns (True, (a, b, c)) for the lexicographically first
     such cut a < b < c, else (False, None).  Disconnected input is an
-    error.
+    error.  forest, if given, is _forest(G), shared with the other
+    structure queries; else it is built here.
 
     Method: removing S = {a, b, c} from the connected G leaves a component
     of 2..n-2 vertices exactly when some nonempty T within S, other than
     the three edges of one vertex, is a cut, i.e. has XOR-label 0
     (_cycle_labels).  Given a < b, that leaves T = {c}, {a, c}, {b, c} or
     {a, b, c}, so the least c > b is labelled 0, label[a], label[b] or
-    label[a] ^ label[b]: one bisect in each of the four label classes.
-    That is O(m^2) pairs times O(log m), after one O(m) labelling.
+    label[a] ^ label[b].  When the labels are nonzero and distinct (G is
+    3-edge-connected) each label is one edge's, the first three classes
+    hold no c > b, and c is one dict lookup of label[a] ^ label[b]: O(m^2)
+    lookups in all.  Otherwise c is one bisect in each of the four label
+    classes, O(m^2 log m).  Either way after one O(m) labelling.
     """
-    _, _, depth, label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))
+    _, _, depth, label = forest or _forest(G)
     if depth.count(0) > 1:  # more than one tree
         raise ValueError("has_nontrivial_3_edge_cut: graph is disconnected")
     m = G.m
+    stars = set(G.incidence)
+    edge_of = {x: e for e, x in enumerate(label)}
+    if len(edge_of) == m and 0 not in edge_of:
+        for a in range(m - 2):
+            la = label[a]
+            for b in range(a + 1, m - 1):
+                c = edge_of.get(la ^ label[b], -1)
+                if c > b and (a, b, c) not in stars:
+                    return True, (a, b, c)
+        return False, None
     carriers: Dict[int, List[int]] = {}
     for e, x in enumerate(label):
         carriers.setdefault(x, []).append(e)
-    stars = set(G.incidence)
     for a in range(m):
         la = label[a]
         for b in range(a + 1, m - 1):
@@ -611,9 +641,11 @@ def _hamiltonian_circuit(
                 free[y] += 1
         return False
 
-    if extend(start, 1):
-        return path_edges
-    return None
+    try:
+        found = extend(start, 1)
+    finally:
+        del extend  # extend's closure refers to extend: break that cycle
+    return path_edges if found else None
 
 
 def is_hamiltonian(G: CubicGraph) -> bool:

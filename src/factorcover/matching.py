@@ -100,6 +100,8 @@ def enumerate_perfect_matchings(
         rec(0, 0)
     except _PrefixFull:
         pass
+    finally:
+        del rec  # rec's closure refers to rec: break that cycle
     return out
 
 
@@ -178,7 +180,11 @@ def _edge_coloring(G: CubicGraph, s: int) -> Optional[List[int]]:
             used_at[v] &= ~bit
         return False
 
-    return color if rec(0, -1, 0) else None
+    try:
+        found = rec(0, -1, 0)
+    finally:
+        del rec  # rec's closure refers to rec: break that cycle
+    return color if found else None
 
 
 def is_three_edge_colorable(

@@ -53,6 +53,7 @@ from .graphs import (
     GraphFormatError,
     GraphTooLargeError,
     NotCubicError,
+    _forest,
     _indices,
     _mask,
     girth,
@@ -264,10 +265,13 @@ def analyze(
     if "structure" in ops:
         with step("structure"):
             report.girth = girth(G)
-            report.bridgeless = is_bridgeless(G)
-            report.bipartite = is_bipartite(G)[0]
+            # one BFS forest and its cycle labels answer the next three
+            forest = _forest(G)
+            report.bridgeless = is_bridgeless(G, forest)
+            report.bipartite = is_bipartite(G, forest)[0]
             try:
-                report.nontrivial_3_cut = has_nontrivial_3_edge_cut(G)[0]
+                report.nontrivial_3_cut = has_nontrivial_3_edge_cut(
+                    G, forest)[0]
             except ValueError:
                 report.errors["nontrivial_3_cut"] = "disconnected"
             report.hamiltonian = is_hamiltonian(G)

@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 import tracemalloc
+from bisect import bisect_right
 from collections import deque
 
 import networkx as nx
@@ -45,6 +46,7 @@ from factorcover.graphs import (
     to_mgf,
 )
 from factorcover.matching import enumerate_perfect_matchings
+from factorcover.report import AnalyzeOptions, analyze
 
 from conftest import (
     K4_EDGES,
@@ -877,6 +879,98 @@ def test_3_edge_cut_matches_triple_scan_on_random_multigraphs():
         seen["two_cut_only"] += cut_size == 2
         seen["parallel"] += len(set(map(frozenset, G.edges))) < G.m
     # the sample exercises the disconnected-pair branch and parallel edges
+    assert all(seen.values()), seen
+
+
+def three_cut_bisect_oracle(G: CubicGraph):
+    """The bisect walk that has_nontrivial_3_edge_cut ran on every graph
+    before the label lookup for 3-edge-connected ones: for each edge pair
+    a < b, the least c > b in each of the label classes 0, label[a],
+    label[b] and label[a] ^ label[b], one bisect each."""
+    _, _, depth, label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))
+    if depth.count(0) > 1:  # more than one tree
+        raise ValueError("has_nontrivial_3_edge_cut: graph is disconnected")
+    m = G.m
+    carriers = {}
+    for e, x in enumerate(label):
+        carriers.setdefault(x, []).append(e)
+    stars = set(G.incidence)
+    for a in range(m):
+        la = label[a]
+        for b in range(a + 1, m - 1):
+            lb = label[b]
+            if not la or not lb or la == lb:
+                return True, (a, b, b + 1)  # {a}, {b} or {a, b} is a cut
+            c = m
+            for x in (0, la, lb):
+                cls = carriers.get(x, ())
+                i = bisect_right(cls, b)
+                if i < len(cls) and cls[i] < c:
+                    c = cls[i]
+            cls = carriers.get(la ^ lb, ())
+            i = bisect_right(cls, b)
+            while i < len(cls) and cls[i] < c:
+                if (a, b, cls[i]) not in stars:
+                    c = cls[i]
+                    break
+                i += 1
+            if c < m:
+                return True, (a, b, c)
+    return False, None
+
+
+def test_3_edge_cut_matches_bisect_oracle(corpus):
+    graphs = list(corpus)
+    assert len(graphs) == 590
+    graphs += [(f"J{t}", flower_snark(t)) for t in range(5, 22, 2)]
+    graphs += [("C64xK2", prism(64)), ("M64", mobius_ladder(32)),
+               ("M128", mobius_ladder(64))]
+    # the graphs of test_3_edge_cut_matches_triple_scan_on_random_multigraphs
+    rng = random.Random(2012)
+    for trial in range(1000):
+        G = random_connected_cubic_multigraph(rng, rng.choice(range(2, 13, 2)))
+        graphs.append((f"trial {trial}", G))
+    lookups = 0  # graphs whose labels are all nonzero and distinct
+    for name, G in graphs:
+        assert has_nontrivial_3_edge_cut(G) == three_cut_bisect_oracle(G), (
+            name)
+        label = _cycle_labels(G, (1 << G.m) - 1, range(G.n))[3]
+        lookups += 0 not in label and len(set(label)) == G.m
+    # both the label lookup and the bisect walk are exercised
+    assert 0 < lookups < len(graphs), lookups
+
+
+def test_analyze_structure_equals_the_standalone_queries(corpus):
+    """analyze shares one BFS forest among bridgeless, bipartite and
+    nontrivial_3_cut; each field must read as the query run alone."""
+    structure = AnalyzeOptions(ops=("structure",))
+    graphs = list(corpus)
+    rng = random.Random(37)
+    seen = {"bridge": 0, "parallel": 0, "disconnected": 0}
+    for trial in range(300):
+        G = random_connected_cubic_multigraph(rng, rng.choice(range(2, 13, 2)))
+        if trial % 10 == 0:  # beside a second component
+            H = random_connected_cubic_multigraph(rng, 4)
+            G = CubicGraph(G.n + H.n, G.edges + tuple(
+                (u + G.n, v + G.n) for u, v in H.edges))
+        graphs.append((f"trial {trial}", G))
+        seen["bridge"] += not is_bridgeless(G)
+        seen["parallel"] += len(set(map(frozenset, G.edges))) < G.m
+    two_thetas = CubicGraph(4, [(0, 1)] * 3 + [(2, 3)] * 3)
+    graphs.append(("two thetas", two_thetas))
+    for name, G in graphs:
+        report = analyze(G, structure, id=name)
+        assert (report.girth, report.bridgeless, report.bipartite) == (
+            girth(G), is_bridgeless(G), is_bipartite(G)[0]), name
+        try:
+            cut = has_nontrivial_3_edge_cut(G)[0]
+        except ValueError:
+            seen["disconnected"] += 1
+            assert report.errors == {"nontrivial_3_cut": "disconnected"}, name
+            assert report.nontrivial_3_cut is None, name
+        else:
+            assert report.errors == {}, name
+            assert report.nontrivial_3_cut == cut, name
     assert all(seen.values()), seen
 
 

@@ -1,13 +1,17 @@
+import gc
 import itertools
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from factorcover.cyclecovers import scc_exact
 from factorcover.graphs import (
     CubicGraph,
     _indices,
     flower_snark,
+    is_hamiltonian,
+    is_hypohamiltonian,
     mobius_ladder,
     prism,
 )
@@ -351,3 +355,34 @@ def test_4ec_class_size_against_brute_force(k4, theta):
 def test_4ec_class_size_known(petersen):
     assert not exists_4ec_with_class_of_size(petersen, 0)  # chi' = 4
     assert exists_4ec_with_class_of_size(petersen, 2)
+
+
+def _enumerate_past_the_cap(G: CubicGraph) -> None:
+    with pytest.raises(PMCapExceededError):
+        enumerate_perfect_matchings(G, cap=3)
+
+
+@pytest.mark.parametrize("G", [prism(4), flower_snark(5)],
+                         ids=["C4xK2", "J5"])
+@pytest.mark.parametrize("search", [
+    enumerate_perfect_matchings,
+    lambda G: enumerate_perfect_matchings(G, stop=3),
+    _enumerate_past_the_cap,
+    lambda G: scc_exact(G, dim_cap=11),
+    is_three_edge_colorable,
+    lambda G: exists_4ec_with_class_of_size(G, 4),
+    is_hamiltonian,
+    is_hypohamiltonian,
+], ids=["enumerate", "enumerate_stop", "enumerate_cap", "scc_exact",
+        "three_ec", "four_ec", "hamiltonian", "hypohamiltonian"])
+def test_recursive_searches_leave_no_reference_cycles(search, G):
+    """A recursive closure refers to itself; each search breaks that
+    cycle on its way out, whether it returns or raises, so its tables are
+    freed at once and not at the next cyclic collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        search(G)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
